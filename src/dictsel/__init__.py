@@ -10,7 +10,6 @@ experts, and a benchmark harness.
 from .constraints import (
     AverageSparsity,
     BlockSparsity,
-    ExactGains,
     ExchangeInstance,
     IndividualSparsity,
     PartitionMatroid,
@@ -58,7 +57,6 @@ __all__ = [
     "AverageSparsity",
     "BlockSparsity",
     "Dataset",
-    "ExactGains",
     "ExchangeInstance",
     "GroundSet",
     "HedgeExpert",

@@ -32,7 +32,7 @@ from .constraints import (
     BlockSparsity,
     IndividualSparsity,
     PartitionMatroid,
-    is_feasible,
+    require_feasible,
 )
 from .encoders import omp_encode
 from .errors import DictselError, ParseError, TooLarge
@@ -287,7 +287,11 @@ def _require(doc, key, kind):
 
 
 def build_ground_set(cfg: dict) -> GroundSet:
-    """Instantiate a ground set from its config fragment."""
+    """Instantiate a ground set from its config fragment (``load`` excludes the others)."""
+    if "load" in cfg:
+        if "bases" in cfg or "csv_blocks" in cfg:
+            raise ParseError("ground_set: 'load' excludes 'bases' and 'csv_blocks'")
+        return data_io.load_ground_set(cfg["load"])
     blocks = []
     for i, basis in enumerate(cfg.get("bases", [])):
         name = basis.get("name")
@@ -300,8 +304,6 @@ def build_ground_set(cfg: dict) -> GroundSet:
             raise ParseError(f"ground_set.bases[{i}].name: unknown basis {name!r}")
     for path in cfg.get("csv_blocks", []):
         blocks.append((Path(path).stem, load_atom_block(path)))
-    if "load" in cfg:
-        return data_io.load_ground_set(cfg["load"])
     if not blocks:
         raise ParseError("ground_set: no bases or csv_blocks given")
     return assemble(blocks)
@@ -482,7 +484,7 @@ def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRo
     rows = []
     for method in config.methods:
         state, seconds = run_selector(method, train, ground_set, constraint)
-        assert is_feasible(constraint, state.supports)
+        require_feasible(constraint, state.supports)
         dictionary = ground_set.matrix[:, state.atoms]
         s_eval = _eval_sparsity(constraint, method)
         rows.append(

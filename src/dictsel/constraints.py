@@ -8,9 +8,11 @@ caps plus a global cap on the total support size).
 
 A *feasible replacement* for a candidate atom adds that atom to some
 supports and removes at most one atom from each support, staying inside
-the family.  ``best_replacement`` finds the gain-maximizing replacement
-for each family; for average sparsity this reduces to a budgeted
-exchange problem solved exactly in O(T log T) by ``solve_exchange``.
+the family.  Per-point families give one support's options as masks
+(``point_options``).  ``search_replacement`` finds the gain-maximizing
+replacement for one atom from decomposable gains; for average sparsity
+this reduces to a budgeted exchange problem solved exactly in
+O(T log T) by ``solve_exchange``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InfeasibleState, UnsupportedConstraint
+from .errors import InfeasibleState
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,13 @@ class PartitionMatroid:
 
     def __post_init__(self):
         for t, rule in enumerate(self.rules):
+            seen: set = set()
             for cat, cap in rule:
                 if cap < 0:
                     raise ValueError(f"rule {t}: negative cap")
+                if seen & cat:
+                    raise ValueError(f"rule {t}: categories must be disjoint")
+                seen |= cat
 
     @staticmethod
     def uniform(num_points: int, num_atoms: int, s: int) -> "PartitionMatroid":
@@ -278,8 +284,6 @@ class RompGains:
     the candidate must be zero.
     """
 
-    decomposable = True
-
     def __init__(self, add_gains: np.ndarray, removal_costs: Sequence[np.ndarray]):
         self.add_gains = np.asarray(add_gains, dtype=float)
         self.removal_costs = removal_costs
@@ -290,88 +294,65 @@ class RompGains:
     def removal_cost(self, t: int, position: int) -> float:
         return float(self.removal_costs[t][position])
 
-    def swap_gain(self, t: int, position: int) -> float:
-        return self.add_gain(t) - self.removal_cost(t, position)
 
+def point_options(
+    constraint: SparsityConstraint, t: int, support: Sequence[int], num_atoms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which atoms may join support ``t`` and which positions each may replace.
 
-class ExactGains:
-    """Callback-based exact gains (used by the exact greedy selector).
-
-    ``add(t)`` evaluates the objective change of adding the candidate to
-    Z_t; ``swap(t, j)`` that of simultaneously dropping the j-th atom.
-    Exact gains do not decompose into per-point add/remove terms, so only
-    per-point families (individual caps, partition matroids) accept them.
+    Per-point families only.  Returns masks (addable (n,), swappable
+    (m, n)).  Atoms of the support get neither; an addable atom gets no
+    swap, since the objective is monotone.  Caps decide by room.  Under a
+    partition matroid an atom may be added while its category is below its
+    cap (uncategorized atoms always), else replace only its own category.
     """
+    support = list(support)
+    outside = np.ones(num_atoms, dtype=bool)
+    outside[support] = False
+    if isinstance(constraint, IndividualSparsity):
+        room = len(support) < constraint.s
+        addable = outside & room
+        swappable = (outside & (not room))[None, :].repeat(len(support), axis=0)
+    elif isinstance(constraint, PartitionMatroid):
+        rule = constraint.rules[t]
+        # Category of every atom; one more category holds the uncapped atoms.
+        labels = np.full(num_atoms, len(rule))
+        for c, (cat, _) in enumerate(rule):
+            labels[[j for j in cat if j < num_atoms]] = c
+        held = labels[support]
+        counts = np.bincount(held, minlength=len(rule) + 1)
+        caps = np.array([cap for _, cap in rule] + [math.inf])
+        addable = (counts < caps)[labels] & outside
+        swappable = (held[:, None] == labels[None, :]) & (outside & ~addable)
+    else:
+        raise TypeError(f"{type(constraint).__name__} is not a per-point family")
+    return addable, swappable
 
-    decomposable = False
 
-    def __init__(self, add: Callable[[int], float], swap: Callable[[int, int], float]):
-        self.add = add
-        self.swap = swap
-
-    def add_gain(self, t: int) -> float:
-        return float(self.add(t))
-
-    def swap_gain(self, t: int, position: int) -> float:
-        return float(self.swap(t, position))
-
-
-def _cheapest_removal(
-    gains, support: Sequence[int], t: int, positions=None
-) -> tuple[int | None, float]:
-    """Cheapest removal position among ``positions``; ties go to the lowest atom index."""
-    best_pos: int | None = None
-    best_cost = math.inf
-    for pos in range(len(support)) if positions is None else positions:
-        cost = gains.removal_cost(t, pos)
-        if cost < best_cost or (cost == best_cost and best_pos is not None and support[pos] < support[best_pos]):
-            best_pos, best_cost = pos, cost
-    return best_pos, best_cost
+def cheapest_removal(costs: Sequence[float], support: Sequence[int], positions=None) -> int | None:
+    """Cheapest position among ``positions`` (default all), ties to the lowest atom; or None."""
+    candidates = range(len(support)) if positions is None else positions
+    return min(candidates, key=lambda j: (costs[j], support[j]), default=None)
 
 
 def _individual_like(constraint, supports, atom, gains) -> Replacement:
+    num_atoms = 1 + max([atom, *(j for z in supports for j in z)])
     per_t: list[tuple[int, int | None, bool]] = []
     total = 0.0
-    uniform = isinstance(constraint, IndividualSparsity)
     for t, support in enumerate(supports):
-        if atom in support:
-            continue
-        if uniform:
-            can_add = len(support) < constraint.s
+        support = list(support)
+        addable, swappable = point_options(constraint, t, support, num_atoms)
+        if addable[atom]:
+            removed, gain = None, gains.add_gain(t)
         else:
-            can_add = constraint.independent(t, list(support) + [atom])
-        best = 0.0
-        choice: tuple[int | None, bool] | None = None
-        if can_add:
-            # Adding dominates any swap here (the objective is monotone),
-            # so swaps are only searched when the cap or category binds.
-            gain = gains.add_gain(t)
-            if gain > best:
-                best, choice = gain, (None, True)
-        else:
-            if uniform:
-                positions = range(len(support))
-            else:
-                positions = [
-                    pos
-                    for pos in range(len(support))
-                    if constraint.independent(
-                        t, [x for x in support if x != support[pos]] + [atom]
-                    )
-                ]
-            if gains.decomposable:
-                pos, _ = _cheapest_removal(gains, support, t, positions)
-                positions = [] if pos is None else [pos]
-            for pos in positions:
-                removed = support[pos]
-                if removed == atom:
-                    continue
-                gain = gains.swap_gain(t, pos)
-                if gain > best:
-                    best, choice = gain, (removed, True)
-        if choice is not None:
-            per_t.append((t, choice[0], choice[1]))
-            total += best
+            costs = [gains.removal_cost(t, j) for j in range(len(support))]
+            pos = cheapest_removal(costs, support, np.flatnonzero(swappable[:, atom]))
+            if pos is None:
+                continue
+            removed, gain = support[pos], gains.add_gain(t) - costs[pos]
+        if gain > 0.0:
+            per_t.append((t, removed, True))
+            total += gain
     return Replacement(atom, per_t, total)
 
 
@@ -427,10 +408,11 @@ def _average(constraint, supports, atom, gains) -> Replacement:
     for t, support in enumerate(supports):
         if atom not in support:
             g[t] = max(0.0, gains.add_gain(t))
-        pos, cost = _cheapest_removal(gains, support, t)
+        costs = [gains.removal_cost(t, j) for j in range(len(support))]
+        pos = cheapest_removal(costs, support)
         if pos is not None:
             cheapest[t] = support[pos]
-            c[t] = cost
+            c[t] = costs[pos]
     tight = frozenset(t for t in range(t_count) if sizes[t] == constraint.s_t[t])
     added, removed, value = solve_exchange(ExchangeInstance(g, c, tight, slack))
     per_t = []
@@ -439,32 +421,39 @@ def _average(constraint, supports, atom, gains) -> Replacement:
     return Replacement(atom, per_t, value)
 
 
-def best_replacement(
+def search_replacement(
     constraint: SparsityConstraint,
     supports: Sequence[Sequence[int]],
     atom: int,
-    gains,
+    gains: RompGains,
 ) -> Replacement:
     """Gain-maximizing feasible replacement for one candidate atom.
 
     ``supports`` are the current Z_t as ordered index sequences (the order
-    fixes removal-cost positions).  Additions with nonpositive gain are
-    always declined, so the returned gain is never negative and applying
-    the replacement preserves feasibility.  Block and average families
-    need decomposable gains; exact callback gains raise
-    UnsupportedConstraint there because those families couple the
-    per-point choices globally.
+    fixes removal-cost positions), assumed feasible.  Nonpositive additions
+    are declined, so the gain is never negative and feasibility is kept.
     """
-    if not is_feasible(constraint, supports):
-        raise InfeasibleState("current supports violate the constraint")
     if isinstance(constraint, (IndividualSparsity, PartitionMatroid)):
         return _individual_like(constraint, supports, atom, gains)
-    if not gains.decomposable:
-        raise UnsupportedConstraint(
-            "exact gains only support per-point families; use decomposable gains"
-        )
     if isinstance(constraint, BlockSparsity):
         return _block(constraint, supports, atom, gains)
     if isinstance(constraint, AverageSparsity):
         return _average(constraint, supports, atom, gains)
     raise TypeError(f"unknown constraint type {type(constraint)!r}")
+
+
+def require_feasible(constraint: SparsityConstraint, supports: Sequence) -> None:
+    """Raise InfeasibleState unless the support tuple belongs to the family."""
+    if not is_feasible(constraint, supports):
+        raise InfeasibleState("supports violate the sparsity constraint")
+
+
+def best_replacement(
+    constraint: SparsityConstraint,
+    supports: Sequence[Sequence[int]],
+    atom: int,
+    gains: RompGains,
+) -> Replacement:
+    """:func:`search_replacement`, raising InfeasibleState on infeasible ``supports``."""
+    require_feasible(constraint, supports)
+    return search_replacement(constraint, supports, atom, gains)

@@ -2,7 +2,8 @@
 
 Selectors keep one thin orthogonal factorization per data point so that
 adding or removing a single atom from a support costs O(d*m) instead of a
-full refactorization.  The module also provides the ground-set
+full refactorization; the same factorizations give the exact gains of all
+single additions and swaps.  The module also provides the ground-set
 conditioning measures used to set smoothness parameters: coherence and
 restricted extremal singular values.
 """
@@ -21,6 +22,9 @@ from .errors import InvalidGroundSet, RankDeficient, TooLarge
 # Columns whose projection residual falls below this norm are treated as
 # linearly dependent and rejected.
 RANK_TOL = 1e-10
+
+# Atoms this close (squared) to the support's span get no addition gain.
+_DENOM_TOL = 1e-12
 
 _ENUMERATION_GUARD = 10**6
 
@@ -121,6 +125,41 @@ def factor_remove(state: SupportFactorization, position: int) -> SupportFactoriz
         np.ascontiguousarray(q[:, : m - 1]),
         np.ascontiguousarray(r[: m - 1, :]),
     )
+
+
+def addition_gains(ground_set, state: SupportFactorization, r: np.ndarray) -> np.ndarray:
+    """Exact gains f(Z + b) - f(Z) of every atom b; atoms of Z or its span gain 0.
+
+    ``r`` is the residual on the support Z that ``state`` factors; with Q
+    its basis, adding b gains <b, r>^2 / (2 * (1 - ||Q^T b||^2)).
+    """
+    gains = _rank_one_gains(atom_matrix(ground_set), state, r)
+    gains[list(state.columns)] = 0.0
+    return gains
+
+
+def _rank_one_gains(a: np.ndarray, state: SupportFactorization, r: np.ndarray) -> np.ndarray:
+    num = (a.T @ r) ** 2
+    den = 1.0 - np.sum((state.q.T @ a) ** 2, axis=0) if state.m else np.ones(a.shape[1])
+    return np.where(den > _DENOM_TOL, num / (2.0 * np.clip(den, _DENOM_TOL, None)), 0.0)
+
+
+def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.ndarray, positions) -> np.ndarray:
+    """Exact gains f(Z - z_j + b) - f(Z) of every atom b, one row per j in ``positions``.
+
+    ``r`` is the residual of ``y`` on Z; the regain after
+    :func:`factor_remove` uses the rank-one formula.  Atoms of Z gain 0.
+    """
+    a = atom_matrix(ground_set)
+    rsq = float(r @ r)
+    rows = np.empty((len(positions), a.shape[1]))
+    for i, position in enumerate(positions):
+        sub = factor_remove(state, position)
+        r_sub = sub.residual(y)
+        base = 0.5 * (rsq - float(r_sub @ r_sub))  # f(Z - z_j) - f(Z), <= 0
+        np.add(base, _rank_one_gains(a, sub, r_sub), out=rows[i])
+    rows[:, list(state.columns)] = 0.0
+    return rows
 
 
 def ls_solve(ground_set, support, y: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ Three selectors over a common selection state:
   atom interactions (sum of the top-s singleton utilities per point).
 * ``replacement_greedy`` adds one atom per step via the best feasible
   replacement measured by exact objective differences; per-point
-  families only.
+  families only, whose options are the masks of ``point_options``.
 * ``replacement_omp`` replaces the exact differences with gradient-based
   proxy gains weighted by a smoothness parameter, which makes the
   per-step search a linear-objective problem and extends to block and
@@ -15,7 +15,8 @@ Three selectors over a common selection state:
   making progress.
 
 All selectors return a :class:`SelectionState` whose supports are
-feasible after every iteration and whose objective never decreases.
+feasible after every iteration (else InfeasibleState) and whose
+objective never decreases.
 """
 
 from __future__ import annotations
@@ -27,20 +28,23 @@ import numpy as np
 
 from .constraints import (
     AverageSparsity,
-    ExactGains,
     ExchangeInstance,
     IndividualSparsity,
     PartitionMatroid,
     Replacement,
     RompGains,
-    best_replacement,
-    is_feasible,
+    cheapest_removal,
+    point_options,
+    require_feasible,
+    search_replacement,
     solve_exchange,
 )
 from .errors import RankDeficient, UnsupportedConstraint
-from .linalg import SupportFactorization, atom_matrix, empty_factorization, factor_insert, factor_remove
+from .linalg import SupportFactorization, addition_gains, atom_matrix, empty_factorization, factor_insert
+from .linalg import factor_remove, swap_gains
 
-_DENOM_TOL = 1e-12
+_PER_POINT = (IndividualSparsity, PartitionMatroid)
+_STACK = 64  # points per array operation in _refresh_options; bounds its temporaries
 
 
 @dataclass
@@ -160,17 +164,65 @@ def _zeroed_grad_sq(state: SelectionState) -> np.ndarray:
     return g2
 
 
-def _romp_gains_for_atom(scaled_g2, scaled_costs, atom):
-    return RompGains(scaled_g2[atom], scaled_costs)
+def _refresh_options(constraint, state: SelectionState, options, points) -> None:
+    """Recompute the ``point_options`` masks of ``points`` and their (n, T) costs.
+
+    A cost is the unscaled w_j^2 of the cheapest position the atom may
+    replace, 0 for an addition, inf for no option.  Only the points a
+    replacement touched change.
+    """
+    masks, cost = options
+    by_size: dict[int, list[int]] = {}
+    for t in points:
+        masks[t] = point_options(constraint, t, state.supports[t], cost.shape[0])
+        by_size.setdefault(len(state.supports[t]), []).append(t)
+    for group in by_size.values():
+        for start in range(0, len(group), _STACK):
+            chunk = group[start : start + _STACK]
+            addable = np.stack([masks[t][0] for t in chunk])
+            swappable = np.stack([masks[t][1] for t in chunk])
+            w2 = np.stack([state.coeffs[t] for t in chunk]) ** 2
+            swap_cost = np.where(swappable, w2[:, :, None], math.inf).min(axis=1, initial=math.inf)
+            cost[:, chunk] = np.where(addable, 0.0, swap_cost).T
 
 
-def _romp_gain_table(constraint, state, scaled_g2, scaled_costs, cheapest):
+def _romp_replacement(constraint, state, scaled_g2, m_i, options) -> Replacement | None:
+    """The replacement of largest proxy gain (lowest atom on ties); None if all gains are 0.
+
+    Per-point families clip each point's gain of the cheapest option in
+    ``options`` at zero; average sparsity solves one exchange problem per
+    atom; block sparsity searches atom by atom.
+    """
     n, t_count = scaled_g2.shape
-    if isinstance(constraint, IndividualSparsity):
-        sizes = np.array([len(z) for z in state.supports])
-        penalty = np.where(sizes < constraint.s, 0.0, cheapest)
-        return np.maximum(scaled_g2 - penalty[None, :], 0.0).sum(axis=1)
+    if options is not None:
+        masks, cost = options
+        point_gains = m_i * cost
+        np.subtract(scaled_g2, point_gains, out=point_gains)
+        np.maximum(point_gains, 0.0, out=point_gains)
+        table = point_gains.sum(axis=1)
+        winner = int(np.argmax(table))
+        if table[winner] <= 0.0:
+            return None
+        per_t = []
+        for t in np.flatnonzero(point_gains[winner] > 0.0).tolist():
+            addable, swappable = masks[t]
+            removed = None
+            if not addable[winner]:
+                support = state.supports[t]
+                w2 = state.coeffs[t] ** 2
+                removed = support[cheapest_removal(w2, support, np.flatnonzero(swappable[:, winner]))]
+            per_t.append((t, removed, True))
+        return Replacement(winner, per_t, float(table[winner]))
+
+    scaled_costs = [m_i * w**2 for w in state.coeffs]
+
+    def search(atom):
+        return search_replacement(constraint, state.supports, atom, RompGains(scaled_g2[atom], scaled_costs))
+
     if isinstance(constraint, AverageSparsity):
+        cheapest = np.array(
+            [c.min() if c.size else math.inf for c in scaled_costs]
+        )
         sizes = [len(z) for z in state.supports]
         slack = constraint.s_prime - sum(sizes)
         tight = frozenset(
@@ -182,15 +234,10 @@ def _romp_gain_table(constraint, state, scaled_g2, scaled_costs, cheapest):
                 ExchangeInstance(scaled_g2[atom], cheapest, tight, slack)
             )
             table[atom] = value
-        return table
-    # Partition matroids and block sparsity: per-atom scalar search.
-    table = np.empty(n)
-    for atom in range(n):
-        rep = best_replacement(
-            constraint, state.supports, atom, _romp_gains_for_atom(scaled_g2, scaled_costs, atom)
-        )
-        table[atom] = rep.gain
-    return table
+    else:
+        table = np.array([search(atom).gain for atom in range(n)])
+    winner = int(np.argmax(table))
+    return search(winner) if table[winner] > 0.0 else None
 
 
 def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, trace=False) -> SelectionState:
@@ -218,26 +265,23 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
     if base_m <= 0:
         raise ValueError("smoothness must be positive")
     state = _initial_state(a, y, trace)
+    options = None
+    if isinstance(constraint, _PER_POINT):
+        t_count = y.shape[1]
+        options = ([None] * t_count, np.empty((n, t_count)))
+        _refresh_options(constraint, state, options, range(t_count))
     for i in range(1, config.k + 1):
         m_i = base_m / math.sqrt(i) if config.decay else base_m
-        g2 = _zeroed_grad_sq(state)
-        scaled_g2 = g2 / m_i
-        scaled_costs = [m_i * w**2 for w in state.coeffs]
-        cheapest = np.array(
-            [c.min() if c.size else math.inf for c in scaled_costs]
-        )
-        table = _romp_gain_table(constraint, state, scaled_g2, scaled_costs, cheapest)
-        winner = int(np.argmax(table))
-        if table[winner] > 0.0:
-            rep = best_replacement(
-                constraint,
-                state.supports,
-                winner,
-                _romp_gains_for_atom(scaled_g2, scaled_costs, winner),
-            )
+        # Under per-point families atoms of a support have no option there
+        # (infinite cost), so their gradient dust needs no zeroing.
+        g2 = state.gradients**2 if options is not None else _zeroed_grad_sq(state)
+        rep = _romp_replacement(constraint, state, g2 / m_i, m_i, options)
+        if rep is not None:
             _apply_replacement(state, rep, a, y, i)
-            if winner not in state.atoms:
-                state.atoms.append(winner)
+            if options is not None:
+                _refresh_options(constraint, state, options, [t for t, _, _ in rep.per_t])
+            if rep.added_atom not in state.atoms:
+                state.atoms.append(rep.added_atom)
         else:
             unselected = [j for j in range(n) if j not in state.atoms]
             if not unselected:
@@ -247,47 +291,40 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
             fallback = min(unselected, key=lambda j: (-mass[j], j))
             state.atoms.append(fallback)
         state.objective_history.append(state.objective)
-        assert is_feasible(constraint, state.supports)
+        require_feasible(constraint, state.supports)
     return state
 
 
-def _rg_option_tables(state, a, y, s):
-    """Exact per-(atom, point) best gains and option codes for per-point caps.
+def _rg_point_options(constraint, t: int, support, n: int):
+    """Point t's addition mask (None if empty), replaceable positions and their swap masks."""
+    addable, swappable = point_options(constraint, t, support, n)
+    positions = np.flatnonzero(swappable.any(axis=1)).tolist()
+    return (addable if addable.any() else None), positions, swappable[positions]
+
+
+def _rg_option_tables(state, a, y, options):
+    """Exact per-(atom, point) best gains and option codes for per-point families.
 
     Option code 0 means leave the support alone, 1 means plain addition,
-    2 + j means swap against position j.  Gains use rank-one projection
-    updates: adding atom b to a support with orthonormal basis Q changes
-    the objective by <b, r>^2 / (2 * (1 - ||Q^T b||^2)).
+    2 + j means swap against position j.  ``options[t]`` comes from
+    ``_rg_point_options``; gains come from ``addition_gains`` and
+    ``swap_gains``, computed only for rows some atom may use.
     """
     n, t_count = a.shape[1], y.shape[1]
     best = np.zeros((n, t_count))
     code = np.zeros((n, t_count), dtype=np.int32)
-    for t in range(t_count):
-        support = state.supports[t]
+    for t, (addable, positions, swappable) in enumerate(options):
         fact = state.factors[t]
         r = state.residuals[:, t]
-        if len(support) < s:
-            num = (a.T @ r) ** 2
-            den = 1.0 - np.sum((fact.q.T @ a) ** 2, axis=0) if fact.m else np.ones(n)
-            gain = np.where(den > _DENOM_TOL, num / (2.0 * np.clip(den, _DENOM_TOL, None)), 0.0)
-            if support:
-                gain[support] = 0.0
-            sel = gain > 0.0
+        if addable is not None:
+            gain = addition_gains(a, fact, r)
+            sel = addable & (gain > 0.0)
             best[sel, t] = gain[sel]
             code[sel, t] = 1
-        else:
-            rsq = float(r @ r)
-            for pos in range(len(support)):
-                sub = factor_remove(fact, pos)
-                r_sub = sub.residual(y[:, t])
-                base = 0.5 * (rsq - float(r_sub @ r_sub))  # f(Z - j) - f(Z), <= 0
-                num = (a.T @ r_sub) ** 2
-                den = 1.0 - np.sum((sub.q.T @ a) ** 2, axis=0) if sub.m else np.ones(n)
-                regain = np.where(den > _DENOM_TOL, num / (2.0 * np.clip(den, _DENOM_TOL, None)), 0.0)
-                gain = base + regain
-                # Atoms already in the support gain nothing here; zero them
-                # exactly so rounding noise cannot mark them as additions.
-                gain[support] = 0.0
+        if positions:
+            # Gains of disallowed swaps become 0, which never beats best >= 0.
+            rows = swap_gains(a, fact, y[:, t], r, positions) * swappable
+            for pos, gain in zip(positions, rows):
                 sel = gain > best[:, t]
                 best[sel, t] = gain[sel]
                 code[sel, t] = 2 + pos
@@ -303,7 +340,7 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
     average sparsity couple the points, and exact gains would force an
     exponential search over joint replacements.
     """
-    if not isinstance(constraint, (IndividualSparsity, PartitionMatroid)):
+    if not isinstance(constraint, _PER_POINT):
         raise UnsupportedConstraint(
             "exact replacement search supports per-point families only"
         )
@@ -313,63 +350,30 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     state = _initial_state(a, y, trace)
-    uniform = isinstance(constraint, IndividualSparsity)
+    # A point's options change only when a replacement touches it.
+    options = [_rg_point_options(constraint, t, z, n) for t, z in enumerate(state.supports)]
     for i in range(1, k + 1):
-        if uniform:
-            best, code = _rg_option_tables(state, a, y, constraint.s)
-            table = best.sum(axis=1)
-            winner = int(np.argmax(table))
-            if table[winner] <= 0.0:
-                state.objective_history.append(state.objective)
-                break
-            per_t = []
-            for t in range(y.shape[1]):
-                c = int(code[winner, t])
-                if c == 1:
-                    per_t.append((t, None, True))
-                elif c >= 2:
-                    per_t.append((t, state.supports[t][c - 2], True))
-            rep = Replacement(winner, per_t, float(table[winner]))
-        else:
-            rep = None
-            for atom in range(n):
-                cand = best_replacement(
-                    constraint, state.supports, atom, _exact_gains(state, a, y, atom)
-                )
-                if rep is None or cand.gain > rep.gain:
-                    rep = cand
-            if rep.gain <= 0.0:
-                state.objective_history.append(state.objective)
-                break
-        _apply_replacement(state, rep, a, y, i)
-        if rep.added_atom not in state.atoms:
-            state.atoms.append(rep.added_atom)
+        best, code = _rg_option_tables(state, a, y, options)
+        table = best.sum(axis=1)
+        winner = int(np.argmax(table))
+        if table[winner] <= 0.0:
+            state.objective_history.append(state.objective)
+            break
+        per_t = []
+        for t in range(y.shape[1]):
+            c = int(code[winner, t])
+            if c == 1:
+                per_t.append((t, None, True))
+            elif c >= 2:
+                per_t.append((t, state.supports[t][c - 2], True))
+        _apply_replacement(state, Replacement(winner, per_t, float(table[winner])), a, y, i)
+        for t, _, _ in per_t:
+            options[t] = _rg_point_options(constraint, t, state.supports[t], n)
+        if winner not in state.atoms:
+            state.atoms.append(winner)
         state.objective_history.append(state.objective)
-        assert is_feasible(constraint, state.supports)
+        require_feasible(constraint, state.supports)
     return state
-
-
-def _exact_gains(state, a, y, atom) -> ExactGains:
-    def add(t):
-        try:
-            fact = factor_insert(state.factors[t], a, atom)
-        except RankDeficient:
-            return 0.0
-        r_new = fact.residual(y[:, t])
-        r_old = state.residuals[:, t]
-        return 0.5 * (float(r_old @ r_old) - float(r_new @ r_new))
-
-    def swap(t, pos):
-        sub = factor_remove(state.factors[t], pos)
-        try:
-            fact = factor_insert(sub, a, atom)
-        except RankDeficient:
-            fact = sub
-        r_new = fact.residual(y[:, t])
-        r_old = state.residuals[:, t]
-        return 0.5 * (float(r_old @ r_old) - float(r_new @ r_new))
-
-    return ExactGains(add, swap)
 
 
 def modular_greedy(data, ground_set, k: int, s: int) -> SelectionState:

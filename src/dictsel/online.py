@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RankDeficient
-from .linalg import atom_matrix, coherence, empty_factorization, factor_insert, factor_remove
-
-_DENOM_TOL = 1e-12
+from .linalg import addition_gains, atom_matrix, coherence, empty_factorization, factor_insert, factor_remove
+from .linalg import swap_gains
 
 METHODS = ("online_modular", "online_replacement_greedy", "online_replacement_omp")
 
@@ -124,25 +123,17 @@ def online_state(method, ground_set, k, s, horizon=None, seed=0, smoothness=None
     return OnlineState(method, k, s, m_val, experts)
 
 
-def _addition_gains_exact(a, fact, resid):
-    """f(Z + b) - f(Z) for every atom b, via rank-one projection updates."""
-    n = a.shape[1]
-    num = (a.T @ resid) ** 2
-    den = 1.0 - np.sum((fact.q.T @ a) ** 2, axis=0) if fact.m else np.ones(n)
-    gains = np.where(den > _DENOM_TOL, num / (2.0 * np.clip(den, _DENOM_TOL, None)), 0.0)
-    if fact.m:
-        gains[list(fact.columns)] = 0.0
-    return gains
-
-
 def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     """Play one round: sample atoms, observe ``y_t``, feed all experts.
 
     Returns (played dictionary, list of per-expert feedback vectors).
     The support starts empty and slot i either adds its sampled atom
-    (slots up to s) or performs the best single swap (later slots), in
-    both cases only on strictly positive gain.  The realized utility of
-    the final support is appended to the ledger.
+    (slots up to s) or swaps it in (later slots), in both cases only on
+    strictly positive fed gain.  Replacement greedy feeds max_j f(Z - z_j
+    + b) - f(Z) and swaps at the first j attaining it, so the realized
+    change is the fed gain; replacement OMP drops the atom with the
+    smallest squared coefficient.  The realized utility of the final
+    support is appended to the ledger.
     """
     a = atom_matrix(ground_set)
     y = np.asarray(y_t, dtype=float)
@@ -173,18 +164,10 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
                 gains = np.zeros(n)
         else:  # online_replacement_greedy
             if i <= state.s:
-                gains = _addition_gains_exact(a, fact, resid)
+                gains = addition_gains(a, fact, resid)
             elif fact.m:
-                gains = np.zeros(n)
-                rsq = float(resid @ resid)
-                for pos in range(fact.m):
-                    sub = factor_remove(fact, pos)
-                    r_sub = sub.residual(y)
-                    base = 0.5 * (rsq - float(r_sub @ r_sub))
-                    swap = base + _addition_gains_exact(a, sub, r_sub)
-                    swap[list(fact.columns)] = 0.0
-                    np.maximum(gains, swap, out=gains)
-                gains = np.maximum(gains, 0.0)
+                swaps = swap_gains(a, fact, y, resid, range(fact.m))
+                gains = np.maximum(swaps.max(axis=0), 0.0)
             else:
                 gains = np.zeros(n)
         feedbacks.append(gains)
@@ -202,10 +185,7 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
                             key=lambda p: (costs[p], fact.columns[p]),
                         )
                     else:
-                        pos = max(
-                            range(fact.m),
-                            key=lambda p: _swap_value(a, y, fact, p, choice),
-                        )
+                        pos = int(np.argmax(swaps[:, choice]))
                     fact = factor_insert(factor_remove(fact, pos), a, choice)
                 coeffs = fact.solve(y)
                 resid = fact.residual(y)
@@ -235,17 +215,6 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     state.ledger.dictionaries.append(played)
     state.ledger.supports.append(list(fact.columns))
     return played, feedbacks
-
-
-def _swap_value(a, y, fact, pos, choice):
-    sub = factor_remove(fact, pos)
-    r_sub = sub.residual(y)
-    try:
-        full = factor_insert(sub, a, choice)
-    except RankDeficient:
-        full = sub
-    r_new = full.residual(y)
-    return float(r_sub @ r_sub) - float(r_new @ r_new)
 
 
 def expert_hindsight_regrets(state: OnlineState) -> np.ndarray:

@@ -209,6 +209,17 @@ def test_build_ground_set_unknown_basis():
         build_ground_set({"bases": [{"name": "fourier", "side": 4}]})
 
 
+def test_build_ground_set_load_is_exclusive(tmp_path):
+    cfg = {"load": str(tmp_path / "saved.bin"), "bases": [{"name": "dct2", "side": 4}]}
+    with pytest.raises(ParseError, match="load"):
+        build_ground_set(cfg)
+    with pytest.raises(ParseError, match="load"):
+        build_ground_set({"load": cfg["load"], "csv_blocks": []})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"ground_set": cfg}))
+    assert main(["groundset", "--config", str(cfg_path)]) == 2
+
+
 def test_cli_bench_and_select(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(base_config()))

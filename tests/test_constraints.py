@@ -6,7 +6,6 @@ import pytest
 from dictsel import (
     AverageSparsity,
     BlockSparsity,
-    ExactGains,
     ExchangeInstance,
     IndividualSparsity,
     PartitionMatroid,
@@ -18,7 +17,8 @@ from dictsel import (
     replacement_sparsity_p,
     solve_exchange,
 )
-from dictsel.errors import InfeasibleState, UnsupportedConstraint
+from dictsel.constraints import cheapest_removal, point_options
+from dictsel.errors import InfeasibleState
 
 from oracles import best_replacement_oracle, exchange_optimum
 
@@ -164,14 +164,6 @@ def test_best_replacement_infeasible_state():
         best_replacement(IndividualSparsity(1), [[1, 2]], 5, RompGains(np.zeros(1), [np.zeros(2)]))
 
 
-def test_best_replacement_exact_gains_rejected_for_global_families():
-    exact = ExactGains(lambda t: 1.0, lambda t, j: 0.5)
-    with pytest.raises(UnsupportedConstraint):
-        best_replacement(AverageSparsity((2, 2), 3), [[0], [1]], 5, exact)
-    with pytest.raises(UnsupportedConstraint):
-        best_replacement(BlockSparsity(((0, 1),), (2,)), [[0], [1]], 5, exact)
-
-
 def test_best_replacement_romp_branch_structure():
     # Below-cap points take max(0, g); at-cap points take max(0, g - min cost).
     rng = np.random.default_rng(34)
@@ -273,14 +265,50 @@ def test_average_replacement_matches_spec_oracle():
         assert is_feasible(constraint, apply_replacement(supports, rep))
 
 
-def test_exact_gains_work_for_individual():
-    # Swap gains that do not decompose: best option searched per position.
-    supports = [[0, 1]]
-    table = {(0, 0): 0.4, (0, 1): 0.9}
-    exact = ExactGains(lambda t: 0.0, lambda t, j: table[(t, j)])
-    rep = best_replacement(IndividualSparsity(2), supports, 5, exact)
-    assert rep.gain == pytest.approx(0.9)
-    assert rep.per_t == [(0, 1, True)]
+@pytest.mark.parametrize("family", ["individual", "matroid"])
+def test_point_options_match_independence(family):
+    # Per-point masks against the family's own membership test, atom by atom.
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        t_count = int(rng.integers(1, 5))
+        constraint = random_constraint(rng, family, t_count)
+        supports = random_supports(rng, constraint, t_count)
+        for t, support in enumerate(supports):
+            addable, swappable = point_options(constraint, t, support, N_ATOMS)
+            assert swappable.shape == (len(support), N_ATOMS)
+            for atom in range(N_ATOMS):
+                trial = [list(z) for z in supports]
+                trial[t] = support + [atom]
+                can_add = atom not in support and is_feasible(constraint, trial)
+                assert addable[atom] == can_add
+                for pos in range(len(support)):
+                    trial[t] = support[:pos] + support[pos + 1 :] + [atom]
+                    can_swap = atom not in support and is_feasible(constraint, trial)
+                    # Adding dominates, so only atoms that cannot be added swap.
+                    assert swappable[pos, atom] == (can_swap and not can_add)
+
+
+def test_point_options_matroid_counts():
+    cats = ((frozenset({0, 1, 2}), 1), (frozenset({3, 4}), 2))
+    constraint = PartitionMatroid((cats,))
+    addable, swappable = point_options(constraint, 0, [3, 0], 7)
+    # Category {0,1,2} is full, {3,4} has room, 5 and 6 are uncapped.
+    assert addable.tolist() == [False, False, False, False, True, True, True]
+    assert swappable.tolist() == [
+        [False] * 7,
+        [False, True, True, False, False, False, False],
+    ]
+
+
+def test_cheapest_removal_ties_go_to_lowest_atom():
+    assert cheapest_removal([0.5, 0.25, 0.25], [8, 5, 2]) == 2
+    assert cheapest_removal([0.5, 0.25, 0.25], [8, 5, 2], [0, 1]) == 1
+    assert cheapest_removal([0.5], [8], []) is None
+
+
+def test_matroid_rejects_overlapping_categories():
+    with pytest.raises(ValueError):
+        PartitionMatroid((((frozenset({0, 1}), 1), (frozenset({1, 2}), 1)),))
 
 
 def test_apply_replacement_keeps_untouched_points():

@@ -19,7 +19,7 @@ from dictsel.errors import UnsupportedConstraint
 from dictsel.offline import SelectorConfig, modular_greedy, replacement_greedy, replacement_omp
 
 from conftest import random_unit_atoms
-from oracles import dictionary_optimum
+from oracles import dictionary_optimum, f_value
 from recursion import check_cumulative_bound, satisfies_recursion
 
 
@@ -196,6 +196,41 @@ def test_replacement_omp_matroid():
     constraint = PartitionMatroid((cats,) * 4)
     state = replacement_omp(y, a, constraint, SelectorConfig(k=4))
     state_consistency(state, a, y, constraint)
+
+
+def test_replacement_greedy_matroid_takes_best_single_replacement():
+    # Two categories of five atoms, one atom of each per point.  Every step
+    # must gain exactly the best feasible single replacement, found by
+    # exhaustive search over atoms and per-point options with dense lstsq.
+    rng = np.random.default_rng(57)
+    a = random_unit_atoms(rng, 8, 10)
+    y = rng.standard_normal((8, 4))
+    cats = ((frozenset(range(5)), 1), (frozenset(range(5, 10)), 1))
+    constraint = PartitionMatroid((cats,) * 4)
+    k = 5
+    state = replacement_greedy(y, a, constraint, k)
+    state_consistency(state, a, y, constraint)
+    history = [0.0] + state.objective_history
+    for i in range(1, len(state.objective_history)):
+        before = replacement_greedy(y, a, constraint, i - 1) if i > 1 else None
+        supports = before.supports if before else [[] for _ in range(4)]
+        best = 0.0
+        for atom in range(10):
+            total = 0.0
+            for t, z in enumerate(supports):
+                base = f_value(a, z, y[:, t])
+                options = [] if atom in z else [z + [atom]]
+                options += [z[:j] + z[j + 1 :] + [atom] for j in range(len(z)) if atom not in z]
+                total += max(
+                    [0.0]
+                    + [
+                        f_value(a, option, y[:, t]) - base
+                        for option in options
+                        if constraint.independent(t, option)
+                    ]
+                )
+            best = max(best, total)
+        assert history[i] - history[i - 1] == pytest.approx(best, rel=1e-9, abs=1e-12)
 
 
 def test_decay_variant_keeps_selecting():

@@ -12,6 +12,7 @@ from dictsel.online import (
 )
 
 from conftest import random_unit_atoms
+from oracles import f_value
 
 
 def make_expert(n=8, horizon=100, seed=0):
@@ -139,6 +140,28 @@ def test_org_feedback_is_exact_difference():
     # Slot 1: gain of {b} over the empty support is f({b}).
     expected = np.array([utility(y, ls_solve(a, [b], y), a) for b in range(14)])
     assert np.abs(feedbacks[0] - expected).max() <= 1e-9
+
+
+def test_org_swaps_at_the_best_position():
+    # k = s + 1: s hand-set additions, then one swap of the last atom.  The
+    # swap must land where f(Z - z_j + b) is largest, so the realized
+    # utility is the exhaustive best over positions (or f(Z) if no swap pays).
+    rng = np.random.default_rng(14)
+    s = 3
+    for _ in range(40):
+        a = random_unit_atoms(rng, 6, 10)
+        y = rng.standard_normal(6)
+        state = online_state("online_replacement_greedy", a, k=s + 1, s=s, horizon=5, seed=7)
+        played = [int(j) for j in rng.choice(10, size=s + 1, replace=False)]
+        for expert, atom in zip(state.experts, played):
+            expert.next_choice = atom
+        online_round(state, y, a)
+        support, atom = played[:s], played[s]
+        expected = max(
+            [f_value(a, support, y)]
+            + [f_value(a, support[:j] + support[j + 1 :] + [atom], y) for j in range(s)]
+        )
+        assert state.ledger.player_gains[-1] == pytest.approx(expected, rel=1e-9)
 
 
 def test_player_gain_is_final_support_utility():

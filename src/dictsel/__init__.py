@@ -14,7 +14,6 @@ from .constraints import (
     IndividualSparsity,
     PartitionMatroid,
     Replacement,
-    RompGains,
     apply_replacement,
     best_replacement,
     is_feasible,
@@ -65,7 +64,6 @@ __all__ = [
     "PartitionMatroid",
     "Replacement",
     "RestrictedSpectrum",
-    "RompGains",
     "SelectionState",
     "SelectorConfig",
     "SparseCode",

@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -326,7 +325,10 @@ def build_dataset(cfg: dict, ground_set, seed, planted=None) -> data_io.Dataset:
     if kind == "load":
         if "path" not in cfg:
             raise ParseError("dataset.path: missing required field")
-        return data_io.load_dataset(cfg["path"])
+        dataset = data_io.load_dataset(cfg["path"])
+        if not np.isfinite(dataset.matrix).all():
+            raise ParseError(f"dataset.path: {cfg['path']} holds NaN or inf values")
+        return dataset
     raise ParseError(f"dataset.kind: unknown kind {kind!r}")
 
 
@@ -354,6 +356,8 @@ def build_constraint(cfg: dict, t_count: int):
         if "blocks" not in cfg or "caps" not in cfg:
             raise ParseError("constraint: block needs 'blocks' and 'caps'")
         blocks = tuple(tuple(int(t) for t in b) for b in cfg["blocks"])
+        if sorted(t for b in blocks for t in b) != list(range(t_count)):
+            raise ParseError(f"constraint.blocks: blocks must partition the T = {t_count} points")
         return BlockSparsity(blocks, tuple(int(c) for c in cfg["caps"]))
     if family == "partition_matroid":
         if "rules" not in cfg:
@@ -501,20 +505,12 @@ def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRo
     return rows
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials and methods; rows are collected in trial order."""
     ground_set = build_ground_set(config.ground_set)
     result = ExperimentResult(config.to_dict())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_trial, config, ground_set, t) for t in range(config.trials)
-            ]
-            for future in futures:
-                result.rows.extend(future.result())
-    else:
-        for trial in range(config.trials):
-            result.rows.extend(_run_trial(config, ground_set, trial))
+    for trial in range(config.trials):
+        result.rows.extend(_run_trial(config, ground_set, trial))
     return result
 
 
@@ -560,7 +556,7 @@ def _cmd_bench(args) -> int:
     config = ExperimentConfig.from_dict(_load_config_doc(args.config))
     if args.seed is not None:
         config.seed = args.seed
-    result = run_experiment(config, threads=args.threads)
+    result = run_experiment(config)
     if args.out:
         base = Path(args.out)
         json_path = base if base.suffix == ".json" else base.with_suffix(".json")
@@ -667,7 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(func=func)
     sub.choices["select"].add_argument("--method", default=None)

@@ -10,7 +10,8 @@ A *feasible replacement* for a candidate atom adds that atom to some
 supports and removes at most one atom from each support, staying inside
 the family.  Per-point families give one support's options as masks
 (``point_options``).  ``search_replacement`` finds the gain-maximizing
-replacement for one atom from decomposable gains; for average sparsity
+replacement for one atom from decomposable gains, given as arrays of
+per-point add gains and per-support removal costs; for average sparsity
 this reduces to a budgeted exchange problem solved exactly in
 O(T log T) by ``solve_exchange``.
 """
@@ -275,26 +276,6 @@ def solve_exchange(instance: ExchangeInstance) -> tuple[set, set, float]:
     return chosen_add, chosen_remove, value
 
 
-class RompGains:
-    """Decomposable proxy gains for one candidate atom.
-
-    ``add_gains[t]`` is the (already smoothness-scaled) gain of adding the
-    candidate to Z_t; ``removal_costs[t][j]`` is the scaled cost of
-    dropping the j-th atom of Z_t.  Entries for supports already holding
-    the candidate must be zero.
-    """
-
-    def __init__(self, add_gains: np.ndarray, removal_costs: Sequence[np.ndarray]):
-        self.add_gains = np.asarray(add_gains, dtype=float)
-        self.removal_costs = removal_costs
-
-    def add_gain(self, t: int) -> float:
-        return float(self.add_gains[t])
-
-    def removal_cost(self, t: int, position: int) -> float:
-        return float(self.removal_costs[t][position])
-
-
 def point_options(
     constraint: SparsityConstraint, t: int, support: Sequence[int], num_atoms: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -335,7 +316,23 @@ def cheapest_removal(costs: Sequence[float], support: Sequence[int], positions=N
     return min(candidates, key=lambda j: (costs[j], support[j]), default=None)
 
 
-def _individual_like(constraint, supports, atom, gains) -> Replacement:
+def average_exchange(
+    constraint: AverageSparsity, supports: Sequence[Sequence[int]], removal_costs: Sequence[np.ndarray]
+) -> tuple[list[int | None], np.ndarray, frozenset, int]:
+    """Exchange data of average sparsity shared by every candidate atom.
+
+    Returns each support's cheapest removal position (None if empty), its
+    cost (inf if none), the tight points (at their cap) and the slack of
+    the global cap.
+    """
+    positions = [cheapest_removal(c, z) for c, z in zip(removal_costs, supports)]
+    costs = np.array([math.inf if p is None else c[p] for c, p in zip(removal_costs, positions)])
+    tight = frozenset(t for t, z in enumerate(supports) if len(z) == constraint.s_t[t])
+    slack = constraint.s_prime - sum(len(z) for z in supports)
+    return positions, costs, tight, slack
+
+
+def _individual_like(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
     num_atoms = 1 + max([atom, *(j for z in supports for j in z)])
     per_t: list[tuple[int, int | None, bool]] = []
     total = 0.0
@@ -343,81 +340,60 @@ def _individual_like(constraint, supports, atom, gains) -> Replacement:
         support = list(support)
         addable, swappable = point_options(constraint, t, support, num_atoms)
         if addable[atom]:
-            removed, gain = None, gains.add_gain(t)
+            removed, gain = None, add_gains[t]
         else:
-            costs = [gains.removal_cost(t, j) for j in range(len(support))]
+            costs = removal_costs[t]
             pos = cheapest_removal(costs, support, np.flatnonzero(swappable[:, atom]))
             if pos is None:
                 continue
-            removed, gain = support[pos], gains.add_gain(t) - costs[pos]
+            removed, gain = support[pos], add_gains[t] - costs[pos]
         if gain > 0.0:
             per_t.append((t, removed, True))
             total += gain
-    return Replacement(atom, per_t, total)
+    return Replacement(atom, per_t, float(total))
 
 
-def _block(constraint, supports, atom, gains) -> Replacement:
+def _block(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
     per_t: list[tuple[int, int | None, bool]] = []
     total = 0.0
     for block, cap in zip(constraint.blocks, constraint.caps):
-        adds = {
-            t: gains.add_gain(t)
-            for t in block
-            if atom not in supports[t] and gains.add_gain(t) > 0.0
-        }
-        base = sum(adds.values())
+        adds = [t for t in block if atom not in supports[t] and add_gains[t] > 0.0]
+        base = sum(add_gains[t] for t in adds)
         if base <= 0.0:
             continue
-        union: set[int] = set()
+        # Summed cost of each atom used in the block: dropping it from every
+        # support that holds it frees one union slot for the candidate.
+        costs: dict[int, float] = {}
         for t in block:
-            union |= set(supports[t])
-        best = 0.0
-        best_removed: int | None = None
-        if atom in union or len(union) < cap:
-            best = base
-        for removed in sorted(union - {atom}):
-            # Dropping one atom from every support that holds it frees one
-            # union slot for the candidate.
-            cost = 0.0
-            for t in block:
-                sup = supports[t]
-                if removed in sup:
-                    cost += gains.removal_cost(t, list(sup).index(removed))
-            value = base - cost
-            if value > best:
-                best, best_removed = value, removed
+            for pos, held in enumerate(supports[t]):
+                costs[held] = costs.get(held, 0.0) + removal_costs[t][pos]
+        best, best_removed = (base if atom in costs or len(costs) < cap else 0.0), None
+        costs.pop(atom, None)
+        if costs:
+            # Highest value, then lowest atom; it must beat leaving the union alone.
+            removed = max(costs, key=lambda j: (base - costs[j], -j))
+            if base - costs[removed] > best:
+                best, best_removed = base - costs[removed], removed
         if best <= 0.0:
             continue
         total += best
         for t in sorted(block):
-            removed_here = best_removed if best_removed in set(supports[t]) else None
-            add_here = t in adds
-            if removed_here is not None or add_here:
-                per_t.append((t, removed_here, add_here))
+            removed_here = best_removed if best_removed in supports[t] else None
+            if removed_here is not None or t in adds:
+                per_t.append((t, removed_here, t in adds))
     per_t.sort()
-    return Replacement(atom, per_t, total)
+    return Replacement(atom, per_t, float(total))
 
 
-def _average(constraint, supports, atom, gains) -> Replacement:
-    t_count = len(supports)
-    sizes = [len(z) for z in supports]
-    slack = constraint.s_prime - sum(sizes)
-    g = np.zeros(t_count)
-    c = np.full(t_count, math.inf)
-    cheapest: list[int | None] = [None] * t_count
-    for t, support in enumerate(supports):
-        if atom not in support:
-            g[t] = max(0.0, gains.add_gain(t))
-        costs = [gains.removal_cost(t, j) for j in range(len(support))]
-        pos = cheapest_removal(costs, support)
-        if pos is not None:
-            cheapest[t] = support[pos]
-            c[t] = costs[pos]
-    tight = frozenset(t for t in range(t_count) if sizes[t] == constraint.s_t[t])
-    added, removed, value = solve_exchange(ExchangeInstance(g, c, tight, slack))
-    per_t = []
-    for t in sorted(added | removed):
-        per_t.append((t, cheapest[t] if t in removed else None, t in added))
+def _average(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
+    positions, costs, tight, slack = average_exchange(constraint, supports, removal_costs)
+    g = np.maximum(add_gains, 0.0)
+    g[[t for t, z in enumerate(supports) if atom in z]] = 0.0
+    added, removed, value = solve_exchange(ExchangeInstance(g, costs, tight, slack))
+    per_t = [
+        (t, supports[t][positions[t]] if t in removed else None, t in added)
+        for t in sorted(added | removed)
+    ]
     return Replacement(atom, per_t, value)
 
 
@@ -425,20 +401,26 @@ def search_replacement(
     constraint: SparsityConstraint,
     supports: Sequence[Sequence[int]],
     atom: int,
-    gains: RompGains,
+    add_gains: np.ndarray,
+    removal_costs: Sequence[np.ndarray],
 ) -> Replacement:
     """Gain-maximizing feasible replacement for one candidate atom.
 
-    ``supports`` are the current Z_t as ordered index sequences (the order
-    fixes removal-cost positions), assumed feasible.  Nonpositive additions
-    are declined, so the gain is never negative and feasibility is kept.
+    ``add_gains[t]`` is the (already smoothness-scaled) gain of adding the
+    candidate to Z_t and ``removal_costs[t][j]`` the scaled cost of
+    dropping the j-th atom of Z_t; entries for supports already holding
+    the candidate must be zero.  ``supports`` are the current Z_t as
+    ordered index sequences (the order fixes removal-cost positions),
+    assumed feasible.  Nonpositive additions are declined, so the gain is
+    never negative and feasibility is kept.
     """
+    add_gains = np.asarray(add_gains, dtype=float)
     if isinstance(constraint, (IndividualSparsity, PartitionMatroid)):
-        return _individual_like(constraint, supports, atom, gains)
+        return _individual_like(constraint, supports, atom, add_gains, removal_costs)
     if isinstance(constraint, BlockSparsity):
-        return _block(constraint, supports, atom, gains)
+        return _block(constraint, supports, atom, add_gains, removal_costs)
     if isinstance(constraint, AverageSparsity):
-        return _average(constraint, supports, atom, gains)
+        return _average(constraint, supports, atom, add_gains, removal_costs)
     raise TypeError(f"unknown constraint type {type(constraint)!r}")
 
 
@@ -452,8 +434,9 @@ def best_replacement(
     constraint: SparsityConstraint,
     supports: Sequence[Sequence[int]],
     atom: int,
-    gains: RompGains,
+    add_gains: np.ndarray,
+    removal_costs: Sequence[np.ndarray],
 ) -> Replacement:
     """:func:`search_replacement`, raising InfeasibleState on infeasible ``supports``."""
     require_feasible(constraint, supports)
-    return search_replacement(constraint, supports, atom, gains)
+    return search_replacement(constraint, supports, atom, add_gains, removal_costs)

@@ -42,7 +42,7 @@ class SupportFactorization:
     ``q`` is (d, m) with orthonormal columns and ``q @ r`` reconstructs the
     support submatrix in ``columns`` order.  Instances are values: the
     update functions below return new factorizations and never mutate
-    their input, so independent copies may be used from parallel workers.
+    their input.
     """
 
     columns: tuple[int, ...]

@@ -32,7 +32,7 @@ from .constraints import (
     IndividualSparsity,
     PartitionMatroid,
     Replacement,
-    RompGains,
+    average_exchange,
     cheapest_removal,
     point_options,
     require_feasible,
@@ -187,19 +187,21 @@ def _refresh_options(constraint, state: SelectionState, options, points) -> None
 
 
 def _romp_replacement(constraint, state, scaled_g2, m_i, options) -> Replacement | None:
-    """The replacement of largest proxy gain (lowest atom on ties); None if all gains are 0.
+    """The replacement of largest proxy gain among unselected atoms (lowest on ties).
 
-    Per-point families clip each point's gain of the cheapest option in
-    ``options`` at zero; average sparsity solves one exchange problem per
-    atom; block sparsity searches atom by atom.
+    None if all their gains are 0.  Per-point families clip each point's
+    gain of the cheapest option in ``options`` at zero; average sparsity
+    solves one exchange problem per atom; block sparsity searches atom by
+    atom.
     """
-    n, t_count = scaled_g2.shape
+    n = scaled_g2.shape[0]
     if options is not None:
         masks, cost = options
         point_gains = m_i * cost
         np.subtract(scaled_g2, point_gains, out=point_gains)
         np.maximum(point_gains, 0.0, out=point_gains)
         table = point_gains.sum(axis=1)
+        table[state.atoms] = 0.0
         winner = int(np.argmax(table))
         if table[winner] <= 0.0:
             return None
@@ -215,41 +217,32 @@ def _romp_replacement(constraint, state, scaled_g2, m_i, options) -> Replacement
         return Replacement(winner, per_t, float(table[winner]))
 
     scaled_costs = [m_i * w**2 for w in state.coeffs]
-
-    def search(atom):
-        return search_replacement(constraint, state.supports, atom, RompGains(scaled_g2[atom], scaled_costs))
-
+    candidates = np.setdiff1d(np.arange(n), state.atoms).tolist()
+    table = np.zeros(n)
     if isinstance(constraint, AverageSparsity):
-        cheapest = np.array(
-            [c.min() if c.size else math.inf for c in scaled_costs]
-        )
-        sizes = [len(z) for z in state.supports]
-        slack = constraint.s_prime - sum(sizes)
-        tight = frozenset(
-            t for t in range(t_count) if sizes[t] == constraint.s_t[t]
-        )
-        table = np.empty(n)
-        for atom in range(n):
-            _, _, value = solve_exchange(
-                ExchangeInstance(scaled_g2[atom], cheapest, tight, slack)
-            )
-            table[atom] = value
+        _, costs, tight, slack = average_exchange(constraint, state.supports, scaled_costs)
+        for atom in candidates:
+            table[atom] = solve_exchange(ExchangeInstance(scaled_g2[atom], costs, tight, slack))[2]
     else:
-        table = np.array([search(atom).gain for atom in range(n)])
+        for atom in candidates:
+            rep = search_replacement(constraint, state.supports, atom, scaled_g2[atom], scaled_costs)
+            table[atom] = rep.gain
     winner = int(np.argmax(table))
-    return search(winner) if table[winner] > 0.0 else None
+    if table[winner] <= 0.0:
+        return None
+    return search_replacement(constraint, state.supports, winner, scaled_g2[winner], scaled_costs)
 
 
 def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, trace=False) -> SelectionState:
     """Proxy-gain selector: k steps of the best feasible replacement.
 
-    Per step every atom's gain is assembled from cached gradients and
-    coefficients (additions weighted by 1/M, removals by M, per-point
-    contributions clipped at zero) and the best replacement is applied.
-    Ties go to the lowest atom index.  When every gain is zero before the
-    dictionary is full, the unselected atom with the largest squared
-    gradient mass is added without touching any support, so the
-    dictionary still reaches k atoms.
+    Per step every atom outside the dictionary gets a gain assembled from
+    cached gradients and coefficients (additions weighted by 1/M, removals
+    by M, per-point contributions clipped at zero) and the best
+    replacement is applied.  Ties go to the lowest atom index.  When every
+    gain is zero before the dictionary is full, the unselected atom with
+    the largest squared gradient mass is added without touching any
+    support, so the dictionary still reaches k atoms.
     """
     a = atom_matrix(ground_set)
     y = _data_matrix(data)
@@ -280,16 +273,11 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
             _apply_replacement(state, rep, a, y, i)
             if options is not None:
                 _refresh_options(constraint, state, options, [t for t, _, _ in rep.per_t])
-            if rep.added_atom not in state.atoms:
-                state.atoms.append(rep.added_atom)
+            state.atoms.append(rep.added_atom)
         else:
-            unselected = [j for j in range(n) if j not in state.atoms]
-            if not unselected:
-                state.objective_history.append(state.objective)
-                break
             mass = g2.sum(axis=1)
-            fallback = min(unselected, key=lambda j: (-mass[j], j))
-            state.atoms.append(fallback)
+            mass[state.atoms] = -math.inf
+            state.atoms.append(int(np.argmax(mass)))
         state.objective_history.append(state.objective)
         require_feasible(constraint, state.supports)
     return state
@@ -334,9 +322,10 @@ def _rg_option_tables(state, a, y, options):
 def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> SelectionState:
     """Exact-gain selector: k steps of the best feasible replacement.
 
-    Gains are true objective differences, so every candidate replacement
-    costs a least-squares update; use :func:`replacement_omp` when that
-    is too slow.  Only per-point families are supported: block and
+    Each step adds an atom outside the dictionary.  Gains are true
+    objective differences, so every candidate replacement costs a
+    least-squares update; use :func:`replacement_omp` when that is too
+    slow.  Only per-point families are supported: block and
     average sparsity couple the points, and exact gains would force an
     exponential search over joint replacements.
     """
@@ -355,6 +344,7 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
     for i in range(1, k + 1):
         best, code = _rg_option_tables(state, a, y, options)
         table = best.sum(axis=1)
+        table[state.atoms] = 0.0
         winner = int(np.argmax(table))
         if table[winner] <= 0.0:
             state.objective_history.append(state.objective)
@@ -369,8 +359,7 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
         _apply_replacement(state, Replacement(winner, per_t, float(table[winner])), a, y, i)
         for t, _, _ in per_t:
             options[t] = _rg_point_options(constraint, t, state.supports[t], n)
-        if winner not in state.atoms:
-            state.atoms.append(winner)
+        state.atoms.append(winner)
         state.objective_history.append(state.objective)
         require_feasible(constraint, state.supports)
     return state

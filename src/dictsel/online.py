@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constraints import cheapest_removal
 from .errors import RankDeficient
 from .linalg import addition_gains, atom_matrix, coherence, empty_factorization, factor_insert, factor_remove
 from .linalg import swap_gains
@@ -127,17 +128,17 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     """Play one round: sample atoms, observe ``y_t``, feed all experts.
 
     Returns (played dictionary, list of per-expert feedback vectors).
-    The support starts empty and slot i either adds its sampled atom
-    (slots up to s) or swaps it in (later slots), in both cases only on
-    strictly positive fed gain.  Replacement greedy feeds max_j f(Z - z_j
-    + b) - f(Z) and swaps at the first j attaining it, so the realized
-    change is the fed gain; replacement OMP drops the atom with the
-    smallest squared coefficient.  The realized utility of the final
+    The support starts empty and each slot either adds its sampled atom
+    (while the support holds fewer than s atoms) or swaps it in (once it
+    is full), in both cases only on strictly positive fed gain.
+    Replacement greedy feeds max_j f(Z - z_j + b) - f(Z) and swaps at the
+    first j attaining it, so the realized change is the fed gain;
+    replacement OMP drops the atom with the smallest squared coefficient
+    (ties to the lowest atom).  The realized utility of the final
     support is appended to the ledger.
     """
     a = atom_matrix(ground_set)
     y = np.asarray(y_t, dtype=float)
-    n = a.shape[1]
     m_val = state.smoothness
     played = [expert.next_choice for expert in state.experts]
 
@@ -147,7 +148,8 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     feedbacks: list[np.ndarray] = []
     modular = 0.5 * (a.T @ y) ** 2 if state.method == "online_modular" else None
 
-    for i, choice in enumerate(played, start=1):
+    for choice in played:
+        room = fact.m < state.s
         if state.method == "online_modular":
             gains = modular
         elif state.method == "online_replacement_omp":
@@ -155,35 +157,27 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
             grad_sq = grad**2
             if fact.m:
                 grad_sq[list(fact.columns)] = 0.0
-            if i <= state.s:
+            if room:
                 gains = grad_sq / m_val
-            elif fact.m:
+            else:
                 cheapest = m_val * float((coeffs**2).min())
                 gains = np.maximum(grad_sq / m_val - cheapest, 0.0)
-            else:
-                gains = np.zeros(n)
         else:  # online_replacement_greedy
-            if i <= state.s:
+            if room:
                 gains = addition_gains(a, fact, resid)
-            elif fact.m:
+            else:
                 swaps = swap_gains(a, fact, y, resid, range(fact.m))
                 gains = np.maximum(swaps.max(axis=0), 0.0)
-            else:
-                gains = np.zeros(n)
         feedbacks.append(gains)
 
         # Apply the replacement for the sampled atom.
         if state.method != "online_modular" and gains[choice] > 0.0 and choice not in fact.columns:
             try:
-                if i <= state.s:
+                if room:
                     fact = factor_insert(fact, a, choice)
                 else:
                     if state.method == "online_replacement_omp":
-                        costs = coeffs**2
-                        pos = min(
-                            range(fact.m),
-                            key=lambda p: (costs[p], fact.columns[p]),
-                        )
+                        pos = cheapest_removal(coeffs**2, fact.columns)
                     else:
                         pos = int(np.argmax(swaps[:, choice]))
                     fact = factor_insert(factor_remove(fact, pos), a, choice)

@@ -62,7 +62,7 @@ def exchange_optimum(gains, costs, tight, slack):
     return best
 
 
-def best_replacement_oracle(constraint, supports, atom, gains, is_feasible):
+def best_replacement_oracle(constraint, supports, atom, add_gains, removal_costs, is_feasible):
     """Exhaustive search over all feasible replacements for one atom.
 
     Per point the options are: leave Z_t alone, add the atom, remove one
@@ -73,12 +73,12 @@ def best_replacement_oracle(constraint, supports, atom, gains, is_feasible):
     for t, support in enumerate(supports):
         opts = [(None, False, 0.0)]
         if atom not in support:
-            opts.append((None, True, gains.add_gain(t)))
+            opts.append((None, True, add_gains[t]))
         for pos, removed in enumerate(support):
-            cost = gains.removal_cost(t, pos)
+            cost = removal_costs[t][pos]
             opts.append((removed, False, -cost))
             if atom not in support and removed != atom:
-                opts.append((removed, True, gains.add_gain(t) - cost))
+                opts.append((removed, True, add_gains[t] - cost))
         options_per_t.append(opts)
     best = 0.0
     for combo in itertools.product(*options_per_t):

@@ -75,7 +75,7 @@ def test_criterion_02_replacement_feasibility():
             supports = random_supports(rng, constraint, t_count)
             atom = int(rng.integers(12))
             gains = make_gains(rng, supports, atom, zero_frac=0.3)
-            rep = best_replacement(constraint, supports, atom, gains)
+            rep = best_replacement(constraint, supports, atom, *gains)
             if not is_feasible(constraint, apply_replacement(supports, rep)):
                 violations += 1
     assert violations == 0

@@ -11,12 +11,13 @@ from dictsel.cli import (
     ExperimentResult,
     brute_force_optimum,
     build_constraint,
+    build_dataset,
     build_ground_set,
     main,
     residual_variance,
     run_experiment,
 )
-from dictsel.data_io import synth_dataset
+from dictsel.data_io import Dataset, save_dataset, synth_dataset
 from dictsel.errors import ParseError, TooLarge
 from dictsel.offline import SelectorConfig, replacement_omp
 
@@ -156,13 +157,6 @@ def test_run_experiment_cardinality_and_determinism():
     assert all(r.test_residual_variance >= 0.0 for r in result.rows)
 
 
-def test_run_experiment_threaded_matches_serial():
-    config = ExperimentConfig.from_dict(base_config(trials=3))
-    serial = run_experiment(config, threads=1)
-    threaded = run_experiment(config, threads=3)
-    assert [r.objective for r in serial.rows] == [r.objective for r in threaded.rows]
-
-
 def test_result_round_trip_and_aggregates():
     result = run_experiment(ExperimentConfig.from_dict(base_config()))
     back = ExperimentResult.from_json(result.to_json())
@@ -218,6 +212,35 @@ def test_build_ground_set_load_is_exclusive(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"ground_set": cfg}))
     assert main(["groundset", "--config", str(cfg_path)]) == 2
+
+
+def test_loaded_dataset_with_nonfinite_values_is_config_error(tmp_path):
+    for bad in (np.nan, np.inf):
+        y = np.random.default_rng(3).standard_normal((16, 10))
+        y[2, 5] = bad
+        path = tmp_path / "train.bin"
+        save_dataset(path, Dataset(y, {"kind": "hand"}))
+        with pytest.raises(ParseError, match="NaN or inf"):
+            build_dataset({"kind": "load", "path": str(path)}, None, 0)
+        doc = base_config()
+        doc["train"] = {"kind": "load", "path": str(path)}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+
+
+def test_block_caps_must_cover_every_point(tmp_path):
+    # Blocks over 2 of T = 10 points would leave 8 points unoptimized.
+    cfg = {"family": "block", "blocks": [[0], [1]], "caps": [2, 2]}
+    with pytest.raises(ParseError, match="partition"):
+        build_constraint(cfg, 10)
+    with pytest.raises(ParseError, match="partition"):
+        build_constraint({"family": "block", "blocks": [[0, 1], [1, 2]], "caps": [2, 2]}, 3)
+    doc = base_config()
+    doc["constraint"] = cfg
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(cfg_path)]) == 2
 
 
 def test_cli_bench_and_select(tmp_path):

@@ -10,7 +10,6 @@ from dictsel import (
     IndividualSparsity,
     PartitionMatroid,
     Replacement,
-    RompGains,
     apply_replacement,
     best_replacement,
     is_feasible,
@@ -140,28 +139,26 @@ def make_gains(rng, supports, atom, zero_frac=0.0):
         add[rng.random(t_count) < zero_frac] = 0.0
     add[[t for t in range(t_count) if atom in supports[t]]] = 0.0
     costs = [rng.uniform(0.0, 1.0, size=len(z)) for z in supports]
-    return RompGains(add, costs)
+    return add, costs
 
 
 def test_best_replacement_all_adds():
     supports = [[], [], []]
-    gains = RompGains(np.array([1.0, 2.0, 3.0]), [np.zeros(0)] * 3)
-    rep = best_replacement(IndividualSparsity(2), supports, 7, gains)
+    rep = best_replacement(IndividualSparsity(2), supports, 7, np.array([1.0, 2.0, 3.0]), [np.zeros(0)] * 3)
     assert rep.gain == pytest.approx(6.0)
     assert rep.per_t == [(0, None, True), (1, None, True), (2, None, True)]
 
 
 def test_best_replacement_declines_costly_swaps():
     supports = [[3], [4], [5]]
-    gains = RompGains(np.full(3, 0.5), [np.array([1.0])] * 3)
-    rep = best_replacement(IndividualSparsity(1), supports, 7, gains)
+    rep = best_replacement(IndividualSparsity(1), supports, 7, np.full(3, 0.5), [np.array([1.0])] * 3)
     assert rep.gain == 0.0
     assert rep.per_t == []
 
 
 def test_best_replacement_infeasible_state():
     with pytest.raises(InfeasibleState):
-        best_replacement(IndividualSparsity(1), [[1, 2]], 5, RompGains(np.zeros(1), [np.zeros(2)]))
+        best_replacement(IndividualSparsity(1), [[1, 2]], 5, np.zeros(1), [np.zeros(2)])
 
 
 def test_best_replacement_romp_branch_structure():
@@ -170,14 +167,14 @@ def test_best_replacement_romp_branch_structure():
     s = 2
     supports = [[0], [1, 2], [3, 4], []]
     atom = 9
-    gains = make_gains(rng, supports, atom)
-    rep = best_replacement(IndividualSparsity(s), supports, atom, gains)
+    add, costs = make_gains(rng, supports, atom)
+    rep = best_replacement(IndividualSparsity(s), supports, atom, add, costs)
     expected = 0.0
     for t, z in enumerate(supports):
         if len(z) < s:
-            expected += max(0.0, gains.add_gain(t))
+            expected += max(0.0, add[t])
         else:
-            expected += max(0.0, gains.add_gain(t) - min(gains.removal_costs[t]))
+            expected += max(0.0, add[t] - min(costs[t]))
     assert rep.gain == pytest.approx(expected, abs=1e-12)
 
 
@@ -230,7 +227,7 @@ def test_replacement_preserves_feasibility(family):
         supports = random_supports(rng, constraint, t_count)
         atom = int(rng.integers(N_ATOMS))
         gains = make_gains(rng, supports, atom, zero_frac=0.3)
-        rep = best_replacement(constraint, supports, atom, gains)
+        rep = best_replacement(constraint, supports, atom, *gains)
         assert rep.gain >= 0.0
         new = apply_replacement(supports, rep)
         assert is_feasible(constraint, new)
@@ -245,9 +242,31 @@ def test_best_replacement_matches_exhaustive_oracle(family):
         supports = random_supports(rng, constraint, t_count)
         atom = int(rng.integers(N_ATOMS))
         gains = make_gains(rng, supports, atom, zero_frac=0.2)
-        rep = best_replacement(constraint, supports, atom, gains)
-        expected = best_replacement_oracle(constraint, supports, atom, gains, is_feasible)
+        rep = best_replacement(constraint, supports, atom, *gains)
+        expected = best_replacement_oracle(constraint, supports, atom, *gains, is_feasible)
         assert rep.gain == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("family", ["individual", "matroid", "block", "average"])
+def test_replacement_gain_is_what_its_per_point_decisions_realize(family):
+    # Added gains minus the costs of the removed atoms, read from the arrays.
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        t_count = int(rng.integers(1, 6))
+        constraint = random_constraint(rng, family, t_count)
+        supports = random_supports(rng, constraint, t_count)
+        atom = int(rng.integers(N_ATOMS))
+        add, costs = make_gains(rng, supports, atom, zero_frac=0.3)
+        rep = best_replacement(constraint, supports, atom, add, costs)
+        assert len({t for t, _, _ in rep.per_t}) == len(rep.per_t)
+        realized = 0.0
+        for t, removed, added in rep.per_t:
+            if added:
+                assert atom not in supports[t]
+                realized += add[t]
+            if removed is not None:
+                realized -= costs[t][supports[t].index(removed)]
+        assert rep.gain == pytest.approx(realized, rel=1e-12, abs=1e-12)
 
 
 def test_average_replacement_matches_spec_oracle():
@@ -259,8 +278,8 @@ def test_average_replacement_matches_spec_oracle():
         supports = random_supports(rng, constraint, 4)
         atom = int(rng.integers(N_ATOMS))
         gains = make_gains(rng, supports, atom)
-        rep = best_replacement(constraint, supports, atom, gains)
-        expected = best_replacement_oracle(constraint, supports, atom, gains, is_feasible)
+        rep = best_replacement(constraint, supports, atom, *gains)
+        expected = best_replacement_oracle(constraint, supports, atom, *gains, is_feasible)
         assert rep.gain == pytest.approx(expected, abs=1e-10)
         assert is_feasible(constraint, apply_replacement(supports, rep))
 

@@ -5,10 +5,12 @@ import pytest
 
 from dictsel import (
     AverageSparsity,
+    BlockSparsity,
     IndividualSparsity,
     PartitionMatroid,
     coherence,
     dct2_basis,
+    haar2_basis,
     is_feasible,
     ls_solve,
     restricted_spectrum,
@@ -216,6 +218,8 @@ def test_replacement_greedy_matroid_takes_best_single_replacement():
         supports = before.supports if before else [[] for _ in range(4)]
         best = 0.0
         for atom in range(10):
+            if before and atom in before.atoms:
+                continue
             total = 0.0
             for t, z in enumerate(supports):
                 base = f_value(a, z, y[:, t])
@@ -231,6 +235,19 @@ def test_replacement_greedy_matroid_takes_best_single_replacement():
                 )
             best = max(best, total)
         assert history[i] - history[i - 1] == pytest.approx(best, rel=1e-9, abs=1e-12)
+
+
+def test_replacement_omp_block_selects_k_distinct_atoms():
+    # Noise-free planted data under block caps: every step adds an atom
+    # outside the dictionary, so a winner is never picked twice.
+    a = np.hstack([dct2_basis(4), haar2_basis(4)])
+    blocks = (tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12)))
+    constraint = BlockSparsity(blocks, (3, 3, 3))
+    for seed in range(8):
+        y, _ = planted_data(np.random.default_rng(seed), a, 6, 2, 12)
+        state = replacement_omp(y, a, constraint, SelectorConfig(k=6))
+        assert len(set(state.atoms)) == len(state.atoms) == 6
+        state_consistency(state, a, y, constraint)
 
 
 def test_decay_variant_keeps_selecting():

@@ -114,7 +114,7 @@ def test_oromp_feedback_matches_gradient_closed_form():
         w = ls_solve(a, support, y)
         grad_sq = utility_gradient(y, w, a) ** 2
         grad_sq[support] = 0.0
-        if i <= 3:
+        if len(support) < 3:
             expected = grad_sq / state.smoothness
         elif support:
             cheapest = state.smoothness * float(np.min(w[support] ** 2))
@@ -123,7 +123,7 @@ def test_oromp_feedback_matches_gradient_closed_form():
             expected = np.zeros(20)
         assert np.abs(feedbacks[i - 1] - expected).max() <= 1e-9
         if expected[choice] > 0.0 and choice not in support:
-            if i <= 3:
+            if len(support) < 3:
                 support.append(choice)
             else:
                 costs = w[support] ** 2
@@ -162,6 +162,22 @@ def test_org_swaps_at_the_best_position():
             + [f_value(a, support[:j] + support[j + 1 :] + [atom], y) for j in range(s)]
         )
         assert state.ledger.player_gains[-1] == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["online_replacement_omp", "online_replacement_greedy"])
+def test_slots_add_while_the_support_has_room(method):
+    # k = s + 2 with s = 2: slot 2 repeats slot 1's atom, so the support
+    # still has room at slot 3, whose atom must be added; slot 4 repeats it.
+    rng = np.random.default_rng(15)
+    a = random_unit_atoms(rng, 6, 10)
+    y = rng.standard_normal(6)
+    state = online_state(method, a, k=4, s=2, horizon=5, seed=8)
+    for expert, atom in zip(state.experts, [3, 3, 7, 7]):
+        expert.next_choice = atom
+    _, feedbacks = online_round(state, y, a)
+    assert feedbacks[2][7] > 0.0
+    assert state.ledger.supports[-1] == [3, 7]
+    assert state.ledger.player_gains[-1] == pytest.approx(f_value(a, [3, 7], y), rel=1e-9)
 
 
 def test_player_gain_is_final_support_utility():

@@ -61,7 +61,7 @@ def residual_variance(dictionary, data, s: int) -> float:
     if s < 0:
         raise ValueError("sparsity must be nonnegative")
     d = atom_matrix(dictionary)
-    y = np.asarray(getattr(data, "matrix", data), dtype=float)
+    y = data_io.data_matrix(data)
     t_count = y.shape[1]
     if d.size == 0 or s == 0:
         return float((y * y).sum()) / (t_count * y.shape[0])
@@ -108,7 +108,7 @@ def brute_force_optimum(data, ground_set, constraint, k: int):
     search space estimate must stay below 10**7, otherwise TooLarge.
     """
     a = atom_matrix(ground_set)
-    y = np.asarray(getattr(data, "matrix", data), dtype=float)
+    y = data_io.data_matrix(data)
     n, t_count = a.shape[1], y.shape[1]
     if _oracle_work_estimate(constraint, n, k, t_count) > _ORACLE_GUARD:
         raise TooLarge("instance exceeds the exhaustive-search guard")
@@ -308,20 +308,37 @@ def build_ground_set(cfg: dict) -> GroundSet:
     return assemble(blocks)
 
 
+def _dataset_int(cfg: dict, key: str, minimum: int) -> int:
+    """The integer ``cfg[key]`` of a dataset config, at least ``minimum``."""
+    if key not in cfg:
+        raise ParseError(f"dataset.{key}: missing required field")
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ParseError(f"dataset.{key}: integer >= {minimum} required, got {value!r}")
+    return value
+
+
+def _synthetic_sizes(cfg: dict, n: int) -> tuple[int, int, int]:
+    """T, k_planted and s of a synthetic dataset config over ``n`` atoms."""
+    t_count = _dataset_int(cfg, "T", 1)
+    k_planted = _dataset_int(cfg, "k_planted", 0)
+    s = _dataset_int(cfg, "s", 0)
+    if not s <= k_planted <= n:
+        raise ParseError(f"dataset: need s <= k_planted <= n = {n}, got s = {s} and k_planted = {k_planted}")
+    return t_count, k_planted, s
+
+
 def build_dataset(cfg: dict, ground_set, seed, planted=None) -> data_io.Dataset:
     kind = cfg.get("kind")
     if kind == "synthetic":
-        for key in ("T", "k_planted", "s"):
-            if key not in cfg:
-                raise ParseError(f"dataset.{key}: missing required field")
-        return data_io.synth_dataset(
-            ground_set, cfg["T"], cfg["k_planted"], cfg["s"], seed, planted=planted
-        )
+        t_count, k_planted, s = _synthetic_sizes(cfg, atom_matrix(ground_set).shape[1])
+        return data_io.synth_dataset(ground_set, t_count, k_planted, s, seed, planted=planted)
     if kind == "patches":
-        if "image" not in cfg or "T" not in cfg:
+        if "image" not in cfg:
             raise ParseError("dataset: patches needs 'image' and 'T'")
+        t_count = _dataset_int(cfg, "T", 1)
         image = data_io.read_pgm(cfg["image"])
-        return data_io.extract_patches(image, cfg["T"], cfg.get("side", 8), seed)
+        return data_io.extract_patches(image, t_count, cfg.get("side", 8), seed)
     if kind == "load":
         if "path" not in cfg:
             raise ParseError("dataset.path: missing required field")
@@ -333,6 +350,15 @@ def build_dataset(cfg: dict, ground_set, seed, planted=None) -> data_io.Dataset:
 
 
 def build_constraint(cfg: dict, t_count: int):
+    """The sparsity family of a constraint config; a malformed value is a ParseError."""
+    try:
+        return _constraint_from(cfg, t_count)
+    except (TypeError, ValueError) as exc:
+        # int() of a non-number, or a family constructor rejecting a value.
+        raise ParseError(f"constraint: {exc}") from exc
+
+
+def _constraint_from(cfg: dict, t_count: int):
     family = cfg.get("family")
     if family == "individual":
         if "s" not in cfg:
@@ -475,9 +501,8 @@ def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRo
     planted = None
     if config.train.get("kind") == "synthetic":
         # Train and test share the planted dictionary within a trial.
-        planted = np.sort(
-            rng.choice(ground_set.n, size=config.train["k_planted"], replace=False)
-        )
+        _, k_planted, _ = _synthetic_sizes(config.train, ground_set.n)
+        planted = np.sort(rng.choice(ground_set.n, size=k_planted, replace=False))
     train = build_dataset(config.train, ground_set, [config.seed, trial, 0], planted)
     test_cfg = config.test if config.test is not None else config.train
     test_planted = planted if test_cfg.get("kind") == "synthetic" else None
@@ -508,6 +533,9 @@ def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRo
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials and methods; rows are collected in trial order."""
     ground_set = build_ground_set(config.ground_set)
+    for i, method in enumerate(config.methods):
+        if method["k"] > ground_set.n:
+            raise ParseError(f"methods[{i}].k: {method['k']} exceeds the n = {ground_set.n} atoms")
     result = ExperimentResult(config.to_dict())
     for trial in range(config.trials):
         result.rows.extend(_run_trial(config, ground_set, trial))
@@ -578,15 +606,20 @@ def _cmd_online(args) -> int:
     for key in ("k", "s"):
         if key not in online_cfg:
             raise ParseError(f"online.{key}: missing required field")
+    k, s = online_cfg["k"], online_cfg["s"]
+    if not (isinstance(k, int) and isinstance(s, int) and 1 <= s <= k):
+        raise ParseError(f"online: need integers 1 <= s <= k, got s = {s!r} and k = {k!r}")
     ground_set = build_ground_set(_require(doc, "ground_set", dict))
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     stream = build_dataset(_require(doc, "train", dict), ground_set, [seed, 0])
     horizon = online_cfg.get("horizon", stream.num_points)
+    if horizon is not None and (isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1):
+        raise ParseError(f"online.horizon: positive integer or null required, got {horizon!r}")
     state = online_state(
         method,
         ground_set,
-        online_cfg["k"],
-        online_cfg["s"],
+        k,
+        s,
         horizon=horizon,
         seed=seed,
         smoothness=online_cfg.get("smoothness"),
@@ -618,8 +651,8 @@ def _cmd_oracle(args) -> int:
     data = build_dataset(_require(doc, "train", dict), ground_set, [seed, 0])
     constraint = build_constraint(_require(doc, "constraint", dict), data.num_points)
     k = doc.get("k")
-    if not isinstance(k, int) or k < 1:
-        raise ParseError("k: positive integer required")
+    if not isinstance(k, int) or not 1 <= k <= ground_set.n:
+        raise ParseError(f"k: integer in 1..{ground_set.n} required")
     value, atoms, supports = brute_force_optimum(data, ground_set, constraint, k)
     _emit(
         json.dumps(

@@ -291,9 +291,11 @@ def point_options(
     outside = np.ones(num_atoms, dtype=bool)
     outside[support] = False
     if isinstance(constraint, IndividualSparsity):
-        room = len(support) < constraint.s
-        addable = outside & room
-        swappable = (outside & (not room))[None, :].repeat(len(support), axis=0)
+        if len(support) < constraint.s:
+            addable, swappable = outside, np.zeros((len(support), num_atoms), dtype=bool)
+        else:
+            addable = np.zeros(num_atoms, dtype=bool)
+            swappable = outside[None, :].repeat(len(support), axis=0)
     elif isinstance(constraint, PartitionMatroid):
         rule = constraint.rules[t]
         # Category of every atom; one more category holds the uncapped atoms.

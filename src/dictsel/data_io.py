@@ -43,6 +43,18 @@ class Dataset:
         return self.matrix.shape[1]
 
 
+def data_matrix(data) -> np.ndarray:
+    """The (d, T) float matrix of a Dataset or a plain array.
+
+    Raises ValueError on NaN or inf: no least-squares fit can use them, and
+    downstream arithmetic would turn them into silent zeros or NaN gains.
+    """
+    y = np.asarray(getattr(data, "matrix", data), dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("data must not contain infs or NaNs")
+    return y
+
+
 def synth_dataset(ground_set, num_points, k_planted, s, seed, planted=None) -> Dataset:
     """Sparse linear combinations of a randomly planted sub-dictionary.
 

@@ -1,11 +1,22 @@
 """Dense linear-algebra kernels for support-restricted least squares.
 
-Selectors keep one thin orthogonal factorization per data point so that
-adding or removing a single atom from a support costs O(d*m) instead of a
-full refactorization; the same factorizations give the exact gains of all
-single additions and swaps.  The module also provides the ground-set
-conditioning measures used to set smoothness parameters: coherence and
-restricted extremal singular values.
+Selectors keep one thin orthogonal factorization A_Z = Q R per data point
+so that adding or removing a single atom from a support costs O(d*m)
+instead of a full refactorization.  The same factorization gives the exact
+gains of all single additions and swaps in closed form, with r the
+residual, w = R^-1 Q^T y the coefficients and Rinv = R^-1:
+
+* adding b gains <b, r>^2 / (2 * (1 - ||Q^T b||^2));
+* removing position j loses w_j^2 / (2 * gamma_j), gamma_j = ||Rinv[j]||^2;
+* swapping b in for position j gains (<b, r> + (w_j / gamma_j) * c_j)^2 /
+  (2 * den_j) - w_j^2 / (2 * gamma_j), where c = Rinv Q^T A and
+  den_j = 1 - ||Q^T b||^2 + c_j^2 / gamma_j.
+
+These are the Batch-OMP identities (Rubinstein, Zibulevsky and Elad,
+Technion CS-2008-08); ``factor_remove`` followed by the addition formula
+computes the same swap gains and stays as the update path.  The module
+also provides the ground-set conditioning measures used to set smoothness
+parameters: coherence and restricted extremal singular values.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .errors import InvalidGroundSet, RankDeficient, TooLarge
 
@@ -57,7 +68,26 @@ class SupportFactorization:
         """Least-squares coefficients on the support, in ``columns`` order."""
         if self.m == 0:
             return np.zeros(0)
-        return solve_triangular(self.r, self.q.T @ y, lower=False)
+        return self._solve_projected(self.q.T @ y)
+
+    def fit(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``solve(y)`` and ``residual(y)`` from one product Q^T y."""
+        if self.m == 0:
+            return np.zeros(0), np.asarray(y, dtype=float).copy()
+        qty = self.q.T @ y
+        resid = y - self.q @ qty
+        return self._solve_projected(qty), resid
+
+    def _solve_projected(self, qty: np.ndarray) -> np.ndarray:
+        """Solve R x = Q^T y, given Q^T y; the array is overwritten."""
+        if not (np.isfinite(self.r).all() and np.isfinite(qty).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        # R^T is a lower-triangular Fortran view of the C-ordered R: this is
+        # the LAPACK call scipy's solve_triangular makes, minus its wrapper.
+        x, info = dtrtrs(self.r.T, qty, lower=1, trans=1, overwrite_b=1)
+        if info:
+            raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+        return x
 
     def residual(self, y: np.ndarray) -> np.ndarray:
         """Residual of the least-squares fit of ``y`` on the support."""
@@ -86,7 +116,7 @@ def factor_insert(state: SupportFactorization, ground_set, atom_index: int) -> S
         w = state.q.T @ u
         u = u - state.q @ w
         v = v + w
-    rho = float(np.linalg.norm(u))
+    rho = math.sqrt(u @ u)
     if rho < RANK_TOL:
         raise RankDeficient(f"atom {atom_index} is dependent on the current support")
     m = state.m
@@ -106,8 +136,9 @@ def factor_remove(state: SupportFactorization, position: int) -> SupportFactoriz
     if not 0 <= position < m:
         raise IndexError(f"position {position} out of range for support of size {m}")
     cols = state.columns[:position] + state.columns[position + 1 :]
-    q = state.q.copy()
-    r = np.delete(state.r, position, axis=1)
+    q = state.q.copy() if position < m - 1 else state.q  # only rotations write to q
+    r = state.r[:, [j for j in range(m) if j != position]]
+    rot = np.empty((2, 2))
     # Deleting a column leaves a subdiagonal in rows position..m-2; rotate
     # it away pairwise, accumulating the transposed rotations into q.
     for i in range(position, m - 1):
@@ -117,9 +148,13 @@ def factor_remove(state: SupportFactorization, position: int) -> SupportFactoriz
             c, s = 1.0, 0.0
         else:
             c, s = a / rad, b / rad
-        rot = np.array([[c, s], [-s, c]])
-        r[i : i + 2, i:] = rot @ r[i : i + 2, i:]
-        q[:, i : i + 2] = q[:, i : i + 2] @ rot.T
+        rot[0, 0] = rot[1, 1] = c
+        rot[0, 1] = s
+        rot[1, 0] = -s
+        block = r[i : i + 2, i:]
+        block[...] = rot @ block
+        pair = q[:, i : i + 2]
+        pair[...] = pair @ rot.T
     return SupportFactorization(
         cols,
         np.ascontiguousarray(q[:, : m - 1]),
@@ -133,31 +168,44 @@ def addition_gains(ground_set, state: SupportFactorization, r: np.ndarray) -> np
     ``r`` is the residual on the support Z that ``state`` factors; with Q
     its basis, adding b gains <b, r>^2 / (2 * (1 - ||Q^T b||^2)).
     """
-    gains = _rank_one_gains(atom_matrix(ground_set), state, r)
+    a = atom_matrix(ground_set)
+    gains = _regain((a.T @ r) ** 2, 1.0 - np.sum((state.q.T @ a) ** 2, axis=0))
     gains[list(state.columns)] = 0.0
     return gains
 
 
-def _rank_one_gains(a: np.ndarray, state: SupportFactorization, r: np.ndarray) -> np.ndarray:
-    num = (a.T @ r) ** 2
-    den = 1.0 - np.sum((state.q.T @ a) ** 2, axis=0) if state.m else np.ones(a.shape[1])
+def _regain(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / (2 * den), and 0 where den (the squared distance to the span) is below _DENOM_TOL."""
     return np.where(den > _DENOM_TOL, num / (2.0 * np.clip(den, _DENOM_TOL, None)), 0.0)
 
 
 def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.ndarray, positions) -> np.ndarray:
     """Exact gains f(Z - z_j + b) - f(Z) of every atom b, one row per j in ``positions``.
 
-    ``r`` is the residual of ``y`` on Z; the regain after
-    :func:`factor_remove` uses the rank-one formula.  Atoms of Z gain 0.
+    ``r`` is the residual of ``y`` on Z.  Removing z_j moves the residual
+    to r + (w_j / gamma_j) * Q Rinv[j]^T, whose regain of b follows the
+    addition formula on Z - z_j:
+
+        (<b, r> + (w_j / gamma_j) * c_jb)^2 / (2 * den_jb) - w_j^2 / (2 * gamma_j)
+
+    with Rinv = R^-1, gamma_j = ||Rinv[j]||^2, w = Rinv Q^T y,
+    c = Rinv Q^T A and den_jb = 1 - ||Q^T b||^2 + c_jb^2 / gamma_j.  Atoms
+    closer than _DENOM_TOL (squared) to span(Z - z_j) regain nothing, and
+    atoms of Z gain 0.
     """
     a = atom_matrix(ground_set)
-    rsq = float(r @ r)
-    rows = np.empty((len(positions), a.shape[1]))
-    for i, position in enumerate(positions):
-        sub = factor_remove(state, position)
-        r_sub = sub.residual(y)
-        base = 0.5 * (rsq - float(r_sub @ r_sub))  # f(Z - z_j) - f(Z), <= 0
-        np.add(base, _rank_one_gains(a, sub, r_sub), out=rows[i])
+    positions = list(positions)
+    rinv, info = dtrtri(state.r.T, lower=1)  # (R^T)^-1 = (R^-1)^T
+    if info:
+        raise np.linalg.LinAlgError(f"triangular inverse failed (LAPACK info {info})")
+    rinv = rinv.T[positions]
+    qta = state.q.T @ a
+    gamma = np.sum(rinv**2, axis=1)[:, None]
+    w = (rinv @ (state.q.T @ y))[:, None]
+    c = rinv @ qta
+    den = (1.0 - np.sum(qta**2, axis=0)) + c**2 / gamma
+    rows = _regain((a.T @ r + (w / gamma) * c) ** 2, den)
+    rows -= 0.5 * w**2 / gamma
     rows[:, list(state.columns)] = 0.0
     return rows
 

@@ -39,6 +39,7 @@ from .constraints import (
     search_replacement,
     solve_exchange,
 )
+from .data_io import data_matrix
 from .errors import RankDeficient, UnsupportedConstraint
 from .linalg import SupportFactorization, addition_gains, atom_matrix, empty_factorization, factor_insert
 from .linalg import factor_remove, swap_gains
@@ -84,16 +85,13 @@ class SelectionState:
     residuals: np.ndarray
     gradients: np.ndarray
     f_values: np.ndarray
+    data_sq: np.ndarray  # ||y_t||^2 per point
     objective_history: list[float] = field(default_factory=list)
     trace: list[ReplacementRecord] | None = None
 
     @property
     def objective(self) -> float:
         return float(self.f_values.sum())
-
-
-def _data_matrix(data) -> np.ndarray:
-    return np.asarray(getattr(data, "matrix", data), dtype=float)
 
 
 def _initial_state(a: np.ndarray, y: np.ndarray, trace: bool) -> SelectionState:
@@ -106,30 +104,31 @@ def _initial_state(a: np.ndarray, y: np.ndarray, trace: bool) -> SelectionState:
         residuals=y.copy(),
         gradients=a.T @ y,
         f_values=np.zeros(t_count),
+        data_sq=np.array([float(y[:, t] @ y[:, t]) for t in range(t_count)]),
         trace=[] if trace else None,
     )
 
 
 def _refresh_point(state: SelectionState, a: np.ndarray, y: np.ndarray, t: int) -> None:
-    fact = state.factors[t]
-    state.coeffs[t] = fact.solve(y[:, t])
-    state.residuals[:, t] = fact.residual(y[:, t])
-    state.gradients[:, t] = a.T @ state.residuals[:, t]
-    ysq = float(y[:, t] @ y[:, t])
+    state.coeffs[t], resid = state.factors[t].fit(y[:, t])
+    state.residuals[:, t] = resid
+    state.gradients[:, t] = a.T @ resid
     rsq = float(state.residuals[:, t] @ state.residuals[:, t])
-    state.f_values[t] = 0.5 * (ysq - rsq)
+    state.f_values[t] = 0.5 * (state.data_sq[t] - rsq)
 
 
 def _apply_replacement(state, rep, a, y, iteration) -> None:
     for t, removed, add in rep.per_t:
-        f_before = state.f_values[t]
-        grad_sq = float(state.gradients[rep.added_atom, t] ** 2) if add else 0.0
-        coeff_sq = 0.0
         fact = state.factors[t]
         support = list(state.supports[t])
-        if removed is not None:
-            pos = support.index(removed)
-            coeff_sq = float(state.coeffs[t][pos] ** 2)
+        pos = None if removed is None else support.index(removed)
+        record = None
+        if state.trace is not None:
+            grad_sq = float(state.gradients[rep.added_atom, t] ** 2) if add else 0.0
+            coeff_sq = 0.0 if pos is None else float(state.coeffs[t][pos] ** 2)
+            record = ReplacementRecord(iteration, t, state.f_values[t], 0.0, grad_sq, coeff_sq)
+            state.trace.append(record)
+        if pos is not None:
             fact = factor_remove(fact, pos)
             support.pop(pos)
         if add:
@@ -139,16 +138,13 @@ def _apply_replacement(state, rep, a, y, iteration) -> None:
             except RankDeficient:
                 # The candidate is dependent on the remaining support; the
                 # removal alone is still feasible, so keep it and skip the add.
-                grad_sq = 0.0
+                if record is not None:
+                    record.grad_sq_added = 0.0
         state.factors[t] = fact
         state.supports[t] = support
         _refresh_point(state, a, y, t)
-        if state.trace is not None:
-            state.trace.append(
-                ReplacementRecord(
-                    iteration, t, f_before, float(state.f_values[t]), grad_sq, coeff_sq
-                )
-            )
+        if record is not None:
+            record.f_after = float(state.f_values[t])
 
 
 def _zeroed_grad_sq(state: SelectionState) -> np.ndarray:
@@ -245,7 +241,7 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
     support, so the dictionary still reaches k atoms.
     """
     a = atom_matrix(ground_set)
-    y = _data_matrix(data)
+    y = data_matrix(data)
     n = a.shape[1]
     if not 1 <= config.k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -334,7 +330,7 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
             "exact replacement search supports per-point families only"
         )
     a = atom_matrix(ground_set)
-    y = _data_matrix(data)
+    y = data_matrix(data)
     n = a.shape[1]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -374,7 +370,7 @@ def modular_greedy(data, ground_set, k: int, s: int) -> SelectionState:
     final supports equal to each point's top-s selected atoms.
     """
     a = atom_matrix(ground_set)
-    y = _data_matrix(data)
+    y = data_matrix(data)
     n, t_count = a.shape[1], y.shape[1]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")

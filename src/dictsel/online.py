@@ -77,7 +77,11 @@ def hedge_step(expert: HedgeExpert, gains: np.ndarray) -> int:
     bound = expert.scale if expert.scale > 0.0 else 1.0
     expert.log_weights += expert.eta * g / bound
     expert.rounds += 1
-    expert.next_choice = int(expert.rng.choice(expert.num_atoms, p=expert.probabilities))
+    # The inverse-CDF draw Generator.choice(n, p=p) makes, without its
+    # per-call validation of p: the same uniform gives the same atom.
+    cdf = expert.probabilities.cumsum()
+    cdf /= cdf[-1]
+    expert.next_choice = int(cdf.searchsorted(expert.rng.random(), side="right"))
     return expert.next_choice
 
 
@@ -181,8 +185,7 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
                     else:
                         pos = int(np.argmax(swaps[:, choice]))
                     fact = factor_insert(factor_remove(fact, pos), a, choice)
-                coeffs = fact.solve(y)
-                resid = fact.residual(y)
+                coeffs, resid = fact.fit(y)
             except RankDeficient:
                 pass
 

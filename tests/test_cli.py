@@ -243,6 +243,54 @@ def test_block_caps_must_cover_every_point(tmp_path):
     assert main(["bench", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("methods", "k", 17),  # the dct2 4x4 ground set has n = 16 atoms
+        ("train", "s", "abc"),
+        ("train", "T", -1),
+        ("train", "k_planted", 17),
+        ("constraint", "s", "abc"),
+    ],
+)
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, section, field, value):
+    doc = base_config()
+    if section == "methods":
+        doc["methods"][0][field] = value
+    else:
+        doc[section][field] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["select", "--config", str(cfg_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("online", {"online": {"method": "online_replacement_omp", "k": 2, "s": 3}}),
+        ("online", {"online": {"method": "online_replacement_omp", "k": 3, "s": 2, "horizon": "abc"}}),
+        ("oracle", {"constraint": {"family": "individual", "s": 2}, "k": 17}),
+    ],
+)
+def test_online_and_oracle_values_are_config_errors(tmp_path, command, doc):
+    doc = {**base_config(), **doc}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_data_raises_value_error(bad):
+    gs = dct2_basis(4)
+    y = synth_dataset(gs, 10, 5, 2, seed=0).matrix
+    y[3, 4] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        replacement_omp(y, gs, IndividualSparsity(2), SelectorConfig(k=3))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        residual_variance(gs[:, :5], y, 2)
+
+
 def test_cli_bench_and_select(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(base_config()))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from dictsel import (
     assemble,
@@ -13,6 +14,7 @@ from dictsel import (
     restricted_spectrum,
 )
 from dictsel.errors import InvalidGroundSet, RankDeficient, TooLarge
+from dictsel.linalg import SupportFactorization, addition_gains, swap_gains
 
 from conftest import random_unit_atoms
 from oracles import lstsq_fit
@@ -206,3 +208,110 @@ def test_restricted_spectrum_guard():
         restricted_spectrum(a, 6)
     with pytest.raises(TooLarge):
         restricted_spectrum(a, 6, exact=False)
+
+
+def swap_rows_by_removal(a, fact, y, positions):
+    """Reference swap rows: factor_remove each position, then the addition formula."""
+    r = fact.residual(y)
+    rows = []
+    for j in positions:
+        sub = factor_remove(fact, j)
+        r_sub = sub.residual(y)
+        rows.append(0.5 * (r @ r - r_sub @ r_sub) + addition_gains(a, sub, r_sub))
+    rows = np.array(rows)
+    rows[:, list(fact.columns)] = 0.0
+    return rows
+
+
+def factor(a, support):
+    fact = empty_factorization(a.shape[0])
+    for j in support:
+        fact = factor_insert(fact, a, int(j))
+    return fact
+
+
+def dct_haar():
+    return assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))]).matrix
+
+
+def test_swap_gains_match_factor_remove_reference():
+    a = dct_haar()
+    rng = np.random.default_rng(14)
+    for m in range(1, 7):
+        for _ in range(20):
+            support = rng.choice(a.shape[1], size=m, replace=False)
+            if {0, 64} <= set(support.tolist()):
+                continue  # the DC duplicates cannot share a support
+            fact = factor(a, support)
+            y = rng.standard_normal(a.shape[0]) * rng.uniform(0.1, 10.0)
+            rows = swap_gains(a, fact, y, fact.residual(y), range(m))
+            ref = swap_rows_by_removal(a, fact, y, range(m))
+            assert np.abs(rows - ref).max() <= 1e-12 * (y @ y)
+
+
+def test_swap_gains_dc_duplicate_regains_nothing():
+    # Atoms 0 (DCT) and 64 (Haar) are the same constant atom.
+    a = dct_haar()
+    rng = np.random.default_rng(15)
+    for m in range(1, 7):
+        support = [0] + rng.choice(np.arange(1, 64), size=m - 1, replace=False).tolist()
+        fact = factor(a, support)
+        y = rng.standard_normal(a.shape[0])
+        rows = swap_gains(a, fact, y, fact.residual(y), range(m))
+        ref = swap_rows_by_removal(a, fact, y, range(m))
+        assert np.abs(rows - ref).max() <= 1e-12 * (y @ y)
+        # Trading atom 0 for 64 changes nothing; next to atom 0, atom 64 lies
+        # in the span, so swapping it in for another atom is the bare removal.
+        assert abs(rows[0, 64]) <= 1e-12 * (y @ y)
+        r = fact.residual(y)
+        for j in range(1, m):
+            r_sub = factor_remove(fact, j).residual(y)
+            assert rows[j, 64] == pytest.approx(0.5 * (r @ r - r_sub @ r_sub), abs=1e-12 * (y @ y))
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3])
+def test_swap_gains_with_nearly_dependent_pair(delta):
+    # Atom 128 is a twin of atom 0 with inner product 1 - delta.
+    base = dct_haar()
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        tilt = int(rng.integers(1, 64))
+        e = base[:, tilt] - (base[:, tilt] @ base[:, 0]) * base[:, 0]
+        cos = 1.0 - delta
+        twin = cos * base[:, 0] + np.sqrt(1.0 - cos * cos) * e / np.linalg.norm(e)
+        a = np.column_stack([base, twin])
+        m = int(rng.integers(2, 7))
+        others = rng.choice(np.setdiff1d(np.arange(1, 128), [64, tilt]), size=m - 2, replace=False)
+        support = rng.permutation(np.r_[0, 128, others])
+        fact = factor(a, support)
+        y = rng.standard_normal(a.shape[0])
+        rows = swap_gains(a, fact, y, fact.residual(y), range(m))
+        diff = np.abs(rows - swap_rows_by_removal(a, fact, y, range(m)))
+        # Trading atom 0 for its duplicate 64 while the twin stays divides two
+        # quantities of order delta, so any two eliminations differ there by
+        # about eps / delta; every other entry agrees to rounding.
+        j0 = int(np.flatnonzero(support == 0)[0])
+        assert diff[j0, 64] <= 1e-15 / delta * (y @ y)
+        diff[j0, 64] = 0.0
+        assert diff.max() <= 1e-12 * (y @ y)
+
+
+def test_solve_equals_solve_triangular_exactly():
+    rng = np.random.default_rng(17)
+    for m in range(1, 7):
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.standard_normal((12, m)))
+            r = np.triu(rng.standard_normal((m, m))) + np.diag(rng.uniform(0.1, 2.0, size=m))
+            fact = SupportFactorization(tuple(range(m)), q, np.ascontiguousarray(r))
+            y = rng.standard_normal(12)
+            assert np.array_equal(fact.solve(y), solve_triangular(r, q.T @ y, lower=False))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_nonfinite_data(bad):
+    a = random_unit_atoms(np.random.default_rng(18), 8, 5)
+    fact = factor(a, [0, 2, 3])
+    y = np.ones(8)
+    y[4] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        fact.solve(y)

@@ -63,6 +63,22 @@ def test_hedge_doubling_trick_runs():
     assert etas[0] > etas[-1] > 0
 
 
+@pytest.mark.parametrize("horizon", [1000, None])
+def test_hedge_draw_matches_generator_choice(horizon):
+    n = 128
+    expert = HedgeExpert(n, np.random.default_rng(9), horizon)
+    clone = np.random.default_rng(0)  # its state is replaced before every draw
+    gains_rng = np.random.default_rng(10)
+    profile = gains_rng.exponential(size=n)
+    for _ in range(1000):
+        gains = profile * gains_rng.random(n)
+        expert.scale = max(expert.scale, float(gains.max()))
+        clone.bit_generator.state = expert.rng.bit_generator.state
+        choice = hedge_step(expert, gains)
+        assert choice == clone.choice(n, p=expert.probabilities)
+    assert expert.probabilities.max() > 0.5  # the draws were not all uniform
+
+
 def test_first_round_uses_pure_additions():
     rng = np.random.default_rng(5)
     a = dct2_basis(3)

@@ -36,7 +36,7 @@ from .constraints import (
 from .encoders import omp_encode
 from .errors import DictselError, ParseError, TooLarge
 from .groundset import GroundSet, assemble, dct2_basis, haar2_basis, load_atom_block
-from .linalg import atom_matrix
+from .linalg import atom_matrix, coherence, resolve_smoothness
 from .offline import SelectorConfig, modular_greedy, replacement_greedy, replacement_omp
 from .online import METHODS as ONLINE_METHODS
 from .online import expert_hindsight_regrets, online_round, online_state
@@ -80,6 +80,12 @@ def _f_value(a, support, y):
     sol, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
     resid = y - a[:, support] @ sol
     return 0.5 * float(y @ y) - 0.5 * float(resid @ resid)
+
+
+def _best_of_size(a, y_t, dictionary, size):
+    """The best f over supports of exactly ``size`` dictionary atoms (first on ties), and that support."""
+    pairs = ((_f_value(a, c, y_t), c) for c in itertools.combinations(dictionary, size))
+    return max(pairs, key=lambda pair: pair[0])
 
 
 def _oracle_work_estimate(constraint, n, k, t_count):
@@ -127,13 +133,7 @@ def _best_supports(a, y, constraint, dictionary):
         size = min(constraint.s, len(dictionary))
         for t in range(t_count):
             # The objective is monotone, so only full-size supports matter.
-            value, sup = max(
-                (
-                    (_f_value(a, c, y[:, t]), c)
-                    for c in itertools.combinations(dictionary, size)
-                ),
-                key=lambda pair: pair[0],
-            )
+            value, sup = _best_of_size(a, y[:, t], dictionary, size)
             total += value
             supports.append(list(sup))
         return total, supports
@@ -178,13 +178,7 @@ def _average_supports(a, y, constraint, dictionary):
         values = [0.0]
         picks = [()]
         for size in range(1, cap + 1):
-            v, sup = max(
-                (
-                    (_f_value(a, c, y[:, t]), c)
-                    for c in itertools.combinations(dictionary, size)
-                ),
-                key=lambda pair: pair[0],
-            )
+            v, sup = _best_of_size(a, y[:, t], dictionary, size)
             values.append(v)
             picks.append(sup)
         tables.append(values)
@@ -250,6 +244,7 @@ class ExperimentConfig:
             k = method.get("k")
             if not isinstance(k, int) or k < 1:
                 raise ParseError(f"methods[{i}].k: positive integer required")
+            _check_smoothness(method, f"methods[{i}]")
         trials = doc.get("trials", 1)
         if not isinstance(trials, int) or trials < 1:
             raise ParseError("trials: positive integer required")
@@ -275,6 +270,15 @@ class ExperimentConfig:
         if self.test is not None:
             out["test"] = self.test
         return out
+
+
+def _check_smoothness(section: dict, key: str) -> None:
+    """A ParseError unless the section's optional ``smoothness`` is a finite positive number."""
+    if section.get("smoothness") is not None:
+        try:
+            resolve_smoothness(None, section["smoothness"])
+        except ValueError as exc:
+            raise ParseError(f"{key}.smoothness: {exc}") from exc
 
 
 def _require(doc, key, kind):
@@ -491,9 +495,7 @@ def _eval_sparsity(constraint, method: dict) -> int:
         return constraint.s
     if isinstance(constraint, AverageSparsity):
         return max(constraint.s_t)
-    if "s" in method:
-        return method["s"]
-    return 1
+    return method.get("s", 1)
 
 
 def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRow]:
@@ -609,6 +611,7 @@ def _cmd_online(args) -> int:
     k, s = online_cfg["k"], online_cfg["s"]
     if not (isinstance(k, int) and isinstance(s, int) and 1 <= s <= k):
         raise ParseError(f"online: need integers 1 <= s <= k, got s = {s!r} and k = {k!r}")
+    _check_smoothness(online_cfg, "online")
     ground_set = build_ground_set(_require(doc, "ground_set", dict))
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     stream = build_dataset(_require(doc, "train", dict), ground_set, [seed, 0])
@@ -666,8 +669,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_groundset(args) -> int:
     doc = _load_config_doc(args.config)
     ground_set = build_ground_set(_require(doc, "ground_set", dict))
-    from .linalg import coherence
-
     info = {
         "d": ground_set.d,
         "n": ground_set.n,

@@ -88,7 +88,6 @@ class BlockSparsity:
             if seen & set(block):
                 raise ValueError("blocks must be disjoint")
             seen |= set(block)
-        object.__setattr__(self, "_num_points", len(seen))
         if seen != set(range(len(seen))):
             raise ValueError("blocks must partition 0..T-1")
 

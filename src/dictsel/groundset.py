@@ -38,6 +38,15 @@ class GroundSet:
         return self.matrix.shape[1]
 
 
+def require_unit_norm(b: np.ndarray, where: str = "") -> None:
+    """Raise InvalidGroundSet, naming the worst column, unless every column norm is within 1e-8 of 1."""
+    norms = np.linalg.norm(b, axis=0)
+    deviation = np.abs(norms - 1.0)
+    if not np.all(deviation <= _NORM_TOL):
+        j = int(np.argmax(deviation))  # a NaN deviation counts as the largest
+        raise InvalidGroundSet(f"{where}column {j} has norm {norms[j]:.12g}, expected 1")
+
+
 def dct2_basis(side: int) -> np.ndarray:
     """Orthonormal 2D DCT-II atoms for a side x side patch, one per column.
 
@@ -83,12 +92,7 @@ def assemble(blocks) -> GroundSet:
             raise DimensionMismatch(
                 f"block {name!r} has d={b.shape[0]}, expected {mats[0].shape[0]}"
             )
-        norms = np.linalg.norm(b, axis=0)
-        if np.any(np.abs(norms - 1.0) > _NORM_TOL):
-            j = int(np.argmax(np.abs(norms - 1.0)))
-            raise InvalidGroundSet(
-                f"block {name!r} column {j} has norm {norms[j]:.12g}, expected 1"
-            )
+        require_unit_norm(b, f"block {name!r} ")
         mats.append(b)
         labels.extend((name, j) for j in range(b.shape[1]))
     if not mats:
@@ -103,8 +107,5 @@ def load_atom_block(path) -> np.ndarray:
     from .data_io import load_matrix_csv
 
     b = load_matrix_csv(path)
-    norms = np.linalg.norm(b, axis=0)
-    if np.any(np.abs(norms - 1.0) > _NORM_TOL):
-        j = int(np.argmax(np.abs(norms - 1.0)))
-        raise InvalidGroundSet(f"{path}: column {j} has norm {norms[j]:.12g}, expected 1")
+    require_unit_norm(b, f"{path}: ")
     return b

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
-from .errors import InvalidGroundSet, RankDeficient, TooLarge
+from .errors import RankDeficient, TooLarge
+from .groundset import require_unit_norm
 
 # Columns whose projection residual falls below this norm are treated as
 # linearly dependent and rejected.
@@ -237,10 +239,7 @@ def coherence(ground_set) -> float:
     if cached is not None:
         return cached
     a = atom_matrix(ground_set)
-    norms = np.linalg.norm(a, axis=0)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        worst = int(np.argmax(np.abs(norms - 1.0)))
-        raise InvalidGroundSet(f"column {worst} has norm {norms[worst]:.12g}, expected 1")
+    require_unit_norm(a)
     if a.shape[1] < 2:
         mu = 0.0
     else:
@@ -251,6 +250,15 @@ def coherence(ground_set) -> float:
     if hasattr(ground_set, "mu_cache"):
         ground_set.mu_cache = mu
     return mu
+
+
+def resolve_smoothness(ground_set, value=None) -> float:
+    """The smoothness parameter: ``value`` if finite and positive (else ValueError), or 1 + coherence."""
+    if value is None:
+        return 1.0 + coherence(ground_set)
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"smoothness must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 @dataclass

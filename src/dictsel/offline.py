@@ -14,9 +14,13 @@ Three selectors over a common selection state:
   parameter by sqrt(i) at iteration i so that late iterations keep
   making progress.
 
-All selectors return a :class:`SelectionState` whose supports are
-feasible after every iteration (else InfeasibleState) and whose
-objective never decreases.
+The replacement selectors share one loop, ``_select``, and differ only
+in their gain rule.  All selectors return a :class:`SelectionState`
+whose supports are feasible after every iteration (else
+InfeasibleState).  The objective never decreases under exact gains, nor
+under proxy gains while the smoothness parameter is at least the
+restricted smoothness; a smaller one, as ``decay`` reaches, can lower
+it (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ from .constraints import (
 from .data_io import data_matrix
 from .errors import RankDeficient, UnsupportedConstraint
 from .linalg import SupportFactorization, addition_gains, atom_matrix, empty_factorization, factor_insert
-from .linalg import factor_remove, swap_gains
+from .linalg import factor_remove, resolve_smoothness, swap_gains
 
 _PER_POINT = (IndividualSparsity, PartitionMatroid)
-_STACK = 64  # points per array operation in _refresh_options; bounds its temporaries
+_STACK = 64  # points per array operation in _refresh_costs; bounds its temporaries
 
 
 @dataclass
@@ -160,17 +164,57 @@ def _zeroed_grad_sq(state: SelectionState) -> np.ndarray:
     return g2
 
 
-def _refresh_options(constraint, state: SelectionState, options, points) -> None:
-    """Recompute the ``point_options`` masks of ``points`` and their (n, T) costs.
+def _winner(table: np.ndarray, atoms: list[int]) -> int | None:
+    """The unselected atom of largest gain, lowest index on ties; None if its gain is <= 0."""
+    table[atoms] = 0.0
+    winner = int(np.argmax(table))
+    return winner if table[winner] > 0.0 else None
+
+
+def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
+    """The k iterations of ``step(state, masks, touched, i) -> Replacement | None``.
+
+    ``masks[t]`` are point t's ``point_options`` (None for coupled
+    families); ``touched`` are the points changed since the last step.
+    A None step adds the unselected atom of largest squared gradient mass
+    without touching any support, so the dictionary reaches k atoms.
+    """
+    n, t_count = a.shape[1], y.shape[1]
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    state = _initial_state(a, y, trace)
+    masks = None
+    if isinstance(constraint, _PER_POINT):
+        masks = [point_options(constraint, t, [], n) for t in range(t_count)]
+    touched = range(t_count)
+    for i in range(1, k + 1):
+        rep = step(state, masks, touched, i)
+        if rep is None:
+            # Supports hold only dictionary atoms: no gradient dust in unselected rows.
+            mass = (state.gradients**2).sum(axis=1)
+            mass[state.atoms] = -math.inf
+            state.atoms.append(int(np.argmax(mass)))
+            touched = []
+        else:
+            _apply_replacement(state, rep, a, y, i)
+            touched = [t for t, _, _ in rep.per_t]
+            if masks is not None:
+                for t in touched:
+                    masks[t] = point_options(constraint, t, state.supports[t], n)
+            state.atoms.append(rep.added_atom)
+        state.objective_history.append(state.objective)
+        require_feasible(constraint, state.supports)
+    return state
+
+
+def _refresh_costs(state: SelectionState, masks, cost: np.ndarray, points) -> None:
+    """Recompute the (n, T) option costs of ``points`` from their masks.
 
     A cost is the unscaled w_j^2 of the cheapest position the atom may
-    replace, 0 for an addition, inf for no option.  Only the points a
-    replacement touched change.
+    replace, 0 for an addition, inf for no option.
     """
-    masks, cost = options
     by_size: dict[int, list[int]] = {}
     for t in points:
-        masks[t] = point_options(constraint, t, state.supports[t], cost.shape[0])
         by_size.setdefault(len(state.supports[t]), []).append(t)
     for group in by_size.values():
         for start in range(0, len(group), _STACK):
@@ -182,24 +226,24 @@ def _refresh_options(constraint, state: SelectionState, options, points) -> None
             cost[:, chunk] = np.where(addable, 0.0, swap_cost).T
 
 
-def _romp_replacement(constraint, state, scaled_g2, m_i, options) -> Replacement | None:
-    """The replacement of largest proxy gain among unselected atoms (lowest on ties).
+def _romp_replacement(constraint, state, m_i, masks, cost) -> Replacement | None:
+    """The replacement of largest proxy gain among unselected atoms.
 
-    None if all their gains are 0.  Per-point families clip each point's
-    gain of the cheapest option in ``options`` at zero; average sparsity
-    solves one exchange problem per atom; block sparsity searches atom by
-    atom.
+    Per-point families clip each point's gain of the cheapest option in
+    ``cost`` at zero; average sparsity solves one exchange problem per
+    atom; block sparsity searches atom by atom.
     """
+    # Under per-point families atoms of a support have no option there
+    # (infinite cost), so their gradient dust needs no zeroing.
+    scaled_g2 = (state.gradients**2 if masks is not None else _zeroed_grad_sq(state)) / m_i
     n = scaled_g2.shape[0]
-    if options is not None:
-        masks, cost = options
+    if masks is not None:
         point_gains = m_i * cost
         np.subtract(scaled_g2, point_gains, out=point_gains)
         np.maximum(point_gains, 0.0, out=point_gains)
         table = point_gains.sum(axis=1)
-        table[state.atoms] = 0.0
-        winner = int(np.argmax(table))
-        if table[winner] <= 0.0:
+        winner = _winner(table, state.atoms)
+        if winner is None:
             return None
         per_t = []
         for t in np.flatnonzero(point_gains[winner] > 0.0).tolist():
@@ -223,8 +267,8 @@ def _romp_replacement(constraint, state, scaled_g2, m_i, options) -> Replacement
         for atom in candidates:
             rep = search_replacement(constraint, state.supports, atom, scaled_g2[atom], scaled_costs)
             table[atom] = rep.gain
-    winner = int(np.argmax(table))
-    if table[winner] <= 0.0:
+    winner = _winner(table, state.atoms)
+    if winner is None:
         return None
     return search_replacement(constraint, state.supports, winner, scaled_g2[winner], scaled_costs)
 
@@ -242,72 +286,41 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
     """
     a = atom_matrix(ground_set)
     y = data_matrix(data)
-    n = a.shape[1]
-    if not 1 <= config.k <= n:
-        raise ValueError("need 1 <= k <= n")
-    if config.smoothness is None:
-        from .linalg import coherence
+    base_m = resolve_smoothness(ground_set, config.smoothness)
+    cost = np.empty((a.shape[1], y.shape[1]))
 
-        base_m = 1.0 + coherence(ground_set)
-    else:
-        base_m = float(config.smoothness)
-    if base_m <= 0:
-        raise ValueError("smoothness must be positive")
-    state = _initial_state(a, y, trace)
-    options = None
-    if isinstance(constraint, _PER_POINT):
-        t_count = y.shape[1]
-        options = ([None] * t_count, np.empty((n, t_count)))
-        _refresh_options(constraint, state, options, range(t_count))
-    for i in range(1, config.k + 1):
+    def step(state, masks, touched, i):
+        if masks is not None:
+            _refresh_costs(state, masks, cost, touched)
         m_i = base_m / math.sqrt(i) if config.decay else base_m
-        # Under per-point families atoms of a support have no option there
-        # (infinite cost), so their gradient dust needs no zeroing.
-        g2 = state.gradients**2 if options is not None else _zeroed_grad_sq(state)
-        rep = _romp_replacement(constraint, state, g2 / m_i, m_i, options)
-        if rep is not None:
-            _apply_replacement(state, rep, a, y, i)
-            if options is not None:
-                _refresh_options(constraint, state, options, [t for t, _, _ in rep.per_t])
-            state.atoms.append(rep.added_atom)
-        else:
-            mass = g2.sum(axis=1)
-            mass[state.atoms] = -math.inf
-            state.atoms.append(int(np.argmax(mass)))
-        state.objective_history.append(state.objective)
-        require_feasible(constraint, state.supports)
-    return state
+        return _romp_replacement(constraint, state, m_i, masks, cost)
+
+    return _select(a, y, constraint, config.k, trace, step)
 
 
-def _rg_point_options(constraint, t: int, support, n: int):
-    """Point t's addition mask (None if empty), replaceable positions and their swap masks."""
-    addable, swappable = point_options(constraint, t, support, n)
-    positions = np.flatnonzero(swappable.any(axis=1)).tolist()
-    return (addable if addable.any() else None), positions, swappable[positions]
-
-
-def _rg_option_tables(state, a, y, options):
+def _rg_option_tables(state, a, y, masks):
     """Exact per-(atom, point) best gains and option codes for per-point families.
 
     Option code 0 means leave the support alone, 1 means plain addition,
-    2 + j means swap against position j.  ``options[t]`` comes from
-    ``_rg_point_options``; gains come from ``addition_gains`` and
+    2 + j means swap against position j.  ``masks[t]`` are point t's
+    ``point_options``; gains come from ``addition_gains`` and
     ``swap_gains``, computed only for rows some atom may use.
     """
     n, t_count = a.shape[1], y.shape[1]
     best = np.zeros((n, t_count))
     code = np.zeros((n, t_count), dtype=np.int32)
-    for t, (addable, positions, swappable) in enumerate(options):
+    for t, (addable, swappable) in enumerate(masks):
         fact = state.factors[t]
         r = state.residuals[:, t]
-        if addable is not None:
+        if addable.any():
             gain = addition_gains(a, fact, r)
             sel = addable & (gain > 0.0)
             best[sel, t] = gain[sel]
             code[sel, t] = 1
+        positions = np.flatnonzero(swappable.any(axis=1)).tolist()
         if positions:
             # Gains of disallowed swaps become 0, which never beats best >= 0.
-            rows = swap_gains(a, fact, y[:, t], r, positions) * swappable
+            rows = swap_gains(a, fact, y[:, t], r, positions) * swappable[positions]
             for pos, gain in zip(positions, rows):
                 sel = gain > best[:, t]
                 best[sel, t] = gain[sel]
@@ -318,10 +331,12 @@ def _rg_option_tables(state, a, y, options):
 def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> SelectionState:
     """Exact-gain selector: k steps of the best feasible replacement.
 
-    Each step adds an atom outside the dictionary.  Gains are true
-    objective differences, so every candidate replacement costs a
-    least-squares update; use :func:`replacement_omp` when that is too
-    slow.  Only per-point families are supported: block and
+    Each step adds an atom outside the dictionary; when no replacement
+    gains, it adds the atom of largest squared gradient mass, as
+    :func:`replacement_omp` does, so the dictionary reaches k atoms.
+    Gains are true objective differences, so every candidate replacement
+    costs a least-squares update; use :func:`replacement_omp` when that
+    is too slow.  Only per-point families are supported: block and
     average sparsity couple the points, and exact gains would force an
     exponential search over joint replacements.
     """
@@ -331,34 +346,22 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
         )
     a = atom_matrix(ground_set)
     y = data_matrix(data)
-    n = a.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    state = _initial_state(a, y, trace)
-    # A point's options change only when a replacement touches it.
-    options = [_rg_point_options(constraint, t, z, n) for t, z in enumerate(state.supports)]
-    for i in range(1, k + 1):
-        best, code = _rg_option_tables(state, a, y, options)
+
+    def step(state, masks, touched, i):
+        best, code = _rg_option_tables(state, a, y, masks)
         table = best.sum(axis=1)
-        table[state.atoms] = 0.0
-        winner = int(np.argmax(table))
-        if table[winner] <= 0.0:
-            state.objective_history.append(state.objective)
-            break
+        winner = _winner(table, state.atoms)
+        if winner is None:
+            return None
         per_t = []
-        for t in range(y.shape[1]):
-            c = int(code[winner, t])
+        for t, c in enumerate(code[winner].tolist()):
             if c == 1:
                 per_t.append((t, None, True))
             elif c >= 2:
                 per_t.append((t, state.supports[t][c - 2], True))
-        _apply_replacement(state, Replacement(winner, per_t, float(table[winner])), a, y, i)
-        for t, _, _ in per_t:
-            options[t] = _rg_point_options(constraint, t, state.supports[t], n)
-        state.atoms.append(winner)
-        state.objective_history.append(state.objective)
-        require_feasible(constraint, state.supports)
-    return state
+        return Replacement(winner, per_t, float(table[winner]))
+
+    return _select(a, y, constraint, k, trace, step)
 
 
 def modular_greedy(data, ground_set, k: int, s: int) -> SelectionState:

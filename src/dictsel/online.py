@@ -18,8 +18,8 @@ import numpy as np
 
 from .constraints import cheapest_removal
 from .errors import RankDeficient
-from .linalg import addition_gains, atom_matrix, coherence, empty_factorization, factor_insert, factor_remove
-from .linalg import swap_gains
+from .linalg import addition_gains, atom_matrix, empty_factorization, factor_insert, factor_remove
+from .linalg import resolve_smoothness, swap_gains
 
 METHODS = ("online_modular", "online_replacement_greedy", "online_replacement_omp")
 
@@ -120,7 +120,7 @@ def online_state(method, ground_set, k, s, horizon=None, seed=0, smoothness=None
     if not 1 <= s <= k:
         raise ValueError("need 1 <= s <= k")
     n = atom_matrix(ground_set).shape[1]
-    m_val = 1.0 + coherence(ground_set) if smoothness is None else float(smoothness)
+    m_val = resolve_smoothness(ground_set, smoothness)
     seeds = np.random.SeedSequence(seed).spawn(k)
     experts = [
         HedgeExpert(n, np.random.default_rng(seeds[i]), horizon) for i in range(k)

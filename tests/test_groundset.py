@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dictsel import assemble, dct2_basis, haar2_basis, load_atom_block
+from dictsel import assemble, coherence, dct2_basis, haar2_basis, load_atom_block
+from dictsel.data_io import save_matrix_csv
 from dictsel.errors import DimensionMismatch, InvalidGroundSet, InvalidSide
 
 from conftest import random_unit_atoms
@@ -79,8 +80,6 @@ def random_orthonormal_basis(rng, d):
 def test_four_basis_ground_set_via_csv(tmp_path, rng):
     # 256-atom configuration: two built-in bases plus two user-loaded
     # orthonormal blocks in the CSV exchange format.
-    from dictsel.data_io import save_matrix_csv
-
     extra1 = random_orthonormal_basis(rng, 64)
     extra2 = random_orthonormal_basis(rng, 64)
     p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
@@ -102,3 +101,19 @@ def test_load_atom_block_validates_norms(tmp_path):
     p.write_text("2.0,0.0\n0.0,1.0\n")
     with pytest.raises(InvalidGroundSet):
         load_atom_block(p)
+
+
+@pytest.mark.parametrize("entry", ["assemble", "load_atom_block", "coherence"])
+def test_nan_atom_is_rejected(tmp_path, entry):
+    # abs(nan - 1) > tol is False, so a plain tolerance test lets NaN through.
+    b = np.eye(4)
+    b[2, 1] = np.nan
+    path = tmp_path / "nan.csv"
+    save_matrix_csv(path, b)
+    calls = {
+        "assemble": lambda: assemble([("eye", b)]),
+        "load_atom_block": lambda: load_atom_block(path),
+        "coherence": lambda: coherence(b),
+    }
+    with pytest.raises(InvalidGroundSet, match="column 1"):
+        calls[entry]()

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictsel import (
     AverageSparsity,
@@ -261,15 +263,69 @@ def test_decay_variant_keeps_selecting():
     assert plain.objective >= 0.0
 
 
-def test_fallback_fills_dictionary_when_gains_vanish():
+SELECTORS = {
+    "replacement_omp": lambda y, a, constraint, k: replacement_omp(y, a, constraint, SelectorConfig(k=k)),
+    "replacement_greedy": replacement_greedy,
+}
+
+
+@pytest.mark.parametrize("select", SELECTORS.values(), ids=SELECTORS.keys())
+def test_fallback_fills_dictionary_when_gains_vanish(select):
     # One data point exactly representable by one atom: after it is fit,
     # every replacement gain is zero, yet the dictionary must reach k.
     a = dct2_basis(3)
     y = a[:, [4]].copy()
-    state = replacement_omp(y, a, IndividualSparsity(1), SelectorConfig(k=3))
-    assert len(state.atoms) == 3
+    state = select(y, a, IndividualSparsity(1), 3)
+    assert len(set(state.atoms)) == len(state.atoms) == 3
+    assert len(state.objective_history) == 3
     assert state.atoms[0] == 4
     assert state.objective == pytest.approx(0.5, abs=1e-12)
+
+
+def random_family(family, rng, n, t_count):
+    """A random constraint of the named family over n atoms and t_count points."""
+    if family == "caps":
+        return IndividualSparsity(int(rng.integers(1, 4)))
+    if family == "matroid":
+        split = int(rng.integers(1, n))
+        caps = rng.integers(1, 3, size=2).tolist()
+        rule = ((frozenset(range(split)), caps[0]), (frozenset(range(split, n)), caps[1]))
+        return PartitionMatroid((rule,) * t_count)
+    if family == "block":
+        width = int(rng.integers(1, 4))
+        blocks = tuple(tuple(range(i, min(i + width, t_count))) for i in range(0, t_count, width))
+        return BlockSparsity(blocks, tuple(rng.integers(1, 4, size=len(blocks)).tolist()))
+    return AverageSparsity.uniform(t_count, int(rng.integers(1, 4)), int(rng.integers(1, 2 * t_count + 1)))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(
+        [
+            ("replacement_omp", "caps"),
+            ("replacement_greedy", "caps"),
+            ("replacement_omp", "matroid"),
+            ("replacement_greedy", "matroid"),
+            ("replacement_omp", "block"),
+            ("replacement_omp", "average"),
+        ]
+    ),
+)
+def test_selectors_fill_k_feasible_atoms_with_exact_objective(seed, case):
+    rng = np.random.default_rng(seed)
+    d, n, t_count = int(rng.integers(2, 9)), int(rng.integers(2, 13)), int(rng.integers(1, 7))
+    k = int(rng.integers(1, n + 1))
+    a = random_unit_atoms(rng, d, n)
+    y = rng.standard_normal((d, t_count))
+    selector, family = case
+    constraint = random_family(family, rng, n, t_count)
+    state = SELECTORS[selector](y, a, constraint, k)
+    assert len(set(state.atoms)) == len(state.atoms) == k
+    assert len(state.objective_history) == k
+    assert is_feasible(constraint, state.supports)
+    dense = sum(f_value(a, z, y[:, t]) for t, z in enumerate(state.supports))
+    assert state.objective == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
 
 def approximation_constants(a, s):

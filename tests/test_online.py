@@ -260,3 +260,9 @@ def test_seeded_runs_are_reproducible():
             online_round(state, y, a)
         results.append((list(map(tuple, state.ledger.dictionaries)), state.ledger.player_gains))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("smoothness", [-1.0, 0.0, float("nan"), "abc"])
+def test_online_state_rejects_bad_smoothness(smoothness):
+    with pytest.raises(ValueError, match="smoothness"):
+        online_state("online_replacement_omp", dct2_basis(2), k=3, s=2, smoothness=smoothness)

@@ -52,6 +52,9 @@ from .online import (
 
 __version__ = "0.1.0"
 
+# ``ls_solve`` and ``replacement_sparsity_p`` stay importable from here but
+# are not part of the public API.
+
 __all__ = [
     "AverageSparsity",
     "BlockSparsity",
@@ -83,14 +86,12 @@ __all__ = [
     "hedge_step",
     "is_feasible",
     "load_atom_block",
-    "ls_solve",
     "modular_greedy",
     "omp_encode",
     "online_round",
     "online_state",
     "replacement_greedy",
     "replacement_omp",
-    "replacement_sparsity_p",
     "restricted_spectrum",
     "solve_exchange",
     "synth_dataset",

@@ -14,6 +14,15 @@ replacement for one atom from decomposable gains, given as arrays of
 per-point add gains and per-support removal costs; for average sparsity
 this reduces to a budgeted exchange problem solved exactly in
 O(T log T) by ``solve_exchange``.
+
+For the coupled families, everything but the add gains is shared by the
+candidate atoms of a step, so ``replacement_values`` gives every atom's
+best gain at once in closed form: average sparsity from sorted prefix sums
+of the add gains and the effective removal costs, block sparsity from each
+block's union removal costs, built once per block.  The per-atom searches
+(``solve_exchange`` and the block search) then run only for the winner,
+whose ``Replacement`` they give, and stay the reference the closed forms
+are tested against.
 """
 
 from __future__ import annotations
@@ -111,13 +120,30 @@ class AverageSparsity:
 SparsityConstraint = Union[IndividualSparsity, PartitionMatroid, BlockSparsity, AverageSparsity]
 
 
+def num_points(constraint: SparsityConstraint) -> int | None:
+    """Number of data points the family is defined on; None if it fits any number."""
+    if isinstance(constraint, IndividualSparsity):
+        return None
+    if isinstance(constraint, PartitionMatroid):
+        return len(constraint.rules)
+    if isinstance(constraint, BlockSparsity):
+        return sum(len(block) for block in constraint.blocks)
+    if isinstance(constraint, AverageSparsity):
+        return len(constraint.s_t)
+    raise TypeError(f"unknown constraint type {type(constraint)!r}")
+
+
 def is_feasible(constraint: SparsityConstraint, supports: Sequence) -> bool:
-    """Whether the support tuple belongs to the constraint family."""
+    """Whether the support tuple belongs to the constraint family.
+
+    A tuple with more or fewer supports than the family's points is not.
+    """
+    points = num_points(constraint)
+    if points is not None and len(supports) != points:
+        return False
     if isinstance(constraint, IndividualSparsity):
         return all(len(z) <= constraint.s for z in supports)
     if isinstance(constraint, PartitionMatroid):
-        if len(supports) != len(constraint.rules):
-            return False
         return all(constraint.independent(t, z) for t, z in enumerate(supports))
     if isinstance(constraint, BlockSparsity):
         for block, cap in zip(constraint.blocks, constraint.caps):
@@ -354,6 +380,19 @@ def _individual_like(constraint, supports, atom, add_gains, removal_costs) -> Re
     return Replacement(atom, per_t, float(total))
 
 
+def _union_costs(block, supports, removal_costs) -> dict[int, float]:
+    """Summed removal cost of each atom used in the block.
+
+    Dropping an atom from every support of the block that holds it frees
+    one union slot for the candidate.
+    """
+    costs: dict[int, float] = {}
+    for t in block:
+        for pos, held in enumerate(supports[t]):
+            costs[held] = costs.get(held, 0.0) + removal_costs[t][pos]
+    return costs
+
+
 def _block(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
     per_t: list[tuple[int, int | None, bool]] = []
     total = 0.0
@@ -362,12 +401,7 @@ def _block(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
         base = sum(add_gains[t] for t in adds)
         if base <= 0.0:
             continue
-        # Summed cost of each atom used in the block: dropping it from every
-        # support that holds it frees one union slot for the candidate.
-        costs: dict[int, float] = {}
-        for t in block:
-            for pos, held in enumerate(supports[t]):
-                costs[held] = costs.get(held, 0.0) + removal_costs[t][pos]
+        costs = _union_costs(block, supports, removal_costs)
         best, best_removed = (base if atom in costs or len(costs) < cap else 0.0), None
         costs.pop(atom, None)
         if costs:
@@ -423,6 +457,75 @@ def search_replacement(
     if isinstance(constraint, AverageSparsity):
         return _average(constraint, supports, atom, add_gains, removal_costs)
     raise TypeError(f"unknown constraint type {type(constraint)!r}")
+
+
+def _block_values(constraint, supports, g, removal_costs) -> np.ndarray:
+    n = g.shape[0]
+    values = np.zeros(n)
+    for block, cap in zip(constraint.blocks, constraint.caps):
+        # Summed point by point, in the order the block search sums.
+        base = np.zeros(n)
+        for t in block:
+            base += g[:, t]
+        costs = _union_costs(block, supports, removal_costs)
+        if len(costs) < cap:
+            value = base
+        else:
+            # A full union takes the candidate only in place of its cheapest atom.
+            in_union = np.zeros(n, dtype=bool)
+            in_union[list(costs)] = True
+            cheapest = min(costs.values(), default=math.inf)
+            value = np.where(in_union, base, np.maximum(base - cheapest, 0.0))
+        values += value
+    return values
+
+
+def _prefix_sums(rows: np.ndarray) -> np.ndarray:
+    """Row-wise sums of the first 0, 1, ..., m entries of each (., m) row."""
+    sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    np.cumsum(rows, axis=1, out=sums[:, 1:])
+    return sums
+
+
+def _average_values(constraint, supports, g, removal_costs) -> np.ndarray:
+    # An exchange solution splits into pairs at tight points (an addition
+    # and its own point's removal, worth g - c), plain additions at the
+    # other points and extra removals; only the last two meet the budget
+    # |additions| <= |removals| + slack.  A tight point spent as an extra
+    # removal gives up its pair, so its effective cost is c + max(0, g - c).
+    _, costs, tight, slack = average_exchange(constraint, supports, removal_costs)
+    is_tight = np.zeros(len(supports), dtype=bool)
+    is_tight[list(tight)] = True
+    pairs = np.maximum(g[:, is_tight] - costs[is_tight], 0.0)
+    effective = np.repeat(costs[None, :], g.shape[0], axis=0)
+    effective[:, is_tight] += pairs
+    # Best total of a additions and cheapest total of r removals, a, r >= 0.
+    adds = _prefix_sums(-np.sort(-g[:, ~is_tight], axis=1))
+    removals = _prefix_sums(np.sort(effective, axis=1))
+    needed = np.maximum(np.arange(adds.shape[1]) - slack, 0)
+    return pairs.sum(axis=1) + (adds - removals[:, needed]).max(axis=1)
+
+
+def replacement_values(
+    constraint: SparsityConstraint,
+    supports: Sequence[Sequence[int]],
+    add_gains: np.ndarray,
+    removal_costs: Sequence[np.ndarray],
+) -> np.ndarray:
+    """The gain of :func:`search_replacement` for every atom at once.
+
+    Block and average sparsity only.  ``add_gains`` is (n, T): row j holds
+    atom j's add gains, zero at supports holding atom j, as
+    :func:`search_replacement` takes them; ``removal_costs`` and
+    ``supports`` are as there.  Returns the (n,) gains, computed in closed
+    form from arrays shared by all atoms.
+    """
+    g = np.maximum(np.asarray(add_gains, dtype=float), 0.0)
+    if isinstance(constraint, BlockSparsity):
+        return _block_values(constraint, supports, g, removal_costs)
+    if isinstance(constraint, AverageSparsity):
+        return _average_values(constraint, supports, g, removal_costs)
+    raise TypeError(f"{type(constraint).__name__} is not a coupled family")
 
 
 def require_feasible(constraint: SparsityConstraint, supports: Sequence) -> None:

@@ -31,17 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import (
-    AverageSparsity,
-    ExchangeInstance,
     IndividualSparsity,
     PartitionMatroid,
     Replacement,
-    average_exchange,
     cheapest_removal,
+    num_points,
     point_options,
+    replacement_values,
     require_feasible,
     search_replacement,
-    solve_exchange,
 )
 from .data_io import data_matrix
 from .errors import RankDeficient, UnsupportedConstraint
@@ -178,10 +176,15 @@ def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
     families); ``touched`` are the points changed since the last step.
     A None step adds the unselected atom of largest squared gradient mass
     without touching any support, so the dictionary reaches k atoms.
+    Raises ValueError unless 1 <= k <= n and the family is defined on the
+    data's T points.
     """
     n, t_count = a.shape[1], y.shape[1]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    points = num_points(constraint)
+    if points is not None and points != t_count:
+        raise ValueError(f"the constraint is defined on {points} points, the data has {t_count}")
     state = _initial_state(a, y, trace)
     masks = None
     if isinstance(constraint, _PER_POINT):
@@ -230,13 +233,13 @@ def _romp_replacement(constraint, state, m_i, masks, cost) -> Replacement | None
     """The replacement of largest proxy gain among unselected atoms.
 
     Per-point families clip each point's gain of the cheapest option in
-    ``cost`` at zero; average sparsity solves one exchange problem per
-    atom; block sparsity searches atom by atom.
+    ``cost`` at zero.  Block and average sparsity take the whole table in
+    closed form from ``replacement_values`` and search only the winner's
+    replacement, with ``search_replacement``.
     """
     # Under per-point families atoms of a support have no option there
     # (infinite cost), so their gradient dust needs no zeroing.
     scaled_g2 = (state.gradients**2 if masks is not None else _zeroed_grad_sq(state)) / m_i
-    n = scaled_g2.shape[0]
     if masks is not None:
         point_gains = m_i * cost
         np.subtract(scaled_g2, point_gains, out=point_gains)
@@ -257,16 +260,7 @@ def _romp_replacement(constraint, state, m_i, masks, cost) -> Replacement | None
         return Replacement(winner, per_t, float(table[winner]))
 
     scaled_costs = [m_i * w**2 for w in state.coeffs]
-    candidates = np.setdiff1d(np.arange(n), state.atoms).tolist()
-    table = np.zeros(n)
-    if isinstance(constraint, AverageSparsity):
-        _, costs, tight, slack = average_exchange(constraint, state.supports, scaled_costs)
-        for atom in candidates:
-            table[atom] = solve_exchange(ExchangeInstance(scaled_g2[atom], costs, tight, slack))[2]
-    else:
-        for atom in candidates:
-            rep = search_replacement(constraint, state.supports, atom, scaled_g2[atom], scaled_costs)
-            table[atom] = rep.gain
+    table = replacement_values(constraint, state.supports, scaled_g2, scaled_costs)
     winner = _winner(table, state.atoms)
     if winner is None:
         return None

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictsel import (
     AverageSparsity,
@@ -16,7 +18,7 @@ from dictsel import (
     replacement_sparsity_p,
     solve_exchange,
 )
-from dictsel.constraints import cheapest_removal, point_options
+from dictsel.constraints import cheapest_removal, point_options, replacement_values, search_replacement
 from dictsel.errors import InfeasibleState
 
 from oracles import best_replacement_oracle, exchange_optimum
@@ -43,6 +45,14 @@ def test_block_union_count():
     assert is_feasible(constraint, [{0}, {1}])
     assert not is_feasible(constraint, [{0, 2}, {1}])
     assert is_feasible(constraint, [{0, 1}, {1}])
+
+
+def test_coupled_families_reject_extra_supports():
+    # Supports beyond the family's points are outside it, as for matroids.
+    assert not is_feasible(AverageSparsity((0,), 5), [[], [4, 5]])
+    assert not is_feasible(BlockSparsity(((0,),), (1,)), [[1], [2, 3, 4]])
+    assert not is_feasible(BlockSparsity(((0, 1),), (2,)), [[1]])
+    assert not is_feasible(PartitionMatroid.uniform(1, N_ATOMS, 2), [[1], [2]])
 
 
 def test_matroid_categories():
@@ -334,3 +344,63 @@ def test_apply_replacement_keeps_untouched_points():
     rep = Replacement(9, [(1, 3, True)], 1.0)
     new = apply_replacement([{0}, {3, 4}, {5}], rep)
     assert new == [{0}, {4, 9}, {5}]
+
+
+def coupled_instance(rng, family, slack, ties):
+    """Random feasible supports of a coupled family, with (n, T) add gains and costs.
+
+    Per-point and block caps start at 0, so empty tight supports (infinite
+    removal cost) and cap-0 blocks occur; about half the blocks fill their
+    union to the cap.  With ``ties`` gains and costs are rounded to 0.1.
+    """
+    t_count = int(rng.integers(1, 7))
+    supports = [[] for _ in range(t_count)]
+    if family == "average":
+        s_t = rng.integers(0, 4, size=t_count).tolist()
+        for t, cap in enumerate(s_t):
+            size = cap if rng.random() < 0.5 else int(rng.integers(0, cap + 1))
+            supports[t] = rng.choice(N_ATOMS, size=size, replace=False).tolist()
+        constraint = AverageSparsity(tuple(s_t), sum(map(len, supports)) + slack)
+    else:
+        cut = int(rng.integers(1, t_count + 1))
+        blocks = tuple(b for b in (tuple(range(cut)), tuple(range(cut, t_count))) if b)
+        caps = tuple(int(rng.integers(0, 4)) for _ in blocks)
+        for block, cap in zip(blocks, caps):
+            size = cap if rng.random() < 0.5 else int(rng.integers(0, cap + 1))
+            for atom in rng.choice(N_ATOMS, size=size, replace=False).tolist():
+                # Every union atom is held somewhere, so the union has its size.
+                for t in {block[int(rng.integers(len(block)))], *rng.choice(block, size=2).tolist()}:
+                    if atom not in supports[t]:
+                        supports[t].append(atom)
+        constraint = BlockSparsity(blocks, caps)
+    assert is_feasible(constraint, supports)
+    add = rng.uniform(0.0, 1.0, size=(N_ATOMS, t_count))
+    costs = [rng.uniform(0.0, 1.0, size=len(z)) for z in supports]
+    if ties:
+        add = np.round(add, 1)
+        costs = [np.round(c, 1) for c in costs]
+    for t, z in enumerate(supports):
+        add[z, t] = 0.0
+    return constraint, supports, add, costs
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["average", "block"]),
+    slack=st.integers(0, 3),
+    ties=st.booleans(),
+)
+def test_replacement_values_match_per_atom_search(seed, family, slack, ties):
+    rng = np.random.default_rng(seed)
+    constraint, supports, add, costs = coupled_instance(rng, family, slack, ties)
+    values = replacement_values(constraint, supports, add, costs)
+    assert values.shape == (N_ATOMS,)
+    for atom in range(N_ATOMS):
+        expected = search_replacement(constraint, supports, atom, add[atom], costs).gain
+        assert abs(values[atom] - expected) <= 1e-12, (atom, values[atom], expected)
+
+
+def test_replacement_values_reject_per_point_families():
+    with pytest.raises(TypeError):
+        replacement_values(IndividualSparsity(1), [[]], np.zeros((2, 1)), [np.zeros(0)])

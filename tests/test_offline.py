@@ -19,6 +19,8 @@ from dictsel import (
     utility,
     utility_gradient,
 )
+from dictsel import constraints, offline
+from dictsel.constraints import replacement_values, search_replacement, solve_exchange
 from dictsel.errors import UnsupportedConstraint
 from dictsel.offline import SelectorConfig, modular_greedy, replacement_greedy, replacement_omp
 
@@ -250,6 +252,86 @@ def test_replacement_omp_block_selects_k_distinct_atoms():
         state = replacement_omp(y, a, constraint, SelectorConfig(k=6))
         assert len(set(state.atoms)) == len(state.atoms) == 6
         state_consistency(state, a, y, constraint)
+
+
+COUPLED = {
+    "average": AverageSparsity.uniform(12, 3, 20),
+    "block": BlockSparsity((tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12))), (3, 3, 3)),
+}
+
+
+def coupled_data(seed):
+    rng = np.random.default_rng(seed)
+    return np.hstack([dct2_basis(4), haar2_basis(4)]), rng.standard_normal((16, 12))
+
+
+@pytest.mark.parametrize("family", COUPLED)
+def test_romp_tables_match_per_atom_search_at_every_step(monkeypatch, family):
+    steps = []
+
+    def checked_values(constraint, supports, add_gains, removal_costs):
+        table = replacement_values(constraint, supports, add_gains, removal_costs)
+        for atom, value in enumerate(table):
+            expected = search_replacement(constraint, supports, atom, add_gains[atom], removal_costs).gain
+            assert abs(value - expected) <= 1e-12, (len(steps), atom, value, expected)
+        steps.append(table)
+        return table
+
+    monkeypatch.setattr(offline, "replacement_values", checked_values)
+    for seed in range(3):
+        a, y = coupled_data(seed)
+        replacement_omp(y, a, COUPLED[family], SelectorConfig(k=8))
+    assert len(steps) == 24
+
+
+@pytest.mark.parametrize("family", COUPLED)
+def test_coupled_romp_searches_only_the_winner(monkeypatch, family):
+    # The table is closed form: a step runs the per-atom search once, for
+    # its winner, and at most one exchange solve.
+    romp_step = offline._romp_replacement
+    searched, solves, winners = [], [], []
+
+    def counting_search(constraint, supports, atom, add_gains, removal_costs):
+        searched.append(atom)
+        return search_replacement(constraint, supports, atom, add_gains, removal_costs)
+
+    def counting_solve(instance):
+        solves.append(instance)
+        return solve_exchange(instance)
+
+    def checked_step(*args):
+        searched.clear()
+        solves.clear()
+        rep = romp_step(*args)
+        assert searched == ([] if rep is None else [rep.added_atom])
+        assert len(solves) <= 1
+        winners.append(rep)
+        return rep
+
+    monkeypatch.setattr(offline, "search_replacement", counting_search)
+    monkeypatch.setattr(constraints, "solve_exchange", counting_solve)
+    monkeypatch.setattr(offline, "_romp_replacement", checked_step)
+    for seed in range(3):
+        a, y = coupled_data(seed)
+        replacement_omp(y, a, COUPLED[family], SelectorConfig(k=8))
+    assert len(winners) == 24 and sum(rep is not None for rep in winners) >= 12
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [AverageSparsity.uniform(3, 2, 6), PartitionMatroid.uniform(3, 8, 2), BlockSparsity(((0, 1, 2),), (2,))],
+    ids=["average", "matroid", "block"],
+)
+def test_selectors_reject_families_on_other_point_counts(constraint):
+    # Six data points, a family defined on three of them.
+    rng = np.random.default_rng(58)
+    a = random_unit_atoms(rng, 4, 8)
+    y = rng.standard_normal((4, 6))
+    with pytest.raises(ValueError, match="3 points"):
+        replacement_omp(y, a, constraint, SelectorConfig(k=2))
+    if isinstance(constraint, PartitionMatroid):
+        with pytest.raises(ValueError, match="3 points"):
+            replacement_greedy(y, a, constraint, 2)
 
 
 def test_decay_variant_keeps_selecting():

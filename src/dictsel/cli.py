@@ -33,7 +33,7 @@ from .constraints import (
     PartitionMatroid,
     require_feasible,
 )
-from .encoders import omp_encode
+from .encoders import dictionary_matrix, omp_codes
 from .errors import DictselError, ParseError, TooLarge
 from .groundset import GroundSet, assemble, dct2_basis, haar2_basis, load_atom_block
 from .linalg import atom_matrix, coherence, resolve_smoothness
@@ -54,19 +54,20 @@ OFFLINE_METHODS = (
 def residual_variance(dictionary, data, s: int) -> float:
     """Mean per-coordinate squared reconstruction error of greedy codes.
 
-    Each point is encoded with at most ``s`` atoms of ``dictionary`` and
-    the squared residuals are averaged over all T*d coordinates.  An
-    empty dictionary (or s = 0) yields the mean squared data norm.
+    All points are encoded together by ``encoders.omp_codes`` with at most
+    ``s`` atoms of ``dictionary`` each, and the squared residuals are
+    averaged over all T*d coordinates.  An empty dictionary (or s = 0)
+    yields the mean squared data norm.
     """
     if s < 0:
         raise ValueError("sparsity must be nonnegative")
-    d = atom_matrix(dictionary)
+    d = dictionary_matrix(dictionary)
     y = data_io.data_matrix(data)
     t_count = y.shape[1]
     if d.size == 0 or s == 0:
         return float((y * y).sum()) / (t_count * y.shape[0])
-    total = sum(omp_encode(d, y[:, t], s).residual_sq for t in range(t_count))
-    return total / (t_count * y.shape[0])
+    _, residual_sq = omp_codes(d, y, s)
+    return float(residual_sq.sum()) / (t_count * y.shape[0])
 
 
 # ---------------------------------------------------------------------------

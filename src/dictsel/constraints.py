@@ -8,9 +8,11 @@ caps plus a global cap on the total support size).
 
 A *feasible replacement* for a candidate atom adds that atom to some
 supports and removes at most one atom from each support, staying inside
-the family.  Per-point families give one support's options as masks
-(``point_options``).  ``search_replacement`` finds the gain-maximizing
-replacement for one atom from decomposable gains, given as arrays of
+the family.  Per-point families are category tables
+(``point_categories``) that give the options of many supports at once,
+as masks or as the cost of each atom's cheapest option.
+``search_replacement`` finds the gain-maximizing replacement for one
+atom from decomposable gains, given as arrays of
 per-point add gains and per-support removal costs; for average sparsity
 this reduces to a budgeted exchange problem solved exactly in
 O(T log T) by ``solve_exchange``.
@@ -301,40 +303,127 @@ def solve_exchange(instance: ExchangeInstance) -> tuple[set, set, float]:
     return chosen_add, chosen_remove, value
 
 
+@dataclass(frozen=True)
+class PointCategories:
+    """A per-point family as category data.
+
+    Point t follows rule ``rule[t]``: atom b falls in category
+    ``labels[rule[t], b]``, and support t may hold at most
+    ``caps[rule[t], c]`` atoms of category c.  The last category is
+    uncapped (inf) and holds the atoms no category names.  Individual caps
+    are one category of cap s; a partition matroid has its rules'
+    categories, one table row per distinct rule.
+
+    The methods take ``points`` (P,) and their supports as a (P, m) atom
+    array, -1 padding the shorter ones.
+    """
+
+    labels: np.ndarray
+    caps: np.ndarray
+    rule: np.ndarray
+
+    def _held(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
+        """Rules (P,) and whether each support entry falls in each category (P, m, C; pads in none)."""
+        rule = self.rule[points]
+        held = np.where(supports >= 0, self.labels[rule[:, None], supports], -1)
+        return rule, held[:, :, None] == np.arange(self.caps.shape[1])
+
+    def _per_atom(self, rule, table: np.ndarray) -> np.ndarray:
+        """The (P, n) entries of a (P, C) per-category table at each atom's category."""
+        if len(self.labels) == 1:
+            return table[:, self.labels[0]]
+        return np.take_along_axis(table, self.labels[rule], axis=1)
+
+    def tally(self, points, supports, removal_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per category of each support: the atoms held, the cheapest removal and its position.
+
+        Returns counts (P, C), the smallest ``removal_costs`` (P, m) entry
+        of the category (inf if it holds none) and that entry's position
+        (ties to the lowest atom; -1 if none).
+        """
+        _, held = self._held(points, supports)
+        counts = held.sum(axis=1)
+        if not supports.shape[1]:
+            return counts, np.full(counts.shape, math.inf), np.full(counts.shape, -1)
+        costs = np.where(held, removal_costs[:, :, None], math.inf)
+        cheapest = costs.min(axis=1)
+        # Among the cheapest entries of a category, the lowest atom; atoms are below n.
+        ties = np.where(held & (costs == cheapest[:, None, :]), supports[:, :, None], self.labels.shape[1])
+        return counts, cheapest, np.where(counts > 0, np.argmin(ties, axis=1), -1)
+
+    def require_feasible(self, points, counts: np.ndarray) -> None:
+        """Raise InfeasibleState unless the :meth:`tally` counts of ``points`` are within their caps."""
+        if (counts > self.caps[self.rule[points]]).any():
+            raise InfeasibleState("supports violate the sparsity constraint")
+
+    def options(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
+        """Which atoms may join each support and which positions each may replace.
+
+        Returns masks addable (P, n) and swappable (P, m, n).  Atoms of a
+        support get neither; an addable atom gets no swap, since the
+        objective is monotone.  An atom may be added while its category is
+        below its cap (uncategorized atoms always), else replace only an
+        atom of its own category.
+        """
+        rule, held = self._held(points, supports)
+        outside = np.ones((len(rule), self.labels.shape[1]), dtype=bool)
+        rows, cols = np.nonzero(supports >= 0)
+        outside[rows, supports[rows, cols]] = False
+        addable = self._per_atom(rule, held.sum(axis=1) < self.caps[rule]) & outside
+        same = np.take_along_axis(held, self.labels[rule][:, None, :], axis=2)
+        return addable, same & (outside & ~addable)[:, None, :]
+
+    def option_costs(self, points, supports, counts: np.ndarray, cheapest: np.ndarray) -> np.ndarray:
+        """Cost (P, n) of each atom's cheapest option at each support, from its :meth:`tally`.
+
+        0 for an addition, the category's cheapest removal for a swap, inf
+        for no option: what :meth:`options` allows, priced.
+        """
+        rule = self.rule[points]
+        costs = self._per_atom(rule, np.where(counts < self.caps[rule], 0.0, cheapest))
+        rows, cols = np.nonzero(supports >= 0)
+        costs[rows, supports[rows, cols]] = math.inf
+        return costs
+
+    def swap_positions(self, points, counts: np.ndarray, position: np.ndarray, atom: int) -> np.ndarray:
+        """The support position each point gives up for ``atom``, from its :meth:`tally`.
+
+        -1 where the atom's category has room, else the category's
+        cheapest removal.
+        """
+        rule = self.rule[points]
+        label = self.labels[rule, atom]
+        rows = np.arange(len(rule))
+        return np.where(counts[rows, label] >= self.caps[rule, label], position[rows, label], -1)
+
+
+def point_categories(constraint: SparsityConstraint, t_count: int, num_atoms: int) -> PointCategories:
+    """The category tables of a per-point family over ``t_count`` points and ``num_atoms`` atoms."""
+    if isinstance(constraint, IndividualSparsity):
+        return PointCategories(
+            np.zeros((1, num_atoms), dtype=int), np.array([[constraint.s, math.inf]]), np.zeros(t_count, dtype=int)
+        )
+    if not isinstance(constraint, PartitionMatroid):
+        raise TypeError(f"{type(constraint).__name__} is not a per-point family")
+    distinct: dict = {}
+    rule = np.array([distinct.setdefault(r, len(distinct)) for r in constraint.rules[:t_count]], dtype=int)
+    width = 1 + max((len(r) for r in distinct), default=0)
+    labels = np.full((len(distinct), num_atoms), width - 1)
+    caps = np.full((len(distinct), width), math.inf)
+    for i, r in enumerate(distinct):
+        for c, (cat, cap) in enumerate(r):
+            labels[i, [j for j in cat if j < num_atoms]] = c
+            caps[i, c] = cap
+    return PointCategories(labels, caps, rule)
+
+
 def point_options(
     constraint: SparsityConstraint, t: int, support: Sequence[int], num_atoms: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Which atoms may join support ``t`` and which positions each may replace.
-
-    Per-point families only.  Returns masks (addable (n,), swappable
-    (m, n)).  Atoms of the support get neither; an addable atom gets no
-    swap, since the objective is monotone.  Caps decide by room.  Under a
-    partition matroid an atom may be added while its category is below its
-    cap (uncategorized atoms always), else replace only its own category.
-    """
-    support = list(support)
-    outside = np.ones(num_atoms, dtype=bool)
-    outside[support] = False
-    if isinstance(constraint, IndividualSparsity):
-        if len(support) < constraint.s:
-            addable, swappable = outside, np.zeros((len(support), num_atoms), dtype=bool)
-        else:
-            addable = np.zeros(num_atoms, dtype=bool)
-            swappable = outside[None, :].repeat(len(support), axis=0)
-    elif isinstance(constraint, PartitionMatroid):
-        rule = constraint.rules[t]
-        # Category of every atom; one more category holds the uncapped atoms.
-        labels = np.full(num_atoms, len(rule))
-        for c, (cat, _) in enumerate(rule):
-            labels[[j for j in cat if j < num_atoms]] = c
-        held = labels[support]
-        counts = np.bincount(held, minlength=len(rule) + 1)
-        caps = np.array([cap for _, cap in rule] + [math.inf])
-        addable = (counts < caps)[labels] & outside
-        swappable = (held[:, None] == labels[None, :]) & (outside & ~addable)
-    else:
-        raise TypeError(f"{type(constraint).__name__} is not a per-point family")
-    return addable, swappable
+    """:meth:`PointCategories.options` of support ``t`` alone: masks addable (n,) and swappable (m, n)."""
+    cats = point_categories(constraint, t + 1, num_atoms)
+    addable, swappable = cats.options(np.array([t]), np.array([list(support)], dtype=int))
+    return addable[0], swappable[0]
 
 
 def cheapest_removal(costs: Sequence[float], support: Sequence[int], positions=None) -> int | None:

@@ -1,7 +1,12 @@
 """Sparse coding within a fixed dictionary.
 
-Orthogonal matching pursuit is the evaluation encoder; utilities expose
-the squared-l2 objective that the selectors maximize:
+Orthogonal matching pursuit is the evaluation encoder.  ``omp_codes``
+encodes all columns of a data matrix at once in one batched Gram state
+over the dictionary (``linalg.GramFit``): each step adds, at every point
+still growing, the atom most correlated with its residual, and refits
+those points with ``linalg.gram_update``, one batched solve per support
+size.  ``omp_encode`` is its one-point call.  Utilities expose the
+squared-l2 objective that the selectors maximize:
 
     u(y, x) = 0.5*||y||^2 - 0.5*||y - x||^2
 
@@ -17,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient
-from .linalg import atom_matrix, empty_factorization, factor_insert
+from .linalg import GramFit, atom_matrix, gram_fit, gram_update, require_finite_atoms
 
 _RESIDUAL_STOP = 1e-10
 
@@ -32,53 +36,70 @@ class SparseCode:
     residual_sq: float
 
 
-def omp_encode(dictionary, y: np.ndarray, s: int, mask=None) -> SparseCode:
-    """Greedy sparse code of ``y`` with at most ``s`` atoms of ``dictionary``.
-
-    Each step adds the atom most correlated with the current residual and
-    re-solves least squares on the support.  Stops early once the residual
-    norm falls below 1e-10 (to avoid fitting floating-point noise) or no
-    atom correlates with the residual.  Numerically dependent candidates
-    are skipped.  An optional boolean ``mask`` restricts the inner
-    products, the least squares, and the reported residual to the observed
-    coordinates.
-    """
+def dictionary_matrix(dictionary) -> np.ndarray:
+    """The (d, m) atom matrix of ``dictionary``; ValueError unless it is 2-D and finite."""
     d = atom_matrix(dictionary)
     if d.ndim != 2:
         raise ValueError("dictionary must be a (d, m) array")
+    return require_finite_atoms(d)
+
+
+def omp_codes(dictionary, y: np.ndarray, s: int) -> tuple[GramFit, np.ndarray]:
+    """Greedy sparse codes of every column of ``y`` with at most ``s`` atoms each.
+
+    Each step adds, at every point, the atom most correlated with its
+    residual and re-solves least squares on the support.  A point stops
+    early once its residual norm, sqrt(||y||^2 - 2 f), falls below 1e-10
+    (to avoid fitting floating-point noise) or no atom correlates with
+    its residual.
+    Numerically dependent candidates are skipped.  Returns the fits
+    (supports ``index[t, :size[t]]``, coefficients) and each column's
+    squared residual.
+    """
+    d = dictionary_matrix(dictionary)
     if s < 0:
         raise ValueError("sparsity must be nonnegative")
+    y = np.asarray(y, dtype=float)
+    num_atoms, t_count = d.shape[1], y.shape[1]
+    fit = gram_fit(d, y, min(s, num_atoms))
+    y_sq = np.sum(y * y, axis=0)
+    tried = np.zeros((num_atoms, t_count), dtype=bool)  # support atoms and skipped ones
+    active = np.arange(t_count)
+    while True:
+        active = active[(fit.size[active] < s) & (tried[:, active].sum(axis=0) < num_atoms)]
+        if not active.size:
+            break
+        rnorm = np.sqrt(np.maximum(y_sq[active] - 2.0 * fit.f_values[active], 0.0))
+        corr = np.abs(fit.gradients[:, active])
+        corr[tried[:, active]] = 0.0
+        best = np.argmax(corr, axis=0)
+        go = (rnorm > _RESIDUAL_STOP) & (corr[best, np.arange(active.size)] > 1e-12 * np.maximum(rnorm, 1.0))
+        active, best = active[go], best[go]
+        tried[best, active] = True
+        gram_update(fit, active, np.full(active.size, -1), best)
+    resid = y.copy()
+    for j in range(fit.index.shape[1]):
+        p = np.flatnonzero(fit.size > j)
+        resid[:, p] -= d[:, fit.index[p, j]] * fit.coeffs[p, j]
+    return fit, np.sum(resid * resid, axis=0)
+
+
+def omp_encode(dictionary, y: np.ndarray, s: int, mask=None) -> SparseCode:
+    """Greedy sparse code of ``y`` with at most ``s`` atoms of ``dictionary``.
+
+    The one-point call of :func:`omp_codes`.  An optional boolean ``mask``
+    restricts the inner products, the least squares, and the reported
+    residual to the observed coordinates.
+    """
+    d = dictionary_matrix(dictionary)
     y = np.asarray(y, dtype=float)
     if mask is not None:
         obs = np.asarray(mask, dtype=bool)
         d = d[obs]
         y = y[obs]
-    fact = empty_factorization(d.shape[0])
-    dead: set[int] = set()
-    resid = y.copy()
-    while fact.m < s and fact.m + len(dead) < d.shape[1]:
-        rnorm = float(np.linalg.norm(resid))
-        if rnorm <= _RESIDUAL_STOP:
-            break
-        corr = np.abs(d.T @ resid)
-        if fact.m:
-            corr[list(fact.columns)] = 0.0
-        if dead:
-            corr[list(dead)] = 0.0
-        best = int(np.argmax(corr))
-        if corr[best] <= 1e-12 * max(rnorm, 1.0):
-            break
-        try:
-            fact = factor_insert(fact, d, best)
-        except RankDeficient:
-            dead.add(best)
-            continue
-        resid = fact.residual(y)
-    return SparseCode(
-        support=list(fact.columns),
-        coefficients=fact.solve(y),
-        residual_sq=float(resid @ resid),
-    )
+    fit, resid_sq = omp_codes(d, y[:, None], s)
+    m = int(fit.size[0])
+    return SparseCode(fit.index[0, :m].tolist(), fit.coeffs[0, :m].copy(), float(resid_sq[0]))
 
 
 def utility(y: np.ndarray, w: np.ndarray, ground_set) -> float:

@@ -1,22 +1,28 @@
 """Dense linear-algebra kernels for support-restricted least squares.
 
-Selectors keep one thin orthogonal factorization A_Z = Q R per data point
-so that adding or removing a single atom from a support costs O(d*m)
-instead of a full refactorization.  The same factorization gives the exact
-gains of all single additions and swaps in closed form, with r the
-residual, w = R^-1 Q^T y the coefficients and Rinv = R^-1:
+Selectors and the OMP encoder keep every point's fit in one batched Gram
+state (:class:`GramFit`): G = A^T A and C = A^T Y computed once, padded
+(T, width) supports and coefficients, (n, T) gradients C - G[:, Z] w and
+the f values.  ``gram_update`` edits the supports of a set of points and
+refits them, one batched solve per support size.  With w the
+coefficients on Z, c = G_ZZ^-1 G[Z, :] and
+gamma_j = (G_ZZ^-1)_jj, the exact gains of all single additions and swaps
+follow in closed form (``gram_gains``):
 
-* adding b gains <b, r>^2 / (2 * (1 - ||Q^T b||^2));
-* removing position j loses w_j^2 / (2 * gamma_j), gamma_j = ||Rinv[j]||^2;
-* swapping b in for position j gains (<b, r> + (w_j / gamma_j) * c_j)^2 /
-  (2 * den_j) - w_j^2 / (2 * gamma_j), where c = Rinv Q^T A and
-  den_j = 1 - ||Q^T b||^2 + c_j^2 / gamma_j.
+* adding b gains g_b^2 / (2 * (1 - G[Z, b] . c_b)), g the gradient;
+* removing position j loses w_j^2 / (2 * gamma_j);
+* swapping b in for position j gains (g_b + (w_j / gamma_j) * c_jb)^2 /
+  (2 * den_jb) - w_j^2 / (2 * gamma_j), den_jb = 1 - G[Z, b] . c_b +
+  c_jb^2 / gamma_j.
 
 These are the Batch-OMP identities (Rubinstein, Zibulevsky and Elad,
-Technion CS-2008-08); ``factor_remove`` followed by the addition formula
-computes the same swap gains and stays as the update path.  The module
-also provides the ground-set conditioning measures used to set smoothness
-parameters: coherence and restricted extremal singular values.
+Technion CS-2008-08).  One thin orthogonal factorization A_Z = Q R per
+support (``SupportFactorization``, ``factor_insert``, ``factor_remove``)
+gives the same gains with c = R^-1 Q^T A (``addition_gains``,
+``swap_gains``); online rounds use it, and it is the reference path the
+tests audit.  The module also provides the ground-set conditioning
+measures used to set smoothness parameters: coherence and restricted
+extremal singular values.
 """
 
 from __future__ import annotations
@@ -204,11 +210,20 @@ def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.nda
     qta = state.q.T @ a
     gamma = np.sum(rinv**2, axis=1)[:, None]
     w = (rinv @ (state.q.T @ y))[:, None]
-    c = rinv @ qta
-    den = (1.0 - np.sum(qta**2, axis=0)) + c**2 / gamma
-    rows = _regain((a.T @ r + (w / gamma) * c) ** 2, den)
-    rows -= 0.5 * w**2 / gamma
+    rows = _swap_rows(a.T @ r, w, gamma, rinv @ qta, 1.0 - np.sum(qta**2, axis=0))
     rows[:, list(state.columns)] = 0.0
+    return rows
+
+
+def _swap_rows(grad, w, gamma, c, dist):
+    """The swap-gain expression shared by the QR and Gram forms; one row per support position.
+
+    ``grad`` and ``dist`` (the squared distance of each atom to the
+    support's span) are (..., n), ``w`` and ``gamma`` (..., m, 1) and
+    ``c`` (..., m, n).
+    """
+    rows = _regain((grad[..., None, :] + (w / gamma) * c) ** 2, dist[..., None, :] + c**2 / gamma)
+    rows -= 0.5 * w**2 / gamma
     return rows
 
 
@@ -227,6 +242,168 @@ def ls_solve(ground_set, support, y: np.ndarray) -> np.ndarray:
     if fact.m:
         w[list(fact.columns)] = fact.solve(y)
     return w
+
+
+# An atom whose squared distance to a support's span is at most this share
+# of its squared norm counts as dependent on the support.  The Gram form
+# resolves that distance only to about eps * cond(G_ZZ), so the cut sits
+# far above rounding; being relative, it does not move when atoms scale.
+SPAN_RTOL = 1e-8
+
+STACK = 64  # points per batched array operation; bounds the (P, m, n) temporaries
+
+
+def require_finite_atoms(a: np.ndarray) -> np.ndarray:
+    """Return ``a``, or raise ValueError if it holds NaN or inf, as data_io.data_matrix does for data."""
+    if not np.isfinite(a).all():
+        raise ValueError("atoms must not contain infs or NaNs")
+    return a
+
+
+@dataclass
+class GramFit:
+    """Least-squares fits of T points, each on its own support, in Gram form.
+
+    ``gram`` is G = A^T A and ``corr`` is C = A^T Y.  Point t's support is
+    ``index[t, :size[t]]`` in insertion order (-1 pads the rest), with
+    coefficients ``coeffs[t, :size[t]]`` (0 pads), gradient
+    ``gradients[:, t]`` = C[:, t] - G[:, Z] w and ``f_values[t]`` =
+    C[Z, t] . w - w^T G_ZZ w / 2.  At the least-squares w that is
+    ||y_t||^2 / 2 - ||y_t - A_Z w||^2 / 2, and being stationary in w it
+    takes coefficient error only at second order.  ``rank_skips`` counts
+    the adds :func:`gram_update` refused.
+    """
+
+    gram: np.ndarray
+    corr: np.ndarray
+    index: np.ndarray
+    size: np.ndarray
+    coeffs: np.ndarray
+    gradients: np.ndarray
+    f_values: np.ndarray
+    rank_skips: int = 0
+
+    def snapshot(self, points) -> tuple:
+        """Copies of the rows of ``points``, for :meth:`restore`."""
+        return (
+            self.index[points],
+            self.size[points],
+            self.coeffs[points],
+            self.gradients[:, points],
+            self.f_values[points],
+        )
+
+    def restore(self, points, rows: tuple) -> None:
+        """Write back the rows a :meth:`snapshot` of ``points`` took."""
+        index, size, coeffs, gradients, f_values = rows
+        self.index[points] = index
+        self.size[points] = size
+        self.coeffs[points] = coeffs
+        self.gradients[:, points] = gradients
+        self.f_values[points] = f_values
+
+
+def gram_fit(a: np.ndarray, y: np.ndarray, width: int) -> GramFit:
+    """Empty supports, of at most ``width`` atoms, for the columns of ``y``."""
+    t_count = y.shape[1]
+    corr = a.T @ y
+    return GramFit(
+        a.T @ a,
+        corr,
+        np.full((t_count, width), -1),
+        np.zeros(t_count, dtype=int),
+        np.zeros((t_count, width)),
+        corr.copy(),
+        np.zeros(t_count),
+    )
+
+
+def size_chunks(sizes: np.ndarray):
+    """Yield (m, idx): positions ``idx`` into ``sizes`` whose value is m, at most STACK at a time."""
+    if not sizes.size:
+        return
+    low, high = int(sizes.min()), int(sizes.max())
+    for m in range(low, high + 1):
+        group = np.arange(len(sizes)) if low == high else np.flatnonzero(sizes == m)
+        for start in range(0, len(group), STACK):
+            yield m, group[start : start + STACK]
+
+
+def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
+    """Edit and refit the supports of ``points``; returns the mask of appended atoms.
+
+    Point ``points[i]`` drops its support position ``removed[i]`` (none if
+    negative), keeping the others' order, then appends ``atoms[i]`` (none
+    if negative) unless the atom depends on the remaining support Z: when
+    its squared distance to the span, d = G[b, b] - G[b, Z] u with
+    u = G_ZZ^-1 G[Z, b], is at most SPAN_RTOL * G[b, b].  Such adds are
+    skipped and counted in ``fit.rank_skips``.
+
+    The points are grouped by support size after the removals, with one
+    batched solve G_ZZ [v, u] = [C[Z, t], G[Z, b]] per group.  The fit on
+    Z + b is then w_b = (C[b, t] - G[b, Z] v) / d and w_Z = v - u w_b, the
+    gradient C[:, t] - G[:, Z] w_Z - G[:, b] w_b.
+    """
+    points = np.asarray(points, dtype=int)
+    removed = np.asarray(removed, dtype=int)
+    atoms = np.asarray(atoms, dtype=int)
+    drop = removed >= 0
+    if drop.any():
+        rows = fit.index[points[drop]]
+        keep = np.arange(rows.shape[1]) != removed[drop, None]
+        fit.index[points[drop], :-1] = rows[keep].reshape(len(rows), -1)
+        fit.index[points[drop], -1] = -1
+        fit.size[points[drop]] -= 1
+    g, corr = fit.gram, fit.corr
+    appended = np.zeros(len(points), dtype=bool)
+    for m, idx in size_chunks(fit.size[points]):
+        p, b = points[idx], atoms[idx]
+        # Z + b, with atom 0 standing in for b (at weight 0) where nothing is added.
+        z = np.concatenate([fit.index[p, :m], np.maximum(b, 0)[:, None]], axis=1)
+        zs, zb = z[:, :m], z[:, m]
+        gzb = g[zs, zb[:, None]]
+        cz = corr[z, p[:, None]]
+        vu = np.linalg.solve(g[zs[:, :, None], zs[:, None, :]], np.stack([cz[:, :m], gzb], axis=2))
+        v, u = vu[..., 0], vu[..., 1]
+        bv, bu = np.einsum("pj,pjk->kp", gzb, vu)  # G[b, Z] v and G[b, Z] u
+        norm_sq = g[zb, zb]
+        dist = norm_sq - bu
+        grow = (b >= 0) & (dist > SPAN_RTOL * norm_sq)
+        wb = np.divide(cz[:, m] - bv, dist, out=np.zeros(len(p)), where=grow)
+        w = np.concatenate([v - u * wb[:, None], wb[:, None]], axis=1)
+        grad = corr[:, p] - (w[:, None, :] @ g[z])[:, 0].T  # g[z] holds rows G[Z, :] = G[:, Z]^T
+        fit.gradients[:, p] = grad
+        # c.w - w.G w / 2 written as w.(c + (c - G w)) / 2: stationary in w.
+        fit.f_values[p] = 0.5 * np.sum(w * (cz + grad[z, np.arange(len(p))[:, None]]), axis=1)
+        fit.coeffs[p] = 0.0
+        fit.coeffs[p, :m] = w[:, :m]
+        fit.coeffs[p[grow], m] = wb[grow]
+        fit.index[p[grow], m] = zb[grow]
+        fit.size[p[grow]] += 1
+        appended[idx] = grow
+    fit.rank_skips += int(np.count_nonzero((atoms >= 0) & ~appended))
+    return appended
+
+
+def gram_gains(fit: GramFit, points) -> tuple[np.ndarray, np.ndarray]:
+    """Exact addition gains (P, n) and swap gains (P, m, n) of ``points``, which all hold m atoms.
+
+    The gains of :func:`addition_gains` and :func:`swap_gains` in Gram
+    form, for unit-norm atoms: c = G_ZZ^-1 G[Z, :], gamma_j = (G_ZZ^-1)_jj
+    and 1 - ||Q^T b||^2 = 1 - G[Z, b] . c_b.  Entries of atoms in a
+    support are not zeroed.
+    """
+    points = np.asarray(points, dtype=int)
+    m = int(fit.size[points[0]])
+    z = fit.index[points, :m]
+    grad = fit.gradients[:, points].T
+    gz = fit.gram[z]  # rows G[Z, :]
+    inv = np.linalg.inv(np.take_along_axis(gz, z[:, None, :], axis=2))
+    c = inv @ gz
+    dist = 1.0 - np.sum(gz * c, axis=1)
+    gamma = np.diagonal(inv, axis1=1, axis2=2)[..., None]
+    w = fit.coeffs[points, :m, None]
+    return _regain(grad**2, dist), _swap_rows(grad, w, gamma, c, dist)
 
 
 def coherence(ground_set) -> float:

@@ -6,7 +6,8 @@ Three selectors over a common selection state:
   atom interactions (sum of the top-s singleton utilities per point).
 * ``replacement_greedy`` adds one atom per step via the best feasible
   replacement measured by exact objective differences; per-point
-  families only, whose options are the masks of ``point_options``.
+  families only, whose options come from their category tables
+  (``constraints.PointCategories``).
 * ``replacement_omp`` replaces the exact differences with gradient-based
   proxy gains weighted by a smoothness parameter, which makes the
   per-step search a linear-objective problem and extends to block and
@@ -14,13 +15,17 @@ Three selectors over a common selection state:
   parameter by sqrt(i) at iteration i so that late iterations keep
   making progress.
 
-The replacement selectors share one loop, ``_select``, and differ only
-in their gain rule.  All selectors return a :class:`SelectionState`
-whose supports are feasible after every iteration (else
-InfeasibleState).  The objective never decreases under exact gains, nor
-under proxy gains while the smoothness parameter is at least the
-restricted smoothness; a smaller one, as ``decay`` reaches, can lower
-it (ROADMAP item 2).
+Every selector keeps all supports in one batched Gram state
+(:class:`~dictsel.linalg.GramFit`) and edits it through the kernels of
+``linalg``.  The replacement selectors share one loop, ``_select``, and
+differ only in their gain rule; their gain tables are refreshed only at
+the points the last replacement touched.  All selectors return a
+:class:`SelectionState` whose supports are feasible after every iteration
+(else InfeasibleState).  The objective never decreases: a replacement
+that would lower it by more than rounding, as proxy gains with a
+smoothness parameter below the restricted smoothness can (``decay``
+reaches such values), is undone and counted in ``rollbacks``, and the
+step takes the fallback add instead.
 """
 
 from __future__ import annotations
@@ -34,20 +39,23 @@ from .constraints import (
     IndividualSparsity,
     PartitionMatroid,
     Replacement,
-    cheapest_removal,
     num_points,
-    point_options,
+    point_categories,
     replacement_values,
     require_feasible,
     search_replacement,
 )
 from .data_io import data_matrix
-from .errors import RankDeficient, UnsupportedConstraint
-from .linalg import SupportFactorization, addition_gains, atom_matrix, empty_factorization, factor_insert
-from .linalg import factor_remove, resolve_smoothness, swap_gains
+from .errors import UnsupportedConstraint
+from .linalg import GramFit, atom_matrix, gram_fit, gram_gains, gram_update
+from .linalg import STACK, require_finite_atoms, resolve_smoothness, size_chunks
 
 _PER_POINT = (IndividualSparsity, PartitionMatroid)
-_STACK = 64  # points per array operation in _refresh_costs; bounds its temporaries
+
+# A replacement is undone when it lowers the touched points' objective by
+# more than this share of their energy sum(||y_t||^2) / 2: rounding moves
+# the objective by about 1e-16 of it.
+_ROLLBACK_RTOL = 1e-12
 
 
 @dataclass
@@ -78,75 +86,96 @@ class ReplacementRecord:
 
 @dataclass
 class SelectionState:
-    """Selected atoms, per-point supports, and their factorization state."""
+    """Selected atoms and the batched Gram state of every point's support.
+
+    ``fit`` holds G = A^T A, C = A^T Y, the padded (T, width) supports and
+    coefficients, the (n, T) gradients and the f values; ``supports``,
+    ``coeffs``, ``gradients`` and ``f_values`` read it.  ``data_sq`` is
+    ||y_t||^2 per point and ``rollbacks`` counts the replacements undone
+    because they lowered the objective.
+    """
 
     atoms: list[int]
-    supports: list[list[int]]
-    factors: list[SupportFactorization]
-    coeffs: list[np.ndarray]
-    residuals: np.ndarray
-    gradients: np.ndarray
-    f_values: np.ndarray
-    data_sq: np.ndarray  # ||y_t||^2 per point
+    fit: GramFit
+    data_sq: np.ndarray
     objective_history: list[float] = field(default_factory=list)
     trace: list[ReplacementRecord] | None = None
+    rollbacks: int = 0
+
+    @property
+    def supports(self) -> list[list[int]]:
+        """Each point's support as a list of atoms, in insertion order."""
+        return [row[:m] for row, m in zip(self.fit.index.tolist(), self.fit.size.tolist())]
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """(T, width) coefficients; row t holds point t's in its first len(supports[t]) entries."""
+        return self.fit.coeffs
+
+    @property
+    def gradients(self) -> np.ndarray:
+        return self.fit.gradients
+
+    @property
+    def f_values(self) -> np.ndarray:
+        return self.fit.f_values
 
     @property
     def objective(self) -> float:
-        return float(self.f_values.sum())
+        return float(self.fit.f_values.sum())
 
 
-def _initial_state(a: np.ndarray, y: np.ndarray, trace: bool) -> SelectionState:
-    t_count = y.shape[1]
-    return SelectionState(
-        atoms=[],
-        supports=[[] for _ in range(t_count)],
-        factors=[empty_factorization(a.shape[0]) for _ in range(t_count)],
-        coeffs=[np.zeros(0) for _ in range(t_count)],
-        residuals=y.copy(),
-        gradients=a.T @ y,
-        f_values=np.zeros(t_count),
-        data_sq=np.array([float(y[:, t] @ y[:, t]) for t in range(t_count)]),
-        trace=[] if trace else None,
+def _new_state(a: np.ndarray, y: np.ndarray, width: int, trace: bool) -> SelectionState:
+    fit = gram_fit(require_finite_atoms(a), y, width)
+    return SelectionState([], fit, np.sum(y * y, axis=0), trace=[] if trace else None)
+
+
+@dataclass
+class _Move:
+    """A replacement as arrays over the points it touches.
+
+    Point ``points[i]`` first drops support position ``removed[i]`` (none
+    if negative), then takes ``added_atom`` if ``add[i]``.
+    """
+
+    added_atom: int
+    points: np.ndarray
+    removed: np.ndarray
+    add: np.ndarray
+
+
+def _move_of(rep: Replacement, supports: list[list[int]]) -> _Move:
+    return _Move(
+        rep.added_atom,
+        np.array([t for t, _, _ in rep.per_t], dtype=int),
+        np.array([-1 if r is None else supports[t].index(r) for t, r, _ in rep.per_t], dtype=int),
+        np.array([add for _, _, add in rep.per_t], dtype=bool),
     )
 
 
-def _refresh_point(state: SelectionState, a: np.ndarray, y: np.ndarray, t: int) -> None:
-    state.coeffs[t], resid = state.factors[t].fit(y[:, t])
-    state.residuals[:, t] = resid
-    state.gradients[:, t] = a.T @ resid
-    rsq = float(state.residuals[:, t] @ state.residuals[:, t])
-    state.f_values[t] = 0.5 * (state.data_sq[t] - rsq)
+def _apply(state: SelectionState, move: _Move, iteration: int) -> bool:
+    """Apply ``move`` unless it lowers the objective; returns whether it was kept.
 
-
-def _apply_replacement(state, rep, a, y, iteration) -> None:
-    for t, removed, add in rep.per_t:
-        fact = state.factors[t]
-        support = list(state.supports[t])
-        pos = None if removed is None else support.index(removed)
-        record = None
-        if state.trace is not None:
-            grad_sq = float(state.gradients[rep.added_atom, t] ** 2) if add else 0.0
-            coeff_sq = 0.0 if pos is None else float(state.coeffs[t][pos] ** 2)
-            record = ReplacementRecord(iteration, t, state.f_values[t], 0.0, grad_sq, coeff_sq)
-            state.trace.append(record)
-        if pos is not None:
-            fact = factor_remove(fact, pos)
-            support.pop(pos)
-        if add:
-            try:
-                fact = factor_insert(fact, a, rep.added_atom)
-                support.append(rep.added_atom)
-            except RankDeficient:
-                # The candidate is dependent on the remaining support; the
-                # removal alone is still feasible, so keep it and skip the add.
-                if record is not None:
-                    record.grad_sq_added = 0.0
-        state.factors[t] = fact
-        state.supports[t] = support
-        _refresh_point(state, a, y, t)
-        if record is not None:
-            record.f_after = float(state.f_values[t])
+    An add refused because the candidate depends on the remaining support
+    is skipped; the removal alone still stands, as it is feasible.
+    """
+    fit, p = state.fit, move.points
+    before = fit.snapshot(p)
+    added = gram_update(fit, p, move.removed, np.where(move.add, move.added_atom, -1))
+    f_before, f_after = before[-1], fit.f_values[p]
+    if (f_after - f_before).sum() < -_ROLLBACK_RTOL * 0.5 * state.data_sq[p].sum():
+        fit.restore(p, before)
+        state.rollbacks += 1
+        return False
+    if state.trace is not None:
+        _, _, coeffs, gradients, _ = before
+        grad_sq = np.where(added, gradients[move.added_atom] ** 2, 0.0)
+        coeff_sq = np.where(move.removed >= 0, coeffs[np.arange(len(p)), move.removed] ** 2, 0.0)
+        state.trace.extend(
+            ReplacementRecord(iteration, *row)
+            for row in zip(p.tolist(), f_before.tolist(), f_after.tolist(), grad_sq.tolist(), coeff_sq.tolist())
+        )
+    return True
 
 
 def _zeroed_grad_sq(state: SelectionState) -> np.ndarray:
@@ -156,9 +185,9 @@ def _zeroed_grad_sq(state: SelectionState) -> np.ndarray:
     floating-point dust so no-op additions never carry positive gain.
     """
     g2 = state.gradients**2
-    for t, support in enumerate(state.supports):
-        if support:
-            g2[support, t] = 0.0
+    index = state.fit.index
+    held = index >= 0
+    g2[index[held], np.nonzero(held)[0]] = 0.0
     return g2
 
 
@@ -169,15 +198,38 @@ def _winner(table: np.ndarray, atoms: list[int]) -> int | None:
     return winner if table[winner] > 0.0 else None
 
 
-def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
-    """The k iterations of ``step(state, masks, touched, i) -> Replacement | None``.
+class _PerPoint:
+    """A per-point family's category tables and the tally of every support.
 
-    ``masks[t]`` are point t's ``point_options`` (None for coupled
-    families); ``touched`` are the points changed since the last step.
-    A None step adds the unselected atom of largest squared gradient mass
-    without touching any support, so the dictionary reaches k atoms.
-    Raises ValueError unless 1 <= k <= n and the family is defined on the
-    data's T points.
+    ``counts``, ``cheapest`` and ``position`` are (T, C): per category of
+    each support, the atoms held and the cheapest removal by unscaled
+    w_j^2 and its position (see :meth:`PointCategories.tally`).
+    """
+
+    def __init__(self, constraint, t_count: int, num_atoms: int):
+        self.cats = point_categories(constraint, t_count, num_atoms)
+        shape = (t_count, self.cats.caps.shape[1])
+        self.counts = np.zeros(shape, dtype=int)
+        self.cheapest = np.full(shape, math.inf)
+        self.position = np.full(shape, -1)
+
+    def refresh(self, fit: GramFit, points: np.ndarray) -> None:
+        """Tally the supports of ``points`` and check them against their caps."""
+        m = int(fit.size[points].max(initial=0))
+        tally = self.cats.tally(points, fit.index[points, :m], fit.coeffs[points, :m] ** 2)
+        self.counts[points], self.cheapest[points], self.position[points] = tally
+        self.cats.require_feasible(points, self.counts[points])
+
+
+def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
+    """The k iterations of ``step(state, family, touched, i) -> _Move | None``.
+
+    ``family`` is the :class:`_PerPoint` of a per-point family (None for
+    coupled families); ``touched`` are the points changed since the last
+    step.  A None step, or a replacement undone by :func:`_apply`, adds
+    the unselected atom of largest squared gradient mass without touching
+    any support, so the dictionary reaches k atoms.  Raises ValueError
+    unless 1 <= k <= n and the family is defined on the data's T points.
     """
     n, t_count = a.shape[1], y.shape[1]
     if not 1 <= k <= n:
@@ -185,51 +237,43 @@ def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
     points = num_points(constraint)
     if points is not None and points != t_count:
         raise ValueError(f"the constraint is defined on {points} points, the data has {t_count}")
-    state = _initial_state(a, y, trace)
-    masks = None
-    if isinstance(constraint, _PER_POINT):
-        masks = [point_options(constraint, t, [], n) for t in range(t_count)]
-    touched = range(t_count)
+    state = _new_state(a, y, k, trace)
+    family = _PerPoint(constraint, t_count, n) if isinstance(constraint, _PER_POINT) else None
+    touched = np.arange(t_count)
     for i in range(1, k + 1):
-        rep = step(state, masks, touched, i)
-        if rep is None:
+        move = step(state, family, touched, i)
+        if move is not None and _apply(state, move, i):
+            state.atoms.append(move.added_atom)
+            touched = move.points
+        else:
             # Supports hold only dictionary atoms: no gradient dust in unselected rows.
             mass = (state.gradients**2).sum(axis=1)
             mass[state.atoms] = -math.inf
             state.atoms.append(int(np.argmax(mass)))
-            touched = []
-        else:
-            _apply_replacement(state, rep, a, y, i)
-            touched = [t for t, _, _ in rep.per_t]
-            if masks is not None:
-                for t in touched:
-                    masks[t] = point_options(constraint, t, state.supports[t], n)
-            state.atoms.append(rep.added_atom)
+            touched = touched[:0]
         state.objective_history.append(state.objective)
-        require_feasible(constraint, state.supports)
+        if family is None:
+            require_feasible(constraint, state.supports)
+        else:
+            family.refresh(state.fit, touched)  # only the touched supports changed
     return state
 
 
-def _refresh_costs(state: SelectionState, masks, cost: np.ndarray, points) -> None:
-    """Recompute the (n, T) option costs of ``points`` from their masks.
+def _refresh_costs(state: SelectionState, family: _PerPoint, cost: np.ndarray, points) -> None:
+    """Recompute the (n, T) option costs of ``points`` from their tallies.
 
     A cost is the unscaled w_j^2 of the cheapest position the atom may
     replace, 0 for an addition, inf for no option.
     """
-    by_size: dict[int, list[int]] = {}
-    for t in points:
-        by_size.setdefault(len(state.supports[t]), []).append(t)
-    for group in by_size.values():
-        for start in range(0, len(group), _STACK):
-            chunk = group[start : start + _STACK]
-            addable = np.stack([masks[t][0] for t in chunk])
-            swappable = np.stack([masks[t][1] for t in chunk])
-            w2 = np.stack([state.coeffs[t] for t in chunk]) ** 2
-            swap_cost = np.where(swappable, w2[:, :, None], math.inf).min(axis=1, initial=math.inf)
-            cost[:, chunk] = np.where(addable, 0.0, swap_cost).T
+    fit = state.fit
+    for start in range(0, len(points), STACK):
+        chunk = points[start : start + STACK]
+        m = int(fit.size[chunk].max())
+        costs = family.cats.option_costs(chunk, fit.index[chunk, :m], family.counts[chunk], family.cheapest[chunk])
+        cost[:, chunk] = costs.T
 
 
-def _romp_replacement(constraint, state, m_i, masks, cost) -> Replacement | None:
+def _romp_replacement(constraint, state, m_i, family, cost) -> _Move | None:
     """The replacement of largest proxy gain among unselected atoms.
 
     Per-point families clip each point's gain of the cheapest option in
@@ -239,8 +283,8 @@ def _romp_replacement(constraint, state, m_i, masks, cost) -> Replacement | None
     """
     # Under per-point families atoms of a support have no option there
     # (infinite cost), so their gradient dust needs no zeroing.
-    scaled_g2 = (state.gradients**2 if masks is not None else _zeroed_grad_sq(state)) / m_i
-    if masks is not None:
+    scaled_g2 = (state.gradients**2 if family is not None else _zeroed_grad_sq(state)) / m_i
+    if family is not None:
         point_gains = m_i * cost
         np.subtract(scaled_g2, point_gains, out=point_gains)
         np.maximum(point_gains, 0.0, out=point_gains)
@@ -248,23 +292,17 @@ def _romp_replacement(constraint, state, m_i, masks, cost) -> Replacement | None
         winner = _winner(table, state.atoms)
         if winner is None:
             return None
-        per_t = []
-        for t in np.flatnonzero(point_gains[winner] > 0.0).tolist():
-            addable, swappable = masks[t]
-            removed = None
-            if not addable[winner]:
-                support = state.supports[t]
-                w2 = state.coeffs[t] ** 2
-                removed = support[cheapest_removal(w2, support, np.flatnonzero(swappable[:, winner]))]
-            per_t.append((t, removed, True))
-        return Replacement(winner, per_t, float(table[winner]))
+        points = np.flatnonzero(point_gains[winner] > 0.0)
+        removed = family.cats.swap_positions(points, family.counts[points], family.position[points], winner)
+        return _Move(winner, points, removed, np.ones(len(points), dtype=bool))
 
-    scaled_costs = [m_i * w**2 for w in state.coeffs]
-    table = replacement_values(constraint, state.supports, scaled_g2, scaled_costs)
+    supports = state.supports
+    scaled_costs = [m_i * w[:m] ** 2 for w, m in zip(state.coeffs, state.fit.size.tolist())]
+    table = replacement_values(constraint, supports, scaled_g2, scaled_costs)
     winner = _winner(table, state.atoms)
     if winner is None:
         return None
-    return search_replacement(constraint, state.supports, winner, scaled_g2[winner], scaled_costs)
+    return _move_of(search_replacement(constraint, supports, winner, scaled_g2[winner], scaled_costs), supports)
 
 
 def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, trace=False) -> SelectionState:
@@ -283,43 +321,41 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
     base_m = resolve_smoothness(ground_set, config.smoothness)
     cost = np.empty((a.shape[1], y.shape[1]))
 
-    def step(state, masks, touched, i):
-        if masks is not None:
-            _refresh_costs(state, masks, cost, touched)
+    def step(state, family, touched, i):
+        if family is not None:
+            _refresh_costs(state, family, cost, touched)
         m_i = base_m / math.sqrt(i) if config.decay else base_m
-        return _romp_replacement(constraint, state, m_i, masks, cost)
+        return _romp_replacement(constraint, state, m_i, family, cost)
 
     return _select(a, y, constraint, config.k, trace, step)
 
 
-def _rg_option_tables(state, a, y, masks):
-    """Exact per-(atom, point) best gains and option codes for per-point families.
+def _greedy_tables(state: SelectionState, family: _PerPoint, best: np.ndarray, code: np.ndarray, points) -> None:
+    """Recompute the exact best gains and option codes of ``points`` in place.
 
-    Option code 0 means leave the support alone, 1 means plain addition,
-    2 + j means swap against position j.  ``masks[t]`` are point t's
-    ``point_options``; gains come from ``addition_gains`` and
-    ``swap_gains``, computed only for rows some atom may use.
+    ``best`` and ``code`` are (n, T).  Option code 0 means leave the
+    support alone, 1 means plain addition, 2 + j means swap against
+    position j (the lowest j among equal gains).  Gains come from
+    ``gram_gains``.
     """
-    n, t_count = a.shape[1], y.shape[1]
-    best = np.zeros((n, t_count))
-    code = np.zeros((n, t_count), dtype=np.int32)
-    for t, (addable, swappable) in enumerate(masks):
-        fact = state.factors[t]
-        r = state.residuals[:, t]
-        if addable.any():
-            gain = addition_gains(a, fact, r)
-            sel = addable & (gain > 0.0)
-            best[sel, t] = gain[sel]
-            code[sel, t] = 1
-        positions = np.flatnonzero(swappable.any(axis=1)).tolist()
-        if positions:
-            # Gains of disallowed swaps become 0, which never beats best >= 0.
-            rows = swap_gains(a, fact, y[:, t], r, positions) * swappable[positions]
-            for pos, gain in zip(positions, rows):
-                sel = gain > best[:, t]
-                best[sel, t] = gain[sel]
-                code[sel, t] = 2 + pos
-    return best, code
+    fit = state.fit
+    for m, idx in size_chunks(fit.size[points]):
+        chunk = points[idx]
+        addable, swappable = family.cats.options(chunk, fit.index[chunk, :m])
+        add, swap = gram_gains(fit, chunk)
+        sel = addable & (add > 0.0)
+        gain = np.where(sel, add, 0.0)
+        option = sel.astype(np.int32)
+        if m:
+            # Disallowed swaps gain 0, which never beats gain >= 0.
+            rows = np.where(swappable, swap, 0.0)
+            pos = np.argmax(rows, axis=1)
+            top = np.take_along_axis(rows, pos[:, None, :], axis=1)[:, 0]
+            better = top > gain
+            gain = np.where(better, top, gain)
+            option = np.where(better, 2 + pos, option)
+        best[:, chunk] = gain.T
+        code[:, chunk] = option.T
 
 
 def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> SelectionState:
@@ -340,20 +376,18 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
         )
     a = atom_matrix(ground_set)
     y = data_matrix(data)
+    # A point's gains change only when a replacement touches it.
+    best = np.zeros((a.shape[1], y.shape[1]))
+    code = np.zeros(best.shape, dtype=np.int32)
 
-    def step(state, masks, touched, i):
-        best, code = _rg_option_tables(state, a, y, masks)
+    def step(state, family, touched, i):
+        _greedy_tables(state, family, best, code, touched)
         table = best.sum(axis=1)
         winner = _winner(table, state.atoms)
         if winner is None:
             return None
-        per_t = []
-        for t, c in enumerate(code[winner].tolist()):
-            if c == 1:
-                per_t.append((t, None, True))
-            elif c >= 2:
-                per_t.append((t, state.supports[t][c - 2], True))
-        return Replacement(winner, per_t, float(table[winner]))
+        points = np.flatnonzero(code[winner])
+        return _Move(winner, points, code[winner, points] - 2, np.ones(len(points), dtype=bool))
 
     return _select(a, y, constraint, k, trace, step)
 
@@ -364,7 +398,8 @@ def modular_greedy(data, ground_set, k: int, s: int) -> SelectionState:
     Each atom's singleton utility for point t is 0.5 * <a, y_t>^2; the
     surrogate value of a dictionary is, per point, the sum of its top-s
     singleton utilities.  Greedy maximization over that surrogate, with
-    final supports equal to each point's top-s selected atoms.
+    final supports equal to each point's top-s selected atoms (an atom
+    dependent on the ones before it is skipped).
     """
     a = atom_matrix(ground_set)
     y = data_matrix(data)
@@ -387,17 +422,14 @@ def modular_greedy(data, ground_set, k: int, s: int) -> SelectionState:
         if selected:
             marginal[selected] = -np.inf
         selected.append(int(np.argmax(marginal)))
-    state = _initial_state(a, y, trace=False)
-    state.atoms = selected
     take = min(s, len(selected))
-    for t in range(t_count):
-        ranked = sorted(selected, key=lambda j: (-singles[j, t], j))
-        for atom in ranked[:take]:
-            try:
-                state.factors[t] = factor_insert(state.factors[t], a, atom)
-                state.supports[t].append(atom)
-            except RankDeficient:
-                continue
-        _refresh_point(state, a, y, t)
+    state = _new_state(a, y, take, trace=False)
+    state.atoms = selected
+    # Each point's selected atoms by singleton utility, then by index.
+    atoms = np.array(selected)
+    ranked = atoms[np.lexsort((np.broadcast_to(atoms[:, None], (k, t_count)), -singles[atoms]), axis=0)]
+    everyone = np.arange(t_count)
+    for rank in range(take):
+        gram_update(state.fit, everyone, np.full(t_count, -1), ranked[rank])
     state.objective_history.append(state.objective)
     return state

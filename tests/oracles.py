@@ -116,3 +116,33 @@ def dictionary_optimum(atom_matrix, data, constraint, k, support_options):
         if total > best:
             best, best_x = total, dictionary
     return best, best_x
+
+
+def omp_reference(dictionary, y, s):
+    """Orthogonal matching pursuit of one point with dense least squares.
+
+    Each step adds the atom most correlated with the residual and refits
+    on the support; it stops at s atoms, once the residual norm is at most
+    1e-10, or when no atom correlates with the residual (1e-12 relative).
+    An atom whose distance to the support's span is below 1e-10 is
+    skipped.  Returns (support, squared residual).
+    """
+    support, dead = [], set()
+    resid = y.copy()
+    while len(support) < s and len(support) + len(dead) < dictionary.shape[1]:
+        rnorm = float(np.linalg.norm(resid))
+        if rnorm <= 1e-10:
+            break
+        corr = np.abs(dictionary.T @ resid)
+        corr[support + sorted(dead)] = 0.0
+        best = int(np.argmax(corr))
+        if corr[best] <= 1e-12 * max(rnorm, 1.0):
+            break
+        if support:
+            _, off_span = lstsq_fit(dictionary[:, support], range(len(support)), dictionary[:, best])
+            if np.linalg.norm(off_span) < 1e-10:
+                dead.add(best)
+                continue
+        support.append(best)
+        _, resid = lstsq_fit(dictionary, support, y)
+    return support, float(resid @ resid)

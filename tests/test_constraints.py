@@ -18,7 +18,13 @@ from dictsel import (
     replacement_sparsity_p,
     solve_exchange,
 )
-from dictsel.constraints import cheapest_removal, point_options, replacement_values, search_replacement
+from dictsel.constraints import (
+    cheapest_removal,
+    point_categories,
+    point_options,
+    replacement_values,
+    search_replacement,
+)
 from dictsel.errors import InfeasibleState
 
 from oracles import best_replacement_oracle, exchange_optimum
@@ -327,6 +333,50 @@ def test_point_options_matroid_counts():
         [False] * 7,
         [False, True, True, False, False, False, False],
     ]
+
+
+@pytest.mark.parametrize("family", ["individual", "matroid"])
+def test_category_tallies_price_the_point_options(family):
+    # Option costs and swap positions from the batched tallies against the
+    # masks of point_options and cheapest_removal, support by support.
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        t_count = int(rng.integers(1, 6))
+        constraint = random_constraint(rng, family, t_count)
+        if family == "matroid" and rng.random() < 0.5:
+            # The last two atoms fall in no category.
+            spare = {N_ATOMS - 2, N_ATOMS - 1}
+            constraint = PartitionMatroid(
+                tuple(tuple((cat - spare, cap) for cat, cap in rule) for rule in constraint.rules)
+            )
+        supports = random_supports(rng, constraint, t_count)
+        padded = np.full((t_count, max(len(z) for z in supports)), -1)
+        for t, z in enumerate(supports):
+            padded[t, : len(z)] = z
+        removal = rng.choice([0.25, 0.5, 0.75], size=padded.shape)  # ties are common
+        cats = point_categories(constraint, t_count, N_ATOMS)
+        points = np.arange(t_count)
+        counts, cheapest, position = cats.tally(points, padded, removal)
+        cats.require_feasible(points, counts)
+        costs = cats.option_costs(points, padded, counts, cheapest)
+        for t, z in enumerate(supports):
+            addable, swappable = point_options(constraint, t, z, N_ATOMS)
+            for atom in range(N_ATOMS):
+                pos = cheapest_removal(removal[t, : len(z)], z, np.flatnonzero(swappable[:, atom]))
+                expected = 0.0 if addable[atom] else (math.inf if pos is None else removal[t, pos])
+                assert costs[t, atom] == expected
+                if addable[atom] or pos is not None:
+                    got = cats.swap_positions(points[[t]], counts[[t]], position[[t]], atom)[0]
+                    assert got == (-1 if addable[atom] else pos)
+
+
+def test_category_tallies_reject_supports_over_their_caps():
+    cats = point_categories(IndividualSparsity(1), 2, 5)
+    supports = np.array([[3, -1], [0, 4]])
+    counts, _, _ = cats.tally(np.arange(2), supports, np.ones(supports.shape))
+    cats.require_feasible(np.array([0]), counts[:1])
+    with pytest.raises(InfeasibleState):
+        cats.require_feasible(np.arange(2), counts)
 
 
 def test_cheapest_removal_ties_go_to_lowest_atom():

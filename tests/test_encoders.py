@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from dictsel import dct2_basis, ls_solve, omp_encode, utility, utility_gradient
+from dictsel import assemble, dct2_basis, haar2_basis, ls_solve, omp_encode, utility, utility_gradient
+from dictsel.cli import residual_variance
+from dictsel.encoders import omp_codes
 
 from conftest import random_unit_atoms
+from oracles import omp_reference
+
+
+def dct_haar():
+    return assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))]).matrix
 
 
 def test_omp_exact_atom():
@@ -87,6 +94,51 @@ def test_omp_masked_encoding():
     y2[0] += 100.0
     code2 = omp_encode(a, y2, 2, mask=mask)
     assert code2.residual_sq == pytest.approx(code.residual_sq, abs=1e-12)
+
+
+def test_batched_codes_match_per_point_omp():
+    # Dictionaries hold the DC duplicates 0 and 64 next to random atoms.
+    a = dct_haar()
+    rng = np.random.default_rng(26)
+    for _ in range(6):
+        atoms = np.unique([0, 64] + rng.choice(np.arange(1, 128), size=8, replace=False).tolist())
+        d = a[:, rng.permutation(atoms)]
+        # The two DC columns are equal up to rounding; either may be picked.
+        dc = [j for j in range(d.shape[1]) if np.allclose(d[:, j], a[:, 0], rtol=0.0, atol=1e-15)]
+        same = {dc[1]: dc[0]}
+        planted = d[:, rng.choice(d.shape[1], size=4, replace=False)]
+        y = planted @ rng.standard_normal((4, 120)) + 0.1 * rng.standard_normal((64, 120))
+        for s in (1, 3, 5):
+            reference = [omp_reference(d, y[:, t], s) for t in range(y.shape[1])]
+            fit, residual_sq = omp_codes(d, y, s)
+            expected = sum(r for _, r in reference) / y.size
+            assert residual_variance(d, y, s) == pytest.approx(expected, rel=1e-12)
+            assert np.allclose(residual_sq, [r for _, r in reference], rtol=1e-10, atol=0.0)
+            for t, (support, _) in enumerate(reference):
+                got = fit.index[t, : fit.size[t]].tolist()
+                assert [same.get(j, j) for j in got] == [same.get(j, j) for j in support]
+
+
+def test_residual_variance_is_scale_invariant():
+    # The rank skip is relative to each atom's norm, so scaling the
+    # dictionary moves nothing; 0 and 64 are the DC duplicates.
+    d = dct_haar()[:, [0, 64, 3, 70, 9]]
+    y = np.random.default_rng(1).standard_normal((64, 50))
+    for c in (1e-3, 1.0, 3.0, 1e3):
+        assert residual_variance(c * d, y, 3) == pytest.approx(0.9261239722544842, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_dictionary_raises_value_error(bad):
+    d = dct2_basis(4)[:, :6].copy()
+    d[2, 3] = bad
+    y = np.random.default_rng(27).standard_normal((16, 5))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        omp_encode(d, y[:, 0], 2)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        residual_variance(d, y, 2)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        residual_variance(d, y, 0)
 
 
 def test_utility_zero_code():

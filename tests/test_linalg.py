@@ -14,7 +14,8 @@ from dictsel import (
     restricted_spectrum,
 )
 from dictsel.errors import InvalidGroundSet, RankDeficient, TooLarge
-from dictsel.linalg import SupportFactorization, addition_gains, swap_gains
+from dictsel.encoders import utility, utility_gradient
+from dictsel.linalg import SupportFactorization, addition_gains, gram_fit, gram_gains, gram_update, swap_gains
 
 from conftest import random_unit_atoms
 from oracles import lstsq_fit
@@ -315,3 +316,98 @@ def test_solve_rejects_nonfinite_data(bad):
     y[4] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         fact.solve(y)
+
+
+def assert_fit_matches_dense(fit, a, y, tol=1e-8):
+    """Coefficients, gradients and f of every point against ls_solve on its support."""
+    for t in range(y.shape[1]):
+        support = fit.index[t, : fit.size[t]].tolist()
+        w = ls_solve(a, support, y[:, t])
+        scale = max(1.0, float(np.abs(w).max()))
+        assert np.abs(fit.coeffs[t, : len(support)] - w[support]).max(initial=0.0) <= tol * scale
+        assert not fit.coeffs[t, len(support) :].any()
+        assert np.abs(fit.gradients[:, t] - utility_gradient(y[:, t], w, a)).max() <= tol * scale
+        assert abs(fit.f_values[t] - utility(y[:, t], w, a)) <= tol * scale
+
+
+def test_gram_update_matches_dense_least_squares():
+    # Random add and remove sequences over DCT+Haar; every support starts
+    # with atom 0, so adding its duplicate 64 must be skipped.
+    a = dct_haar()
+    rng = np.random.default_rng(19)
+    t_count, width = 40, 7
+    y = rng.standard_normal((64, t_count)) * rng.uniform(0.1, 10.0, size=t_count)
+    fit = gram_fit(a, y, width)
+    everyone = np.arange(t_count)
+    assert gram_update(fit, everyone, np.full(t_count, -1), np.zeros(t_count, dtype=int)).all()
+    assert not gram_update(fit, everyone, np.full(t_count, -1), np.full(t_count, 64)).any()
+    assert fit.rank_skips == t_count
+    assert_fit_matches_dense(fit, a, y)
+    for _ in range(30):
+        points = rng.choice(t_count, size=int(rng.integers(1, t_count + 1)), replace=False)
+        # A full support must make room; atoms already held are not offered.
+        removed = np.array(
+            [int(rng.integers(m)) if m == width or (m and rng.random() < 0.5) else -1 for m in fit.size[points]]
+        )
+        atoms = np.array(
+            [-1 if rng.random() < 0.2 else rng.choice(np.setdiff1d(np.arange(128), fit.index[t])) for t in points]
+        )
+        before = [fit.index[t, : fit.size[t]].tolist() for t in points]
+        added = gram_update(fit, points, removed, atoms)
+        for t, support, pos, atom, appended in zip(points, before, removed, atoms, added):
+            if pos >= 0:
+                support.pop(pos)
+            # Only an atom in the span of the rest is refused.
+            _, off_span = lstsq_fit(a, support, a[:, atom])
+            assert appended == (atom >= 0 and float(off_span @ off_span) > 1e-8)
+            assert fit.index[t, : fit.size[t]].tolist() == support + ([int(atom)] if appended else [])
+        assert_fit_matches_dense(fit, a, y)
+
+
+@pytest.mark.parametrize("delta, skipped", [(1e-9, True), (1e-6, False), (1e-3, False)])
+def test_gram_update_with_nearly_dependent_twin(delta, skipped):
+    # Atom 128 is a twin of atom 0 with inner product 1 - delta, so its
+    # squared distance to atom 0's span is about 2 * delta: below
+    # SPAN_RTOL = 1e-8 only at delta = 1e-9, where the Gram form could not
+    # resolve it; above, the fit keeps full accuracy.
+    base = dct_haar()
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        tilt = int(rng.integers(1, 64))
+        e = base[:, tilt] - (base[:, tilt] @ base[:, 0]) * base[:, 0]
+        cos = 1.0 - delta
+        twin = cos * base[:, 0] + np.sqrt(1.0 - cos * cos) * e / np.linalg.norm(e)
+        a = np.column_stack([base, twin])
+        others = rng.choice(np.setdiff1d(np.arange(1, 128), [64, tilt]), size=3, replace=False)
+        y = rng.standard_normal((64, 1))
+        fit = gram_fit(a, y, 6)
+        for atom in [0, *others]:
+            assert gram_update(fit, [0], [-1], [atom]).all()
+        assert gram_update(fit, [0], [-1], [128]).tolist() == [not skipped]
+        assert_fit_matches_dense(fit, a, y)
+
+
+def test_gram_gains_match_qr_gains():
+    a = dct_haar()
+    rng = np.random.default_rng(21)
+    for m in range(0, 7):
+        supports = []
+        while len(supports) < 12:
+            support = rng.choice(a.shape[1], size=m, replace=False).tolist()
+            if not {0, 64} <= set(support):
+                supports.append(support)
+        y = rng.standard_normal((64, 12)) * rng.uniform(0.1, 10.0, size=12)
+        fit = gram_fit(a, y, max(m, 1))
+        for j in range(m):
+            gram_update(fit, np.arange(12), np.full(12, -1), [z[j] for z in supports])
+        add, swap = gram_gains(fit, np.arange(12))
+        assert swap.shape == (12, m, a.shape[1])
+        for t, support in enumerate(supports):
+            fact = factor(a, support)
+            r = fact.residual(y[:, t])
+            outside = np.setdiff1d(np.arange(a.shape[1]), support)
+            tol = 1e-12 * float(y[:, t] @ y[:, t])
+            assert np.abs(add[t, outside] - addition_gains(a, fact, r)[outside]).max() <= tol
+            if m:
+                rows = swap_gains(a, fact, y[:, t], r, range(m))
+                assert np.abs(swap[t][:, outside] - rows[:, outside]).max() <= tol

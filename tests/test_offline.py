@@ -10,6 +10,7 @@ from dictsel import (
     BlockSparsity,
     IndividualSparsity,
     PartitionMatroid,
+    assemble,
     coherence,
     dct2_basis,
     haar2_basis,
@@ -21,6 +22,7 @@ from dictsel import (
 )
 from dictsel import constraints, offline
 from dictsel.constraints import replacement_values, search_replacement, solve_exchange
+from dictsel.data_io import synth_dataset
 from dictsel.errors import UnsupportedConstraint
 from dictsel.offline import SelectorConfig, modular_greedy, replacement_greedy, replacement_omp
 
@@ -44,8 +46,9 @@ def state_consistency(state, a, y, constraint):
         assert set(state.supports[t]) <= set(state.atoms)
         w = ls_solve(a, state.supports[t], y[:, t])
         compact = np.zeros(a.shape[1])
-        if state.supports[t]:
-            compact[state.supports[t]] = state.coeffs[t]
+        m = len(state.supports[t])
+        compact[state.supports[t]] = state.coeffs[t, :m]
+        assert not state.coeffs[t, m:].any()
         assert np.abs(w - compact).max() < 1e-8
         grad = utility_gradient(y[:, t], w, a)
         assert np.abs(grad - state.gradients[:, t]).max() < 1e-8
@@ -473,3 +476,67 @@ def test_romp_gains_satisfy_geometric_recursion():
     v_star = (m_val / big_m) ** 2 * opt
     assert satisfies_recursion(deltas, c_const, v_star)
     assert check_cumulative_bound(deltas, c_const, v_star)
+
+
+def rollback_data():
+    gs = assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))])
+    y = synth_dataset(gs, 100, 30, 5, 8).matrix + 0.05 * np.random.default_rng(8).standard_normal((64, 100))
+    return gs, y
+
+
+@pytest.mark.parametrize("config", [SelectorConfig(k=30, smoothness=0.3), SelectorConfig(k=30, decay=True)])
+def test_replacements_that_lower_the_objective_are_undone(config):
+    # A smoothness parameter below the restricted smoothness overstates
+    # proxy gains: on these data the objective would fall at step 30 with
+    # M = 0.3 (229.7517 -> 228.9365) and at step 29 with decay.
+    gs, y = rollback_data()
+    state = replacement_omp(y, gs, IndividualSparsity(5), config)
+    assert state.rollbacks >= 1
+    assert len(set(state.atoms)) == len(state.atoms) == 30
+    assert np.all(np.diff(state.objective_history) >= -1e-12 * 0.5 * float((y * y).sum()))
+    state_consistency(state, gs.matrix, y, IndividualSparsity(5))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(["default", "M=0.3", "decay"]))
+def test_romp_objective_never_decreases(seed, rule):
+    rng = np.random.default_rng(seed)
+    a = np.hstack([dct2_basis(4), haar2_basis(4)])
+    t_count, s = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+    y = a[:, rng.choice(32, size=8, replace=False)] @ rng.standard_normal((8, t_count))
+    y += rng.uniform(0.0, 0.3) * rng.standard_normal(y.shape)
+    config = SelectorConfig(k=int(rng.integers(1, 25)), smoothness=0.3 if rule == "M=0.3" else None, decay=rule == "decay")
+    state = replacement_omp(y, a, IndividualSparsity(s), config)
+    energy = 0.5 * float((y * y).sum())
+    assert np.all(np.diff(state.objective_history) >= -2e-12 * energy)
+    dense = sum(f_value(a, z, y[:, t]) for t, z in enumerate(state.supports))
+    assert state.objective == pytest.approx(dense, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [IndividualSparsity(5), PartitionMatroid(((((frozenset(range(64)), 3), (frozenset(range(64, 128)), 3)),) * 60))],
+    ids=["caps", "matroid"],
+)
+def test_greedy_tables_refresh_only_touched_points(monkeypatch, constraint):
+    # A point's gains change only when a replacement touches it: refreshing
+    # every point at every step selects the same atoms and supports, bit
+    # for bit, while computing far more point tables.
+    gs, y = rollback_data()
+    y = y[:, :60]
+    refreshed = []
+
+    def tables(state, family, best, code, points):
+        points = points if incremental else np.arange(y.shape[1])
+        refreshed.append(len(points))
+        return greedy_tables(state, family, best, code, points)
+
+    greedy_tables = offline._greedy_tables
+    monkeypatch.setattr(offline, "_greedy_tables", tables)
+    runs = []
+    for incremental in (True, False):
+        refreshed.clear()
+        state = replacement_greedy(y, gs, constraint, 20)
+        runs.append((state.atoms, state.supports, state.objective_history, sum(refreshed)))
+    assert runs[0][:3] == runs[1][:3]
+    assert runs[0][3] < runs[1][3]

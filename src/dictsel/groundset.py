@@ -22,12 +22,14 @@ class GroundSet:
 
     ``matrix`` is (d, n) with unit-norm columns; ``labels[j]`` is a
     (basis name, index within basis) pair for column j.  ``mu_cache``
-    holds the coherence once it has been computed.
+    holds the coherence and ``gram_cache`` the read-only G = A^T A once
+    they have been computed.
     """
 
     matrix: np.ndarray
     labels: list[tuple[str, int]] = field(repr=False)
     mu_cache: float | None = None
+    gram_cache: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def d(self) -> int:

@@ -16,13 +16,14 @@ follow in closed form (``gram_gains``):
   c_jb^2 / gamma_j.
 
 These are the Batch-OMP identities (Rubinstein, Zibulevsky and Elad,
-Technion CS-2008-08).  One thin orthogonal factorization A_Z = Q R per
-support (``SupportFactorization``, ``factor_insert``, ``factor_remove``)
-gives the same gains with c = R^-1 Q^T A (``addition_gains``,
-``swap_gains``); online rounds use it, and it is the reference path the
-tests audit.  The module also provides the ground-set conditioning
-measures used to set smoothness parameters: coherence and restricted
-extremal singular values.
+Technion CS-2008-08); online rounds evaluate the same expressions
+(``_regain``, ``_swap_rows``) on one point's support, with G from
+``gram_matrix``.  One thin orthogonal factorization A_Z = Q R per support
+(``SupportFactorization``, ``factor_insert``, ``factor_remove``) gives the
+same gains with c = R^-1 Q^T A (``addition_gains``, ``swap_gains``); it is
+the reference path the tests audit.  The module also provides the
+ground-set conditioning measures used to set smoothness parameters:
+coherence and restricted extremal singular values.
 """
 
 from __future__ import annotations
@@ -52,6 +53,19 @@ def atom_matrix(ground_set) -> np.ndarray:
     """Return the (d, n) atom matrix behind a GroundSet or a plain array."""
     mat = getattr(ground_set, "matrix", ground_set)
     return np.asarray(mat, dtype=float)
+
+
+def gram_matrix(ground_set) -> np.ndarray:
+    """G = A^T A of a GroundSet or a plain array, read-only; cached on GroundSet instances."""
+    cached = getattr(ground_set, "gram_cache", None)
+    if cached is not None:
+        return cached
+    a = atom_matrix(ground_set)
+    gram = a.T @ a
+    gram.flags.writeable = False
+    if hasattr(ground_set, "gram_cache"):
+        ground_set.gram_cache = gram
+    return gram
 
 
 @dataclass
@@ -184,7 +198,7 @@ def addition_gains(ground_set, state: SupportFactorization, r: np.ndarray) -> np
 
 def _regain(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / (2 * den), and 0 where den (the squared distance to the span) is below _DENOM_TOL."""
-    return np.where(den > _DENOM_TOL, num / (2.0 * np.clip(den, _DENOM_TOL, None)), 0.0)
+    return np.where(den > _DENOM_TOL, num / (2.0 * np.maximum(den, _DENOM_TOL)), 0.0)
 
 
 def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.ndarray, positions) -> np.ndarray:

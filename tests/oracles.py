@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here deliberately avoids the library's incremental code paths:
-least squares go through numpy's dense solvers and optima come from
-exhaustive enumeration.
+Everything here except ``online_round_reference`` deliberately avoids the
+library's incremental code paths: least squares go through numpy's dense
+solvers and optima come from exhaustive enumeration.  The online round is
+kept in its thin-QR form, fed expert by expert, as the reference for the
+Gram-form round.
 """
 
 from __future__ import annotations
@@ -11,6 +13,12 @@ import itertools
 import math
 
 import numpy as np
+
+from dictsel.constraints import cheapest_removal
+from dictsel.errors import RankDeficient
+from dictsel.linalg import addition_gains, atom_matrix, empty_factorization, factor_insert, factor_remove
+from dictsel.linalg import swap_gains
+from dictsel.online import hedge_step
 
 
 def lstsq_fit(atom_matrix, support, y):
@@ -146,3 +154,80 @@ def omp_reference(dictionary, y, s):
         support.append(best)
         _, resid = lstsq_fit(dictionary, support, y)
     return support, float(resid @ resid)
+
+
+def online_round_reference(state, y_t, ground_set):
+    """``online.online_round`` on thin-QR support factorizations, one ``hedge_step`` per expert.
+
+    Each slot refits the support with ``factor_insert``/``factor_remove``
+    and computes its gains afresh (``addition_gains``/``swap_gains`` for
+    replacement greedy, the gradient A^T r for replacement OMP); an atom
+    the factorization finds dependent on the support is not added.
+    """
+    a = atom_matrix(ground_set)
+    y = np.asarray(y_t, dtype=float)
+    m_val = state.smoothness
+    played = [expert.next_choice for expert in state.experts]
+
+    fact = empty_factorization(a.shape[0])
+    resid = y.copy()
+    coeffs = np.zeros(0)
+    feedbacks = []
+    modular = 0.5 * (a.T @ y) ** 2 if state.method == "online_modular" else None
+
+    for choice in played:
+        room = fact.m < state.s
+        if state.method == "online_modular":
+            gains = modular
+        elif state.method == "online_replacement_omp":
+            grad_sq = (a.T @ resid) ** 2
+            if fact.m:
+                grad_sq[list(fact.columns)] = 0.0
+            if room:
+                gains = grad_sq / m_val
+            else:
+                cheapest = m_val * float((coeffs**2).min())
+                gains = np.maximum(grad_sq / m_val - cheapest, 0.0)
+        else:  # online_replacement_greedy
+            if room:
+                gains = addition_gains(a, fact, resid)
+            else:
+                swaps = swap_gains(a, fact, y, resid, range(fact.m))
+                gains = np.maximum(swaps.max(axis=0), 0.0)
+        feedbacks.append(gains)
+
+        if state.method != "online_modular" and gains[choice] > 0.0 and choice not in fact.columns:
+            try:
+                if room:
+                    fact = factor_insert(fact, a, choice)
+                else:
+                    if state.method == "online_replacement_omp":
+                        pos = cheapest_removal(coeffs**2, fact.columns)
+                    else:
+                        pos = int(np.argmax(swaps[:, choice]))
+                    fact = factor_insert(factor_remove(fact, pos), a, choice)
+                coeffs, resid = fact.fit(y)
+            except RankDeficient:
+                pass
+
+    if state.method == "online_modular":
+        ranked = sorted(set(played), key=lambda j: (-modular[j], j))
+        fact = empty_factorization(a.shape[0])
+        for atom in ranked[: state.s]:
+            try:
+                fact = factor_insert(fact, a, atom)
+            except RankDeficient:
+                continue
+        resid = fact.residual(y)
+
+    realized = 0.5 * (float(y @ y) - float(resid @ resid))
+    state.gain_bound = max(state.gain_bound, max(float(g.max()) for g in feedbacks))
+    for expert, gains in zip(state.experts, feedbacks):
+        expert.scale = state.gain_bound
+        hedge_step(expert, gains)
+    state.rounds += 1
+    state.ledger.player_gains.append(realized)
+    state.ledger.expert_choice_gains.append(np.array([g[c] for g, c in zip(feedbacks, played)]))
+    state.ledger.dictionaries.append(played)
+    state.ledger.supports.append(list(fact.columns))
+    return played, feedbacks

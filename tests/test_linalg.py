@@ -15,7 +15,8 @@ from dictsel import (
 )
 from dictsel.errors import InvalidGroundSet, RankDeficient, TooLarge
 from dictsel.encoders import utility, utility_gradient
-from dictsel.linalg import SupportFactorization, addition_gains, gram_fit, gram_gains, gram_update, swap_gains
+from dictsel.linalg import SupportFactorization, addition_gains, gram_fit, gram_gains, gram_matrix, gram_update
+from dictsel.linalg import swap_gains
 
 from conftest import random_unit_atoms
 from oracles import lstsq_fit
@@ -141,6 +142,16 @@ def test_coherence_matches_pairwise_scan():
     )
     assert mu == pytest.approx(min(scan, 1.0), abs=1e-12)
     assert gs.mu_cache == mu
+
+
+def test_gram_matrix_is_read_only_and_cached_on_ground_sets():
+    gs = assemble([("dct2", dct2_basis(4)), ("haar2", haar2_basis(4))])
+    gram = gram_matrix(gs)
+    assert gram_matrix(gs) is gram is gs.gram_cache
+    assert np.array_equal(gram, gs.matrix.T @ gs.matrix)
+    with pytest.raises(ValueError):
+        gram[0, 0] = 2.0
+    assert gram_matrix(gs.matrix) is not gram_matrix(gs.matrix)
 
 
 def test_coherence_validates_norms():

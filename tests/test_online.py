@@ -1,18 +1,23 @@
+import copy
+
 import numpy as np
 import pytest
 
-from dictsel import dct2_basis, ls_solve, utility, utility_gradient
+from dictsel import assemble, dct2_basis, haar2_basis, ls_solve, utility, utility_gradient
 from dictsel.online import (
+    METHODS,
+    HedgeBank,
     HedgeExpert,
     alpha_regret,
     expert_hindsight_regrets,
     hedge_step,
+    hedge_update,
     online_round,
     online_state,
 )
 
 from conftest import random_unit_atoms
-from oracles import f_value
+from oracles import f_value, online_round_reference
 
 
 def make_expert(n=8, horizon=100, seed=0):
@@ -77,6 +82,40 @@ def test_hedge_draw_matches_generator_choice(horizon):
         choice = hedge_step(expert, gains)
         assert choice == clone.choice(n, p=expert.probabilities)
     assert expert.probabilities.max() > 0.5  # the draws were not all uniform
+
+
+@pytest.mark.parametrize("horizon", [40, None])
+@pytest.mark.parametrize("n", [37, 128])
+def test_hedge_update_matches_hedge_step_bitwise(horizon, n):
+    # One batched update of k experts against k one-expert steps; 40 rounds
+    # take the doubling trick through five restarts.
+    k = 5
+    bank = HedgeBank.zeros(k, n)
+    batched = [HedgeExpert(n, np.random.default_rng([20, i]), horizon, bank, i) for i in range(k)]
+    single = [HedgeExpert(n, np.random.default_rng([20, i]), horizon) for i in range(k)]
+    gains_rng = np.random.default_rng(21)
+    for _ in range(40):
+        gains = gains_rng.exponential(size=(k, n)) * (gains_rng.random((k, 1)) < 0.9)
+        for a, b in zip(batched, single):
+            a.scale = b.scale = max(b.scale, float(gains.max()))
+        draws = hedge_update(batched, gains)
+        assert draws == [hedge_step(expert, g) for expert, g in zip(single, gains)]
+        for a, b in zip(batched, single):
+            assert np.array_equal(a.log_weights, b.log_weights)
+            assert np.array_equal(a.cumulative_gains, b.cumulative_gains)
+            assert (a.eta, a.rounds) == (b.eta, b.rounds)
+
+
+def test_hedge_update_feeds_consecutive_experts_of_one_bank():
+    bank = HedgeBank.zeros(3, 8)
+    experts = [HedgeExpert(8, np.random.default_rng(i), 10, bank, i) for i in range(3)]
+    alone = HedgeExpert(8, np.random.default_rng(3), 10)
+    gains = np.ones((2, 8))
+    for group in ([experts[0], alone], [experts[0], experts[2]], [experts[1], experts[0]]):
+        with pytest.raises(ValueError, match="one bank"):
+            hedge_update(group, gains)
+    hedge_update(experts[1:], gains)
+    assert np.array_equal(bank.cumulative_gains, [np.zeros(8), np.ones(8), np.ones(8)])
 
 
 def test_first_round_uses_pure_additions():
@@ -266,3 +305,71 @@ def test_seeded_runs_are_reproducible():
 def test_online_state_rejects_bad_smoothness(smoothness):
     with pytest.raises(ValueError, match="smoothness"):
         online_state("online_replacement_omp", dct2_basis(2), k=3, s=2, smoothness=smoothness)
+
+
+def test_online_round_rejects_another_ground_set():
+    rng = np.random.default_rng(16)
+    gs = assemble([("dct2", dct2_basis(4)), ("haar2", haar2_basis(4))])
+    state = online_state("online_replacement_greedy", gs, k=3, s=2, horizon=5, seed=9)
+    y = rng.standard_normal(16)
+    online_round(state, y, gs)
+    online_round(state, y, gs.matrix.copy())  # equal atoms are accepted
+    other = gs.matrix[:, ::-1]
+    with pytest.raises(ValueError, match="ground set"):
+        online_round(state, y, other)
+    assert state.rounds == 2
+
+
+def test_deep_copied_state_plays_the_same_rounds():
+    # A deep copy turns row views into separate arrays, so experts that held
+    # views of a shared weight array would stop seeing the batched updates.
+    rng = np.random.default_rng(17)
+    gs = assemble([("dct2", dct2_basis(4)), ("haar2", haar2_basis(4))])
+    for method in METHODS:
+        original = online_state(method, gs, k=4, s=2, horizon=30, seed=10)
+        clone = copy.deepcopy(original)
+        fed = np.zeros((2, 4, gs.n))
+        for _ in range(30):
+            y = rng.standard_normal(16)
+            for i, state in enumerate((original, clone)):
+                _, feedbacks = online_round(state, y, gs)
+                fed[i] += feedbacks
+        for i, state in enumerate((original, clone)):
+            for expert, gains in zip(state.experts, fed[i]):
+                assert np.array_equal(expert.cumulative_gains, gains)
+        a, b = original.ledger, clone.ledger
+        assert (a.player_gains, a.dictionaries, a.supports) == (b.player_gains, b.dictionaries, b.supports)
+        assert np.array_equal(a.expert_choice_gains, b.expert_choice_gains)
+        assert np.array_equal(expert_hindsight_regrets(original), expert_hindsight_regrets(clone))
+
+
+def dc_pair(support):
+    """The support's atoms, sorted, with atom 64 (the Haar duplicate of the DCT DC atom 0) written as 0."""
+    return sorted(0 if j == 64 else j for j in support)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_gram_round_matches_qr_reference(method):
+    # Planted DCT+Haar 8x8 stream that always holds the DC atom, so atoms 0
+    # and 64 compete.  Replacement greedy may swap one for the other on gains
+    # of rounding size, which also moves the atom to the end of the support,
+    # so its supports are compared as sets up to that pair.
+    gs = assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))])
+    rng = np.random.default_rng(18)
+    planted = np.r_[0, rng.choice(np.arange(1, 128), 7, replace=False)]
+    gram_state = online_state(method, gs, k=8, s=3, horizon=200, seed=11)
+    reference = online_state(method, gs, k=8, s=3, horizon=200, seed=11)
+    for _ in range(200):
+        y = gs.matrix[:, rng.choice(planted, 3, replace=False)] @ rng.standard_normal(3)
+        y += 0.05 * rng.standard_normal(64)
+        tol = 1e-12 * float(y @ y)
+        played, feedbacks = online_round(gram_state, y, gs)
+        ref_played, ref_feedbacks = online_round_reference(reference, y, gs)
+        assert played == ref_played
+        assert np.abs(np.array(feedbacks) - np.array(ref_feedbacks)).max() <= tol
+        assert abs(gram_state.ledger.player_gains[-1] - reference.ledger.player_gains[-1]) <= tol
+        support, ref_support = gram_state.ledger.supports[-1], reference.ledger.supports[-1]
+        if method == "online_replacement_greedy":
+            assert dc_pair(support) == dc_pair(ref_support)
+        else:
+            assert support == ref_support

@@ -33,7 +33,7 @@ from .constraints import (
     PartitionMatroid,
     require_feasible,
 )
-from .encoders import dictionary_matrix, omp_codes
+from .encoders import omp_codes
 from .errors import DictselError, ParseError, TooLarge
 from .groundset import GroundSet, assemble, dct2_basis, haar2_basis, load_atom_block
 from .linalg import atom_matrix, coherence, resolve_smoothness
@@ -57,17 +57,13 @@ def residual_variance(dictionary, data, s: int) -> float:
     All points are encoded together by ``encoders.omp_codes`` with at most
     ``s`` atoms of ``dictionary`` each, and the squared residuals are
     averaged over all T*d coordinates.  An empty dictionary (or s = 0)
-    yields the mean squared data norm.
+    yields the mean squared data norm.  ValueError unless ``s`` is a
+    nonnegative integer; DimensionMismatch unless the data has as many
+    rows as the dictionary.
     """
-    if s < 0:
-        raise ValueError("sparsity must be nonnegative")
-    d = dictionary_matrix(dictionary)
     y = data_io.data_matrix(data)
-    t_count = y.shape[1]
-    if d.size == 0 or s == 0:
-        return float((y * y).sum()) / (t_count * y.shape[0])
-    _, residual_sq = omp_codes(d, y, s)
-    return float(residual_sq.sum()) / (t_count * y.shape[0])
+    _, residual_sq = omp_codes(dictionary, y, s)
+    return float(residual_sq.sum()) / y.size
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ encodes all columns of a data matrix at once in one batched Gram state
 over the dictionary (``linalg.GramFit``): each step adds, at every point
 still growing, the atom most correlated with its residual, and refits
 those points with ``linalg.gram_update``, one batched solve per support
-size.  ``omp_encode`` is its one-point call.  Utilities expose the
-squared-l2 objective that the selectors maximize:
+size; the residuals come from one product with the code matrix.
+``omp_encode`` is its one-point call.  Utilities expose the squared-l2
+objective that the selectors maximize:
 
     u(y, x) = 0.5*||y||^2 - 0.5*||y - x||^2
 
@@ -18,10 +19,12 @@ invariant to it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .linalg import GramFit, atom_matrix, gram_fit, gram_update, require_finite_atoms
 
 _RESIDUAL_STOP = 1e-10
@@ -54,11 +57,13 @@ def omp_codes(dictionary, y: np.ndarray, s: int) -> tuple[GramFit, np.ndarray]:
     its residual.
     Numerically dependent candidates are skipped.  Returns the fits
     (supports ``index[t, :size[t]]``, coefficients) and each column's
-    squared residual.
+    squared residual, taken from y - D X with X the (num_atoms, T) code
+    matrix.  ValueError unless ``s`` is a nonnegative integer;
+    DimensionMismatch unless ``y`` has as many rows as the dictionary.
     """
     d = dictionary_matrix(dictionary)
-    if s < 0:
-        raise ValueError("sparsity must be nonnegative")
+    if not isinstance(s, numbers.Integral) or s < 0:
+        raise ValueError("sparsity must be a nonnegative integer")
     y = np.asarray(y, dtype=float)
     num_atoms, t_count = d.shape[1], y.shape[1]
     fit = gram_fit(d, y, min(s, num_atoms))
@@ -77,10 +82,10 @@ def omp_codes(dictionary, y: np.ndarray, s: int) -> tuple[GramFit, np.ndarray]:
         active, best = active[go], best[go]
         tried[best, active] = True
         gram_update(fit, active, np.full(active.size, -1), best)
-    resid = y.copy()
-    for j in range(fit.index.shape[1]):
-        p = np.flatnonzero(fit.size > j)
-        resid[:, p] -= d[:, fit.index[p, j]] * fit.coeffs[p, j]
+    codes = np.zeros((num_atoms, t_count))
+    held = fit.index >= 0
+    codes[fit.index[held], np.nonzero(held)[0]] = fit.coeffs[held]
+    resid = y - d @ codes
     return fit, np.sum(resid * resid, axis=0)
 
 
@@ -89,12 +94,15 @@ def omp_encode(dictionary, y: np.ndarray, s: int, mask=None) -> SparseCode:
 
     The one-point call of :func:`omp_codes`.  An optional boolean ``mask``
     restricts the inner products, the least squares, and the reported
-    residual to the observed coordinates.
+    residual to the observed coordinates; DimensionMismatch unless it has
+    one entry per dictionary row.
     """
     d = dictionary_matrix(dictionary)
     y = np.asarray(y, dtype=float)
     if mask is not None:
         obs = np.asarray(mask, dtype=bool)
+        if obs.shape != d.shape[:1]:
+            raise DimensionMismatch(f"mask has shape {obs.shape} but the dictionary has {d.shape[0]} rows")
         d = d[obs]
         y = y[obs]
     fit, resid_sq = omp_codes(d, y[:, None], s)

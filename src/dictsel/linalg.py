@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
-from .errors import RankDeficient, TooLarge
+from .errors import DimensionMismatch, RankDeficient, TooLarge
 from .groundset import require_unit_norm
 
 # Columns whose projection residual falls below this norm are treated as
@@ -264,7 +264,16 @@ def ls_solve(ground_set, support, y: np.ndarray) -> np.ndarray:
 # far above rounding; being relative, it does not move when atoms scale.
 SPAN_RTOL = 1e-8
 
-STACK = 64  # points per batched array operation; bounds the (P, m, n) temporaries
+# Floats per (P, n) block of a batched operation over n atoms: a chunk holds
+# max(1, STACK // n) points (``stack_points``), which bounds the (P, m, n)
+# temporaries.  The 128-atom ground set gets 64 points per chunk, a
+# 20-atom evaluation dictionary 409.
+STACK = 64 * 128
+
+
+def stack_points(num_atoms: int) -> int:
+    """Points per chunk of a batched operation over ``num_atoms`` atoms."""
+    return max(1, STACK // num_atoms)
 
 
 def require_finite_atoms(a: np.ndarray) -> np.ndarray:
@@ -318,7 +327,12 @@ class GramFit:
 
 
 def gram_fit(a: np.ndarray, y: np.ndarray, width: int) -> GramFit:
-    """Empty supports, of at most ``width`` atoms, for the columns of ``y``."""
+    """Empty supports, of at most ``width`` atoms, for the columns of ``y``.
+
+    Raises DimensionMismatch unless ``y`` has as many rows as ``a``.
+    """
+    if y.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"data has {y.shape[0]} rows but the atoms have {a.shape[0]}")
     t_count = y.shape[1]
     corr = a.T @ y
     return GramFit(
@@ -332,15 +346,20 @@ def gram_fit(a: np.ndarray, y: np.ndarray, width: int) -> GramFit:
     )
 
 
-def size_chunks(sizes: np.ndarray):
-    """Yield (m, idx): positions ``idx`` into ``sizes`` whose value is m, at most STACK at a time."""
+def size_chunks(sizes: np.ndarray, num_atoms: int):
+    """Yield (m, idx): positions ``idx`` into ``sizes`` whose value is m.
+
+    A chunk holds at most ``stack_points(num_atoms)`` positions, so its
+    (P, m, num_atoms) temporaries stay within m * STACK floats.
+    """
     if not sizes.size:
         return
     low, high = int(sizes.min()), int(sizes.max())
+    step = stack_points(num_atoms)
     for m in range(low, high + 1):
         group = np.arange(len(sizes)) if low == high else np.flatnonzero(sizes == m)
-        for start in range(0, len(group), STACK):
-            yield m, group[start : start + STACK]
+        for start in range(0, len(group), step):
+            yield m, group[start : start + step]
 
 
 def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
@@ -370,7 +389,7 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
         fit.size[points[drop]] -= 1
     g, corr = fit.gram, fit.corr
     appended = np.zeros(len(points), dtype=bool)
-    for m, idx in size_chunks(fit.size[points]):
+    for m, idx in size_chunks(fit.size[points], g.shape[0]):
         p, b = points[idx], atoms[idx]
         # Z + b, with atom 0 standing in for b (at weight 0) where nothing is added.
         z = np.concatenate([fit.index[p, :m], np.maximum(b, 0)[:, None]], axis=1)

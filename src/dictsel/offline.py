@@ -48,7 +48,7 @@ from .constraints import (
 from .data_io import data_matrix
 from .errors import UnsupportedConstraint
 from .linalg import GramFit, atom_matrix, gram_fit, gram_gains, gram_update
-from .linalg import STACK, require_finite_atoms, resolve_smoothness, size_chunks
+from .linalg import require_finite_atoms, resolve_smoothness, size_chunks, stack_points
 
 _PER_POINT = (IndividualSparsity, PartitionMatroid)
 
@@ -266,8 +266,9 @@ def _refresh_costs(state: SelectionState, family: _PerPoint, cost: np.ndarray, p
     replace, 0 for an addition, inf for no option.
     """
     fit = state.fit
-    for start in range(0, len(points), STACK):
-        chunk = points[start : start + STACK]
+    step = stack_points(fit.gram.shape[0])
+    for start in range(0, len(points), step):
+        chunk = points[start : start + step]
         m = int(fit.size[chunk].max())
         costs = family.cats.option_costs(chunk, fit.index[chunk, :m], family.counts[chunk], family.cheapest[chunk])
         cost[:, chunk] = costs.T
@@ -339,7 +340,7 @@ def _greedy_tables(state: SelectionState, family: _PerPoint, best: np.ndarray, c
     ``gram_gains``.
     """
     fit = state.fit
-    for m, idx in size_chunks(fit.size[points]):
+    for m, idx in size_chunks(fit.size[points], fit.gram.shape[0]):
         chunk = points[idx]
         addable, swappable = family.cats.options(chunk, fit.index[chunk, :m])
         add, swap = gram_gains(fit, chunk)

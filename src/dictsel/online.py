@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import cheapest_removal
+from .errors import DimensionMismatch
 from .linalg import SPAN_RTOL, _regain, _swap_rows, atom_matrix, gram_matrix, require_finite_atoms
 from .linalg import resolve_smoothness
 
@@ -276,6 +277,7 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     """Play one round: sample atoms, observe ``y_t``, feed all experts.
 
     ``ground_set`` must hold the atoms the state was made for (ValueError
+    otherwise) and ``y_t`` one entry per atom row (DimensionMismatch
     otherwise).  Returns (played dictionary, list of per-expert feedback
     vectors).  The support starts empty and each slot either adds its
     sampled atom (while the support holds fewer than s atoms) or swaps it
@@ -289,6 +291,8 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     """
     a = _state_atoms(state, ground_set)
     y = np.asarray(y_t, dtype=float)
+    if y.shape != a.shape[:1]:
+        raise DimensionMismatch(f"y_t has shape {y.shape} but the atoms have {a.shape[0]} rows")
     aty = a.T @ y
     played = [expert.next_choice for expert in state.experts]
     fit = _RoundFit(state.gram, aty)

@@ -4,6 +4,7 @@ import pytest
 from dictsel import assemble, dct2_basis, haar2_basis, ls_solve, omp_encode, utility, utility_gradient
 from dictsel.cli import residual_variance
 from dictsel.encoders import omp_codes
+from dictsel.errors import DimensionMismatch
 
 from conftest import random_unit_atoms
 from oracles import omp_reference
@@ -203,3 +204,34 @@ def test_f_monotone_in_support(rng):
         f_small = utility(y, ls_solve(a, z, y), a)
         f_big = utility(y, ls_solve(a, z + [extra], y), a)
         assert f_big >= f_small - 1e-12
+
+
+@pytest.mark.parametrize("s", [2.5, -1, "2"])
+def test_sparsity_must_be_a_nonnegative_integer(s):
+    d = dct2_basis(4)[:, :6]
+    y = np.random.default_rng(28).standard_normal((16, 5))
+    with pytest.raises(ValueError, match="sparsity must be a nonnegative integer"):
+        omp_codes(d, y, s)
+    with pytest.raises(ValueError, match="sparsity must be a nonnegative integer"):
+        residual_variance(d, y, s)
+    assert residual_variance(d, y, np.int64(2)) == residual_variance(d, y, 2)
+
+
+def test_omp_codes_reject_data_of_another_dimension():
+    y = np.random.default_rng(29).standard_normal((15, 5))
+    with pytest.raises(DimensionMismatch):
+        omp_codes(dct2_basis(4)[:, :6], y, 2)
+
+
+def test_residual_variance_rejects_data_of_another_dimension():
+    y = np.random.default_rng(30).standard_normal((15, 5))
+    with pytest.raises(DimensionMismatch):
+        residual_variance(dct2_basis(4)[:, :6], y, 2)
+    with pytest.raises(DimensionMismatch):
+        residual_variance(np.zeros((16, 0)), y, 0)
+
+
+def test_omp_encode_rejects_a_mask_of_another_length():
+    y = np.random.default_rng(31).standard_normal(16)
+    with pytest.raises(DimensionMismatch):
+        omp_encode(dct2_basis(4), y, 2, mask=np.ones(15, dtype=bool))

@@ -13,8 +13,11 @@ from dictsel import (
     ls_solve,
     restricted_spectrum,
 )
-from dictsel.errors import InvalidGroundSet, RankDeficient, TooLarge
-from dictsel.encoders import utility, utility_gradient
+from dictsel import linalg
+from dictsel.constraints import IndividualSparsity
+from dictsel.errors import DimensionMismatch, InvalidGroundSet, RankDeficient, TooLarge
+from dictsel.encoders import omp_codes, utility, utility_gradient
+from dictsel.offline import SelectorConfig, replacement_greedy, replacement_omp
 from dictsel.linalg import SupportFactorization, addition_gains, gram_fit, gram_gains, gram_matrix, gram_update
 from dictsel.linalg import swap_gains
 
@@ -422,3 +425,51 @@ def test_gram_gains_match_qr_gains():
             if m:
                 rows = swap_gains(a, fact, y[:, t], r, range(m))
                 assert np.abs(swap[t][:, outside] - rows[:, outside]).max() <= tol
+
+
+def chunked_outputs():
+    """OMP codes and selector runs whose batched kernels span several default chunks."""
+    rng = np.random.default_rng(41)
+    a = assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))]).matrix
+    planted = rng.choice(a.shape[1], size=12, replace=False)
+
+    def points(t_count):
+        # 1- to 4-sparse points, every other one noise-free, so that supports
+        # stop growing at different sizes and chunks mix them.
+        y = np.stack([a[:, rng.choice(planted, size=1 + t % 4, replace=False)] @ rng.standard_normal(1 + t % 4)
+                      for t in range(t_count)], axis=1)
+        y[:, 1::2] += 0.05 * rng.standard_normal((a.shape[0], t_count // 2))
+        return y
+
+    y, test = points(150), points(900)
+    fit, residual_sq = omp_codes(a[:, planted[:10].tolist() + [0, 64] + list(range(100, 108))], test, 4)
+    out = {"omp": (fit.index, fit.size, fit.coeffs, residual_sq)}
+    for name, select in (
+        ("romp", lambda: replacement_omp(y, a, IndividualSparsity(3), SelectorConfig(k=12))),
+        ("greedy", lambda: replacement_greedy(y, a, IndividualSparsity(3), 12)),
+    ):
+        state = select()
+        out[name] = (state.atoms, state.fit.index, state.fit.coeffs, state.objective_history)
+    return out
+
+
+@pytest.mark.parametrize("stack", [1, 10**9])
+def test_results_do_not_depend_on_chunk_size(monkeypatch, stack):
+    # By default the 128-atom selectors take 64 points per chunk and the
+    # 20-atom OMP 409; one-point chunks and a single chunk must agree bitwise.
+    default = chunked_outputs()
+    monkeypatch.setattr(linalg, "STACK", stack)
+    for name, values in chunked_outputs().items():
+        for got, expected in zip(values, default[name]):
+            assert np.array_equal(got, expected), name
+
+
+def test_gram_fit_rejects_data_of_another_dimension():
+    a = dct2_basis(4)
+    y = np.random.default_rng(42).standard_normal((15, 6))
+    with pytest.raises(DimensionMismatch):
+        gram_fit(a, y, 2)
+    with pytest.raises(DimensionMismatch):
+        replacement_omp(y, a, IndividualSparsity(2), SelectorConfig(k=3))
+    with pytest.raises(DimensionMismatch):
+        replacement_greedy(y, a, IndividualSparsity(2), 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dictsel import assemble, dct2_basis, haar2_basis, ls_solve, utility, utility_gradient
+from dictsel.errors import DimensionMismatch
 from dictsel.online import (
     METHODS,
     HedgeBank,
@@ -373,3 +374,11 @@ def test_gram_round_matches_qr_reference(method):
             assert dc_pair(support) == dc_pair(ref_support)
         else:
             assert support == ref_support
+
+
+def test_online_round_rejects_data_of_another_dimension():
+    gs = dct2_basis(4)
+    state = online_state("online_replacement_omp", gs, k=3, s=2, horizon=5, seed=11)
+    with pytest.raises(DimensionMismatch):
+        online_round(state, np.ones(15), gs)
+    assert state.rounds == 0

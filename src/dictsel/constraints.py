@@ -8,28 +8,21 @@ caps plus a global cap on the total support size).
 
 A *feasible replacement* for a candidate atom adds that atom to some
 supports and removes at most one atom from each support, staying inside
-the family.  Per-point families are category tables
-(``point_categories``) that give the options of many supports at once,
-as masks or as the cost of each atom's cheapest option.
-``search_replacement`` finds the gain-maximizing replacement for one
-atom from decomposable gains, given as arrays of
-per-point add gains and per-support removal costs; for average sparsity
-this reduces to a budgeted exchange problem solved exactly in
-O(T log T) by ``solve_exchange``.
-
-For the coupled families, everything but the add gains is shared by the
-candidate atoms of a step, so ``replacement_values`` gives every atom's
-best gain at once in closed form: average sparsity from sorted prefix sums
-of the add gains and the effective removal costs, block sparsity from each
-block's union removal costs, built once per block.  The per-atom searches
-(``solve_exchange`` and the block search) then run only for the winner,
-whose ``Replacement`` they give, and stay the reference the closed forms
-are tested against.
+the family.  Each family is searched by one implementation, on supports
+padded into a (T, m) atom array with the removal cost of each position:
+per-point families through their category tables (``point_categories``),
+block and average sparsity through the per-step data of ``coupled_step``,
+which gives every atom's best gain in closed form and then the winner's
+replacement.  For average sparsity that replacement is a budgeted
+exchange problem, solved exactly in O(T log T) by ``solve_exchange``.
+``search_replacement`` and ``replacement_values`` take supports as lists
+and pad them once.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -263,8 +256,8 @@ def solve_exchange(instance: ExchangeInstance) -> tuple[set, set, float]:
     chosen_add: set[int] = set()
     chosen_remove: set[int] = set()
 
-    def peek(queue, skip) -> int | None:
-        while queue and queue[0][1] in skip:
+    def peek(queue, skip, also=frozenset()) -> int | None:
+        while queue and (queue[0][1] in skip or queue[0][1] in also):
             heapq.heappop(queue)
         return queue[0][1] if queue else None
 
@@ -273,7 +266,7 @@ def solve_exchange(instance: ExchangeInstance) -> tuple[set, set, float]:
         alpha = peek(add_q, chosen_add)
         beta = peek(remove_q, chosen_remove)
         # Tight points whose removal was already spent belong to add_q now.
-        gamma = peek(pair_q, chosen_add | chosen_remove)
+        gamma = peek(pair_q, chosen_add, chosen_remove)
 
         add_value = -math.inf
         if alpha is not None:
@@ -417,108 +410,152 @@ def point_categories(constraint: SparsityConstraint, t_count: int, num_atoms: in
     return PointCategories(labels, caps, rule)
 
 
-def point_options(
-    constraint: SparsityConstraint, t: int, support: Sequence[int], num_atoms: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`PointCategories.options` of support ``t`` alone: masks addable (n,) and swappable (m, n)."""
-    cats = point_categories(constraint, t + 1, num_atoms)
-    addable, swappable = cats.options(np.array([t]), np.array([list(support)], dtype=int))
-    return addable[0], swappable[0]
-
-
 def cheapest_removal(costs: Sequence[float], support: Sequence[int], positions=None) -> int | None:
     """Cheapest position among ``positions`` (default all), ties to the lowest atom; or None."""
     candidates = range(len(support)) if positions is None else positions
     return min(candidates, key=lambda j: (costs[j], support[j]), default=None)
 
 
-def average_exchange(
-    constraint: AverageSparsity, supports: Sequence[Sequence[int]], removal_costs: Sequence[np.ndarray]
-) -> tuple[list[int | None], np.ndarray, frozenset, int]:
-    """Exchange data of average sparsity shared by every candidate atom.
+class AverageStep:
+    """Average sparsity's exchange data, shared by every candidate atom of a step.
 
-    Returns each support's cheapest removal position (None if empty), its
-    cost (inf if none), the tight points (at their cap) and the slack of
-    the global cap.
+    Built from padded supports as :func:`coupled_step` takes them.
+    ``position`` (T,) is each support's cheapest removal (ties to the
+    lowest atom, -1 if empty) and ``costs`` its cost (inf if none);
+    ``tight`` marks the supports at their cap and ``slack`` is the room
+    left under the global cap.
     """
-    positions = [cheapest_removal(c, z) for c, z in zip(removal_costs, supports)]
-    costs = np.array([math.inf if p is None else c[p] for c, p in zip(removal_costs, positions)])
-    tight = frozenset(t for t, z in enumerate(supports) if len(z) == constraint.s_t[t])
-    slack = constraint.s_prime - sum(len(z) for z in supports)
-    return positions, costs, tight, slack
+
+    def __init__(self, constraint: AverageSparsity, index: np.ndarray, costs: np.ndarray, num_atoms: int):
+        held = index >= 0
+        costs = np.where(held, costs, math.inf)
+        self.index, self.costs = index, costs.min(axis=1)
+        # Among the cheapest entries, the lowest atom.
+        ties = np.where(held & (costs == self.costs[:, None]), index, num_atoms)
+        self.position = np.where(held.any(axis=1), np.argmin(ties, axis=1), -1)
+        sizes = held.sum(axis=1)
+        self.tight = sizes == np.asarray(constraint.s_t)
+        self.slack = constraint.s_prime - int(sizes.sum())
+
+    def values(self, add_gains: np.ndarray) -> np.ndarray:
+        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``."""
+        # An exchange solution splits into pairs at tight points (an addition
+        # and its own point's removal, worth g - c), plain additions at the
+        # other points and extra removals; only the last two meet the budget
+        # |additions| <= |removals| + slack.  A tight point spent as an extra
+        # removal gives up its pair, so its effective cost is c + max(0, g - c).
+        g = np.maximum(add_gains, 0.0)
+        pairs = np.maximum(g[:, self.tight] - self.costs[self.tight], 0.0)
+        effective = np.repeat(self.costs[None, :], g.shape[0], axis=0)
+        effective[:, self.tight] += pairs
+        # Best total of a additions and cheapest total of r removals, a, r >= 0.
+        adds = _prefix_sums(-np.sort(-g[:, ~self.tight], axis=1))
+        removals = _prefix_sums(np.sort(effective, axis=1))
+        needed = np.maximum(np.arange(adds.shape[1]) - self.slack, 0)
+        return pairs.sum(axis=1) + (adds - removals[:, needed]).max(axis=1)
+
+    def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
+        """``atom``'s best replacement, from one exchange solve: (points, removed, add, gain).
+
+        ``points`` ascend; point ``points[i]`` gives up support position
+        ``removed[i]`` (none if -1) and takes the atom if ``add[i]``.
+        """
+        g = np.where((self.index == atom).any(axis=1), 0.0, np.maximum(add_gains, 0.0))
+        tight = frozenset(np.flatnonzero(self.tight).tolist())
+        added, removed, value = solve_exchange(ExchangeInstance(g, self.costs, tight, self.slack))
+        points = np.array(sorted(added | removed), dtype=int)
+        removes = np.isin(points, list(removed))
+        return points, np.where(removes, self.position[points], -1), np.isin(points, list(added)), value
 
 
-def _individual_like(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
-    num_atoms = 1 + max([atom, *(j for z in supports for j in z)])
-    per_t: list[tuple[int, int | None, bool]] = []
-    total = 0.0
+class BlockStep:
+    """Block sparsity's union data, shared by every candidate atom of a step.
+
+    Built from padded supports as :func:`coupled_step` takes them.
+    ``member`` (B, n) marks the atoms each block's supports use and
+    ``union`` (B, n) holds what dropping each from every support of the
+    block costs (inf for the other atoms); ``full`` (B,) marks the unions
+    at their cap.
+    """
+
+    def __init__(self, constraint: BlockSparsity, index: np.ndarray, costs: np.ndarray, num_atoms: int):
+        lengths = [len(block) for block in constraint.blocks]
+        self.index = index
+        self.order = np.fromiter(itertools.chain.from_iterable(constraint.blocks), dtype=int, count=sum(lengths))
+        self.block_of = np.empty(len(index), dtype=int)
+        self.block_of[self.order] = np.repeat(np.arange(len(lengths)), lengths)
+        # (block, atom) pairs point by point in block order, so each atom's
+        # costs are summed in that order.
+        rows, cols = np.nonzero(index[self.order] >= 0)
+        pairs = self.block_of[self.order[rows]], index[self.order[rows], cols]
+        union = np.zeros((len(lengths), num_atoms))
+        np.add.at(union, pairs, costs[self.order[rows], cols])
+        self.member = np.zeros(union.shape, dtype=bool)
+        self.member[pairs] = True
+        self.union = np.where(self.member, union, math.inf)
+        self.full = self.member.sum(axis=1) >= np.asarray(constraint.caps)
+
+    def _block_sums(self, rows: np.ndarray) -> np.ndarray:
+        """Per-block sums (B, ...) of the per-point ``rows`` (T, ...), added point by point in block order."""
+        sums = np.zeros((len(self.full), *rows.shape[1:]))
+        np.add.at(sums, self.block_of[self.order], rows[self.order])
+        return sums
+
+    def values(self, add_gains: np.ndarray) -> np.ndarray:
+        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``."""
+        base = self._block_sums(np.maximum(add_gains, 0.0).T)
+        # A full union takes the candidate only in place of its cheapest atom.
+        cheapest = self.union.min(axis=1, keepdims=True)
+        value = np.where(self.member | ~self.full[:, None], base, np.maximum(base - cheapest, 0.0))
+        return _prefix_sums(value.T)[:, -1]  # blocks added in order
+
+    def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
+        """``atom``'s best replacement, as :meth:`AverageStep.replacement` gives it.
+
+        A block takes the atom at its points of positive gain.  A full
+        union that lacks the atom must also drop the union atom whose
+        removal leaves the most gain (the lowest on ties), and the block
+        joins only if that gain is positive.
+        """
+        g = np.where((self.index == atom).any(axis=1), 0.0, add_gains)
+        adds = g > 0.0
+        base = self._block_sums(np.where(adds, g, 0.0))
+        left = base[:, None] - self.union  # -inf for atoms outside the union
+        drop = np.argmax(left, axis=1)
+        lacking = self.full & ~self.member[:, atom]
+        gain = np.where(lacking, left[np.arange(len(drop)), drop], base)
+        take = gain > 0.0
+        dropped = np.where(take & lacking, drop, -1)[self.block_of]
+        hit = (self.index == dropped[:, None]) & (dropped >= 0)[:, None]
+        removes = hit.any(axis=1)
+        points = np.flatnonzero(take[self.block_of] & (adds | removes))
+        removed = np.where(removes, np.argmax(hit, axis=1), -1)[points]
+        return points, removed, adds[points], float(gain[take].sum())
+
+
+def coupled_step(constraint: SparsityConstraint, index: np.ndarray, costs: np.ndarray, num_atoms: int):
+    """The :class:`AverageStep` or :class:`BlockStep` of one step's supports.
+
+    ``index`` (T, m) holds each support's atoms in order, -1 padding the
+    shorter ones, and ``costs`` (T, m) the scaled, nonnegative cost of
+    dropping each (entries at pads are ignored).  Atoms are below
+    ``num_atoms``.
+    """
+    if isinstance(constraint, AverageSparsity):
+        return AverageStep(constraint, index, costs, num_atoms)
+    if isinstance(constraint, BlockSparsity):
+        return BlockStep(constraint, index, costs, num_atoms)
+    raise TypeError(f"{type(constraint).__name__} is not a coupled family")
+
+
+def _padded(supports: Sequence[Sequence[int]], removal_costs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Supports and their removal costs as (T, m) arrays, m >= 1, -1 and inf padding the shorter rows."""
+    index = np.full((len(supports), max([1, *map(len, supports)])), -1)
+    costs = np.full(index.shape, math.inf)
     for t, support in enumerate(supports):
-        support = list(support)
-        addable, swappable = point_options(constraint, t, support, num_atoms)
-        if addable[atom]:
-            removed, gain = None, add_gains[t]
-        else:
-            costs = removal_costs[t]
-            pos = cheapest_removal(costs, support, np.flatnonzero(swappable[:, atom]))
-            if pos is None:
-                continue
-            removed, gain = support[pos], add_gains[t] - costs[pos]
-        if gain > 0.0:
-            per_t.append((t, removed, True))
-            total += gain
-    return Replacement(atom, per_t, float(total))
-
-
-def _union_costs(block, supports, removal_costs) -> dict[int, float]:
-    """Summed removal cost of each atom used in the block.
-
-    Dropping an atom from every support of the block that holds it frees
-    one union slot for the candidate.
-    """
-    costs: dict[int, float] = {}
-    for t in block:
-        for pos, held in enumerate(supports[t]):
-            costs[held] = costs.get(held, 0.0) + removal_costs[t][pos]
-    return costs
-
-
-def _block(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
-    per_t: list[tuple[int, int | None, bool]] = []
-    total = 0.0
-    for block, cap in zip(constraint.blocks, constraint.caps):
-        adds = [t for t in block if atom not in supports[t] and add_gains[t] > 0.0]
-        base = sum(add_gains[t] for t in adds)
-        if base <= 0.0:
-            continue
-        costs = _union_costs(block, supports, removal_costs)
-        best, best_removed = (base if atom in costs or len(costs) < cap else 0.0), None
-        costs.pop(atom, None)
-        if costs:
-            # Highest value, then lowest atom; it must beat leaving the union alone.
-            removed = max(costs, key=lambda j: (base - costs[j], -j))
-            if base - costs[removed] > best:
-                best, best_removed = base - costs[removed], removed
-        if best <= 0.0:
-            continue
-        total += best
-        for t in sorted(block):
-            removed_here = best_removed if best_removed in supports[t] else None
-            if removed_here is not None or t in adds:
-                per_t.append((t, removed_here, t in adds))
-    per_t.sort()
-    return Replacement(atom, per_t, float(total))
-
-
-def _average(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
-    positions, costs, tight, slack = average_exchange(constraint, supports, removal_costs)
-    g = np.maximum(add_gains, 0.0)
-    g[[t for t, z in enumerate(supports) if atom in z]] = 0.0
-    added, removed, value = solve_exchange(ExchangeInstance(g, costs, tight, slack))
-    per_t = [
-        (t, supports[t][positions[t]] if t in removed else None, t in added)
-        for t in sorted(added | removed)
-    ]
-    return Replacement(atom, per_t, value)
+        index[t, : len(support)] = list(support)
+        costs[t, : len(support)] = removal_costs[t]
+    return index, costs
 
 
 def search_replacement(
@@ -531,42 +568,30 @@ def search_replacement(
     """Gain-maximizing feasible replacement for one candidate atom.
 
     ``add_gains[t]`` is the (already smoothness-scaled) gain of adding the
-    candidate to Z_t and ``removal_costs[t][j]`` the scaled cost of
-    dropping the j-th atom of Z_t; entries for supports already holding
-    the candidate must be zero.  ``supports`` are the current Z_t as
-    ordered index sequences (the order fixes removal-cost positions),
+    candidate to Z_t and ``removal_costs[t][j]`` the scaled, nonnegative
+    cost of dropping the j-th atom of Z_t; entries for supports already
+    holding the candidate must be zero.  ``supports`` are the current Z_t
+    as ordered index sequences (the order fixes removal-cost positions),
     assumed feasible.  Nonpositive additions are declined, so the gain is
     never negative and feasibility is kept.
     """
     add_gains = np.asarray(add_gains, dtype=float)
+    index, costs = _padded(supports, removal_costs)
+    num_atoms = 1 + max(atom, int(index.max()))
     if isinstance(constraint, (IndividualSparsity, PartitionMatroid)):
-        return _individual_like(constraint, supports, atom, add_gains, removal_costs)
-    if isinstance(constraint, BlockSparsity):
-        return _block(constraint, supports, atom, add_gains, removal_costs)
-    if isinstance(constraint, AverageSparsity):
-        return _average(constraint, supports, atom, add_gains, removal_costs)
-    raise TypeError(f"unknown constraint type {type(constraint)!r}")
-
-
-def _block_values(constraint, supports, g, removal_costs) -> np.ndarray:
-    n = g.shape[0]
-    values = np.zeros(n)
-    for block, cap in zip(constraint.blocks, constraint.caps):
-        # Summed point by point, in the order the block search sums.
-        base = np.zeros(n)
-        for t in block:
-            base += g[:, t]
-        costs = _union_costs(block, supports, removal_costs)
-        if len(costs) < cap:
-            value = base
-        else:
-            # A full union takes the candidate only in place of its cheapest atom.
-            in_union = np.zeros(n, dtype=bool)
-            in_union[list(costs)] = True
-            cheapest = min(costs.values(), default=math.inf)
-            value = np.where(in_union, base, np.maximum(base - cheapest, 0.0))
-        values += value
-    return values
+        cats = point_categories(constraint, len(index), num_atoms)
+        points = np.arange(len(index))
+        counts, cheapest, position = cats.tally(points, index, costs)
+        gains = add_gains - cats.option_costs(points, index, counts, cheapest)[:, atom]
+        points = np.flatnonzero(gains > 0.0)
+        removed = cats.swap_positions(points, counts[points], position[points], atom)
+        add, gain = np.ones(len(points), dtype=bool), gains[points].sum()
+    else:
+        points, removed, add, gain = coupled_step(constraint, index, costs, num_atoms).replacement(atom, add_gains)
+    per_t = [
+        (t, None if r < 0 else int(index[t, r]), a) for t, r, a in zip(points.tolist(), removed.tolist(), add.tolist())
+    ]
+    return Replacement(atom, per_t, float(gain))
 
 
 def _prefix_sums(rows: np.ndarray) -> np.ndarray:
@@ -574,25 +599,6 @@ def _prefix_sums(rows: np.ndarray) -> np.ndarray:
     sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
     np.cumsum(rows, axis=1, out=sums[:, 1:])
     return sums
-
-
-def _average_values(constraint, supports, g, removal_costs) -> np.ndarray:
-    # An exchange solution splits into pairs at tight points (an addition
-    # and its own point's removal, worth g - c), plain additions at the
-    # other points and extra removals; only the last two meet the budget
-    # |additions| <= |removals| + slack.  A tight point spent as an extra
-    # removal gives up its pair, so its effective cost is c + max(0, g - c).
-    _, costs, tight, slack = average_exchange(constraint, supports, removal_costs)
-    is_tight = np.zeros(len(supports), dtype=bool)
-    is_tight[list(tight)] = True
-    pairs = np.maximum(g[:, is_tight] - costs[is_tight], 0.0)
-    effective = np.repeat(costs[None, :], g.shape[0], axis=0)
-    effective[:, is_tight] += pairs
-    # Best total of a additions and cheapest total of r removals, a, r >= 0.
-    adds = _prefix_sums(-np.sort(-g[:, ~is_tight], axis=1))
-    removals = _prefix_sums(np.sort(effective, axis=1))
-    needed = np.maximum(np.arange(adds.shape[1]) - slack, 0)
-    return pairs.sum(axis=1) + (adds - removals[:, needed]).max(axis=1)
 
 
 def replacement_values(
@@ -607,14 +613,11 @@ def replacement_values(
     atom j's add gains, zero at supports holding atom j, as
     :func:`search_replacement` takes them; ``removal_costs`` and
     ``supports`` are as there.  Returns the (n,) gains, computed in closed
-    form from arrays shared by all atoms.
+    form from the :func:`coupled_step` data shared by all atoms.
     """
-    g = np.maximum(np.asarray(add_gains, dtype=float), 0.0)
-    if isinstance(constraint, BlockSparsity):
-        return _block_values(constraint, supports, g, removal_costs)
-    if isinstance(constraint, AverageSparsity):
-        return _average_values(constraint, supports, g, removal_costs)
-    raise TypeError(f"{type(constraint).__name__} is not a coupled family")
+    add_gains = np.asarray(add_gains, dtype=float)
+    index, costs = _padded(supports, removal_costs)
+    return coupled_step(constraint, index, costs, add_gains.shape[0]).values(add_gains)
 
 
 def require_feasible(constraint: SparsityConstraint, supports: Sequence) -> None:

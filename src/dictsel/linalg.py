@@ -431,12 +431,20 @@ def gram_gains(fit: GramFit, points) -> tuple[np.ndarray, np.ndarray]:
     z = fit.index[points, :m]
     grad = fit.gradients[:, points].T
     gz = fit.gram[z]  # rows G[Z, :]
-    inv = np.linalg.inv(np.take_along_axis(gz, z[:, None, :], axis=2))
-    c = inv @ gz
-    dist = 1.0 - np.sum(gz * c, axis=1)
-    gamma = np.diagonal(inv, axis1=1, axis2=2)[..., None]
+    c, dist, gamma = gram_terms(np.linalg.inv(np.take_along_axis(gz, z[:, None, :], axis=2)), gz)
     w = fit.coeffs[points, :m, None]
     return _regain(grad**2, dist), _swap_rows(grad, w, gamma, c, dist)
+
+
+def gram_terms(inv: np.ndarray, gz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c = G_ZZ^-1 G[Z, :], each unit-norm atom's squared distance 1 - G[Z, b] . c_b to span(Z), and gamma.
+
+    Takes ``inv`` = G_ZZ^-1 (..., m, m) and ``gz`` = G[Z, :] (..., m, n);
+    gamma_j = (G_ZZ^-1)_jj comes as (..., m, 1).
+    """
+    c = inv @ gz
+    dist = 1.0 - np.einsum("...jb,...jb->...b", gz, c)
+    return c, dist, np.diagonal(inv, axis1=-2, axis2=-1)[..., None]
 
 
 def coherence(ground_set) -> float:

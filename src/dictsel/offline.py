@@ -35,16 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (
-    IndividualSparsity,
-    PartitionMatroid,
-    Replacement,
-    num_points,
-    point_categories,
-    replacement_values,
-    require_feasible,
-    search_replacement,
-)
+from .constraints import IndividualSparsity, PartitionMatroid, coupled_step, num_points, point_categories
+from .constraints import require_feasible
 from .data_io import data_matrix
 from .errors import UnsupportedConstraint
 from .linalg import GramFit, atom_matrix, gram_fit, gram_gains, gram_update
@@ -142,15 +134,6 @@ class _Move:
     points: np.ndarray
     removed: np.ndarray
     add: np.ndarray
-
-
-def _move_of(rep: Replacement, supports: list[list[int]]) -> _Move:
-    return _Move(
-        rep.added_atom,
-        np.array([t for t, _, _ in rep.per_t], dtype=int),
-        np.array([-1 if r is None else supports[t].index(r) for t, r, _ in rep.per_t], dtype=int),
-        np.array([add for _, _, add in rep.per_t], dtype=bool),
-    )
 
 
 def _apply(state: SelectionState, move: _Move, iteration: int) -> bool:
@@ -278,9 +261,10 @@ def _romp_replacement(constraint, state, m_i, family, cost) -> _Move | None:
     """The replacement of largest proxy gain among unselected atoms.
 
     Per-point families clip each point's gain of the cheapest option in
-    ``cost`` at zero.  Block and average sparsity take the whole table in
-    closed form from ``replacement_values`` and search only the winner's
-    replacement, with ``search_replacement``.
+    ``cost`` at zero.  Block and average sparsity build the step's
+    :func:`~dictsel.constraints.coupled_step` data from the padded
+    supports once; it gives the whole table in closed form and then the
+    winner's replacement.
     """
     # Under per-point families atoms of a support have no option there
     # (infinite cost), so their gradient dust needs no zeroing.
@@ -297,13 +281,11 @@ def _romp_replacement(constraint, state, m_i, family, cost) -> _Move | None:
         removed = family.cats.swap_positions(points, family.counts[points], family.position[points], winner)
         return _Move(winner, points, removed, np.ones(len(points), dtype=bool))
 
-    supports = state.supports
-    scaled_costs = [m_i * w[:m] ** 2 for w, m in zip(state.coeffs, state.fit.size.tolist())]
-    table = replacement_values(constraint, supports, scaled_g2, scaled_costs)
-    winner = _winner(table, state.atoms)
+    step = coupled_step(constraint, state.fit.index, m_i * state.coeffs**2, len(scaled_g2))
+    winner = _winner(step.values(scaled_g2), state.atoms)
     if winner is None:
         return None
-    return _move_of(search_replacement(constraint, supports, winner, scaled_g2[winner], scaled_costs), supports)
+    return _Move(winner, *step.replacement(winner, scaled_g2[winner])[:3])
 
 
 def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, trace=False) -> SelectionState:

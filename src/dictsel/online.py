@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import cheapest_removal
+from .data_io import data_matrix
 from .errors import DimensionMismatch
-from .linalg import SPAN_RTOL, _regain, _swap_rows, atom_matrix, gram_matrix, require_finite_atoms
+from .linalg import SPAN_RTOL, _regain, _swap_rows, atom_matrix, gram_matrix, gram_terms, require_finite_atoms
 from .linalg import resolve_smoothness
 
 METHODS = ("online_modular", "online_replacement_greedy", "online_replacement_omp")
@@ -249,13 +250,11 @@ def _romp_gains(fit: _RoundFit, room: bool, m_val: float) -> np.ndarray:
 
 def _greedy_gains(fit: _RoundFit, room: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact addition gains, or the best swap gain per atom with the (m, n) swap rows once full."""
-    c = fit.inv @ fit.gz
-    dist = 1.0 - np.einsum("jb,jb->b", fit.gz, c)
+    c, dist, gamma = gram_terms(fit.inv, fit.gz)
     if room:
         gains = _regain(fit.grad**2, dist)
         gains[fit.z] = 0.0
         return gains, None
-    gamma = np.diagonal(fit.inv)[:, None]
     swaps = _swap_rows(fit.grad, fit.w[:, None], gamma, c, dist)
     swaps[:, fit.z] = 0.0
     return np.maximum(swaps.max(axis=0), 0.0), swaps
@@ -277,8 +276,9 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     """Play one round: sample atoms, observe ``y_t``, feed all experts.
 
     ``ground_set`` must hold the atoms the state was made for (ValueError
-    otherwise) and ``y_t`` one entry per atom row (DimensionMismatch
-    otherwise).  Returns (played dictionary, list of per-expert feedback
+    otherwise) and ``y_t`` one finite entry per atom row (ValueError on
+    NaN or inf, DimensionMismatch on another length); a rejected round
+    changes nothing.  Returns (played dictionary, list of per-expert feedback
     vectors).  The support starts empty and each slot either adds its
     sampled atom (while the support holds fewer than s atoms) or swaps it
     in (once it is full), in both cases only on strictly positive fed gain.
@@ -289,8 +289,8 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     the previous slot's gains.  The realized utility of the final support
     is appended to the ledger.
     """
+    y = data_matrix(y_t)
     a = _state_atoms(state, ground_set)
-    y = np.asarray(y_t, dtype=float)
     if y.shape != a.shape[:1]:
         raise DimensionMismatch(f"y_t has shape {y.shape} but the atoms have {a.shape[0]} rows")
     aty = a.T @ y

@@ -1,10 +1,14 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here except ``online_round_reference`` deliberately avoids the
-library's incremental code paths: least squares go through numpy's dense
-solvers and optima come from exhaustive enumeration.  The online round is
-kept in its thin-QR form, fed expert by expert, as the reference for the
-Gram-form round.
+Everything here except ``online_round_reference`` and the two per-atom
+searches deliberately avoids the library's incremental code paths: least
+squares go through numpy's dense solvers and optima come from exhaustive
+enumeration.  The online round is kept in its thin-QR form, fed expert by
+expert, as the reference for the Gram-form round.  The coupled families'
+replacements are searched one atom at a time over support lists
+(``block_search_reference``, and ``average_search_reference`` through
+``solve_exchange``), as the reference for the padded-array tables and
+moves of ``constraints.coupled_step``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 
 import numpy as np
 
-from dictsel.constraints import cheapest_removal
+from dictsel.constraints import ExchangeInstance, Replacement, cheapest_removal, solve_exchange
 from dictsel.errors import RankDeficient
 from dictsel.linalg import addition_gains, atom_matrix, empty_factorization, factor_insert, factor_remove
 from dictsel.linalg import swap_gains
@@ -101,6 +105,60 @@ def best_replacement_oracle(constraint, supports, atom, add_gains, removal_costs
         if value > best and is_feasible(constraint, new):
             best = value
     return best
+
+
+def _union_costs(block, supports, removal_costs) -> dict[int, float]:
+    """Summed removal cost of each atom used in the block.
+
+    Dropping an atom from every support of the block that holds it frees
+    one union slot for the candidate.
+    """
+    costs: dict[int, float] = {}
+    for t in block:
+        for pos, held in enumerate(supports[t]):
+            costs[held] = costs.get(held, 0.0) + removal_costs[t][pos]
+    return costs
+
+
+def block_search_reference(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
+    """Block sparsity's best replacement for one atom, block by block over support lists."""
+    per_t: list[tuple[int, int | None, bool]] = []
+    total = 0.0
+    for block, cap in zip(constraint.blocks, constraint.caps):
+        adds = [t for t in block if atom not in supports[t] and add_gains[t] > 0.0]
+        base = sum(add_gains[t] for t in adds)
+        if base <= 0.0:
+            continue
+        costs = _union_costs(block, supports, removal_costs)
+        best, best_removed = (base if atom in costs or len(costs) < cap else 0.0), None
+        costs.pop(atom, None)
+        if costs:
+            # Highest value, then lowest atom; it must beat leaving the union alone.
+            removed = max(costs, key=lambda j: (base - costs[j], -j))
+            if base - costs[removed] > best:
+                best, best_removed = base - costs[removed], removed
+        if best <= 0.0:
+            continue
+        total += best
+        for t in sorted(block):
+            removed_here = best_removed if best_removed in supports[t] else None
+            if removed_here is not None or t in adds:
+                per_t.append((t, removed_here, t in adds))
+    per_t.sort()
+    return Replacement(atom, per_t, float(total))
+
+
+def average_search_reference(constraint, supports, atom, add_gains, removal_costs) -> Replacement:
+    """Average sparsity's best replacement for one atom: one exchange solve built from support lists."""
+    positions = [cheapest_removal(c, z) for c, z in zip(removal_costs, supports)]
+    costs = np.array([math.inf if p is None else c[p] for c, p in zip(removal_costs, positions)])
+    tight = frozenset(t for t, z in enumerate(supports) if len(z) == constraint.s_t[t])
+    slack = constraint.s_prime - sum(len(z) for z in supports)
+    g = np.maximum(add_gains, 0.0)
+    g[[t for t, z in enumerate(supports) if atom in z]] = 0.0
+    added, removed, value = solve_exchange(ExchangeInstance(g, costs, tight, slack))
+    per_t = [(t, supports[t][positions[t]] if t in removed else None, t in added) for t in sorted(added | removed)]
+    return Replacement(atom, per_t, value)
 
 
 def dictionary_optimum(atom_matrix, data, constraint, k, support_options):

@@ -18,16 +18,10 @@ from dictsel import (
     replacement_sparsity_p,
     solve_exchange,
 )
-from dictsel.constraints import (
-    cheapest_removal,
-    point_categories,
-    point_options,
-    replacement_values,
-    search_replacement,
-)
+from dictsel.constraints import cheapest_removal, point_categories, replacement_values, search_replacement
 from dictsel.errors import InfeasibleState
 
-from oracles import best_replacement_oracle, exchange_optimum
+from oracles import average_search_reference, best_replacement_oracle, block_search_reference, exchange_optimum
 
 N_ATOMS = 12
 
@@ -300,6 +294,13 @@ def test_average_replacement_matches_spec_oracle():
         assert is_feasible(constraint, apply_replacement(supports, rep))
 
 
+def point_options(constraint, t, support, num_atoms):
+    """:meth:`PointCategories.options` of support ``t`` alone: masks addable (n,) and swappable (m, n)."""
+    cats = point_categories(constraint, t + 1, num_atoms)
+    addable, swappable = cats.options(np.array([t]), np.array([list(support)], dtype=int))
+    return addable[0], swappable[0]
+
+
 @pytest.mark.parametrize("family", ["individual", "matroid"])
 def test_point_options_match_independence(family):
     # Per-point masks against the family's own membership test, atom by atom.
@@ -441,14 +442,20 @@ def coupled_instance(rng, family, slack, ties):
     slack=st.integers(0, 3),
     ties=st.booleans(),
 )
-def test_replacement_values_match_per_atom_search(seed, family, slack, ties):
+def test_coupled_step_values_match_per_atom_search(seed, family, slack, ties):
+    # Gains and decisions of the padded-array step against the per-atom
+    # searches over support lists.
     rng = np.random.default_rng(seed)
     constraint, supports, add, costs = coupled_instance(rng, family, slack, ties)
+    reference = average_search_reference if family == "average" else block_search_reference
     values = replacement_values(constraint, supports, add, costs)
     assert values.shape == (N_ATOMS,)
     for atom in range(N_ATOMS):
-        expected = search_replacement(constraint, supports, atom, add[atom], costs).gain
-        assert abs(values[atom] - expected) <= 1e-12, (atom, values[atom], expected)
+        expected = reference(constraint, supports, atom, add[atom], costs)
+        assert abs(values[atom] - expected.gain) <= 1e-12, (atom, values[atom], expected.gain)
+        rep = search_replacement(constraint, supports, atom, add[atom], costs)
+        assert rep.per_t == expected.per_t, atom
+        assert abs(rep.gain - expected.gain) <= 1e-12
 
 
 def test_replacement_values_reject_per_point_families():

@@ -21,13 +21,13 @@ from dictsel import (
     utility_gradient,
 )
 from dictsel import constraints, offline
-from dictsel.constraints import replacement_values, search_replacement, solve_exchange
+from dictsel.constraints import coupled_step, solve_exchange
 from dictsel.data_io import synth_dataset
 from dictsel.errors import UnsupportedConstraint
 from dictsel.offline import SelectorConfig, modular_greedy, replacement_greedy, replacement_omp
 
 from conftest import random_unit_atoms
-from oracles import dictionary_optimum, f_value
+from oracles import average_search_reference, block_search_reference, dictionary_optimum, f_value
 from recursion import check_cumulative_bound, satisfies_recursion
 
 
@@ -268,19 +268,34 @@ def coupled_data(seed):
     return np.hstack([dct2_basis(4), haar2_basis(4)]), rng.standard_normal((16, 12))
 
 
+def support_lists(index, costs):
+    """Padded supports and removal costs as the lists the per-atom searches take."""
+    sizes = (index >= 0).sum(axis=1)
+    return [row[:m].tolist() for row, m in zip(index, sizes)], [row[:m] for row, m in zip(costs, sizes)]
+
+
 @pytest.mark.parametrize("family", COUPLED)
-def test_romp_tables_match_per_atom_search_at_every_step(monkeypatch, family):
+def test_romp_coupled_step_values_match_per_atom_search_at_every_step(monkeypatch, family):
+    reference = average_search_reference if family == "average" else block_search_reference
     steps = []
 
-    def checked_values(constraint, supports, add_gains, removal_costs):
-        table = replacement_values(constraint, supports, add_gains, removal_costs)
-        for atom, value in enumerate(table):
-            expected = search_replacement(constraint, supports, atom, add_gains[atom], removal_costs).gain
-            assert abs(value - expected) <= 1e-12, (len(steps), atom, value, expected)
-        steps.append(table)
-        return table
+    def checked_step(constraint, index, costs, num_atoms):
+        step = coupled_step(constraint, index, costs, num_atoms)
+        values = step.values
 
-    monkeypatch.setattr(offline, "replacement_values", checked_values)
+        def checked_values(add_gains):
+            table = values(add_gains)
+            supports, removal_costs = support_lists(index, costs)
+            for atom, value in enumerate(table):
+                expected = reference(constraint, supports, atom, add_gains[atom], removal_costs).gain
+                assert abs(value - expected) <= 1e-12, (len(steps), atom, value, expected)
+            steps.append(table)
+            return table
+
+        step.values = checked_values
+        return step
+
+    monkeypatch.setattr(offline, "coupled_step", checked_step)
     for seed in range(3):
         a, y = coupled_data(seed)
         replacement_omp(y, a, COUPLED[family], SelectorConfig(k=8))
@@ -288,36 +303,92 @@ def test_romp_tables_match_per_atom_search_at_every_step(monkeypatch, family):
 
 
 @pytest.mark.parametrize("family", COUPLED)
-def test_coupled_romp_searches_only_the_winner(monkeypatch, family):
-    # The table is closed form: a step runs the per-atom search once, for
-    # its winner, and at most one exchange solve.
+def test_coupled_romp_step_replaces_only_the_winner(monkeypatch, family):
+    # The table is closed form: a step builds one replacement, for its
+    # winner, with at most one exchange solve.
     romp_step = offline._romp_replacement
-    searched, solves, winners = [], [], []
+    replaced, solves, winners = [], [], []
 
-    def counting_search(constraint, supports, atom, add_gains, removal_costs):
-        searched.append(atom)
-        return search_replacement(constraint, supports, atom, add_gains, removal_costs)
+    def counting_step(constraint, index, costs, num_atoms):
+        step = coupled_step(constraint, index, costs, num_atoms)
+        replacement = step.replacement
+
+        def counting_replacement(atom, add_gains):
+            replaced.append(atom)
+            return replacement(atom, add_gains)
+
+        step.replacement = counting_replacement
+        return step
 
     def counting_solve(instance):
         solves.append(instance)
         return solve_exchange(instance)
 
     def checked_step(*args):
-        searched.clear()
+        replaced.clear()
         solves.clear()
-        rep = romp_step(*args)
-        assert searched == ([] if rep is None else [rep.added_atom])
+        move = romp_step(*args)
+        assert replaced == ([] if move is None else [move.added_atom])
         assert len(solves) <= 1
-        winners.append(rep)
-        return rep
+        winners.append(move)
+        return move
 
-    monkeypatch.setattr(offline, "search_replacement", counting_search)
+    monkeypatch.setattr(offline, "coupled_step", counting_step)
     monkeypatch.setattr(constraints, "solve_exchange", counting_solve)
     monkeypatch.setattr(offline, "_romp_replacement", checked_step)
     for seed in range(3):
         a, y = coupled_data(seed)
         replacement_omp(y, a, COUPLED[family], SelectorConfig(k=8))
-    assert len(winners) == 24 and sum(rep is not None for rep in winners) >= 12
+    assert len(winners) == 24 and sum(move is not None for move in winners) >= 12
+
+
+TWO_CATEGORIES = PartitionMatroid((((frozenset(range(16)), 2), (frozenset(range(16, 32)), 2)),) * 12)
+
+# Atoms and supports, in order, of replacement_omp with k = 8 on coupled_data,
+# as recorded before the coupled families moved to the padded support arrays.
+PINNED_COUPLED_OUTPUTS = {
+    ("average", 0): (
+        (3, 26, 0, 12, 5, 2, 4, 1),
+        ((3,), (26,), (26, 12, 5), (0, 2), (), (0, 2), (3, 26), (0, 12), (3,), (26,), (3, 0, 5), (12, 4)),
+    ),
+    ("average", 1): (
+        (8, 30, 31, 7, 0, 18, 12, 20),
+        ((8, 30, 31), (8, 12), (30, 31, 0), (31,), (31,), (0,), (30, 7), (), (30,), (7,), (8, 30, 18), (8, 30)),
+    ),
+    ("block", 0): (
+        (3, 26, 0, 20, 1, 21, 5, 17),
+        ((3, 26, 0),) * 4 + ((26, 0, 20),) * 4 + ((3, 26, 0),) * 4,
+    ),
+    ("block", 1): (
+        (8, 30, 31, 21, 27, 20, 4, 23),
+        ((8, 30, 31),) * 4 + ((31, 21, 27),) * 4 + ((8, 30, 21),) * 4,
+    ),
+    ("matroid", 0): (
+        (3, 26, 0, 20, 12, 21, 2, 31),
+        (
+            (3, 20, 12, 21), (3, 26, 0, 31), (3, 26, 20, 12), (26, 0, 2, 31), (0, 20, 21, 2), (0, 21, 2, 31),
+            (3, 26, 0, 20), (0, 20, 12, 21), (3, 0, 20, 21), (26, 0, 12, 31), (3, 0, 20, 21), (3, 26, 20, 12),
+        ),
+    ),
+    ("matroid", 1): (
+        (8, 30, 31, 4, 21, 0, 13, 23),
+        (
+            (8, 30, 31, 4), (8, 31, 21, 13), (30, 31, 4, 0), (8, 31, 4, 21), (31, 4, 21, 0), (31, 0, 13, 23),
+            (8, 30, 4, 21), (30, 4, 13, 23), (30, 4, 21, 0), (30, 4, 0, 23), (8, 30, 31, 4), (8, 30, 4, 21),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("family, seed", PINNED_COUPLED_OUTPUTS)
+def test_coupled_romp_outputs_stay_pinned(family, seed):
+    # A change to these outputs is a change of selection behaviour, made on purpose or not.
+    constraint = COUPLED.get(family, TWO_CATEGORIES)
+    a, y = coupled_data(seed)
+    state = replacement_omp(y, a, constraint, SelectorConfig(k=8))
+    atoms, supports = PINNED_COUPLED_OUTPUTS[family, seed]
+    assert tuple(state.atoms) == atoms
+    assert tuple(map(tuple, state.supports)) == supports
 
 
 @pytest.mark.parametrize(

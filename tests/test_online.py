@@ -382,3 +382,31 @@ def test_online_round_rejects_data_of_another_dimension():
     with pytest.raises(DimensionMismatch):
         online_round(state, np.ones(15), gs)
     assert state.rounds == 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_online_round_rejects_nonfinite_data(method, bad):
+    # The data are named before any gain reaches the hedge update, and the
+    # rejected round leaves the round count, the ledger and the bank as they were.
+    rng = np.random.default_rng(19)
+    gs = dct2_basis(4)
+    state = online_state(method, gs, k=3, s=2, horizon=5, seed=12)
+    online_round(state, rng.standard_normal(16), gs)
+    before = copy.deepcopy(state)
+    y = rng.standard_normal(16)
+    y[5] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        online_round(state, y, gs)
+    assert state.rounds == before.rounds == 1
+    assert state.gain_bound == before.gain_bound
+    ledger, kept = state.ledger, before.ledger
+    assert (ledger.player_gains, ledger.dictionaries, ledger.supports) == (
+        kept.player_gains,
+        kept.dictionaries,
+        kept.supports,
+    )
+    assert np.array_equal(ledger.expert_choice_gains, kept.expert_choice_gains)
+    assert np.array_equal(state.bank.log_weights, before.bank.log_weights)
+    assert np.array_equal(state.bank.cumulative_gains, before.bank.cumulative_gains)
+    assert [e.next_choice for e in state.experts] == [e.next_choice for e in before.experts]

@@ -238,21 +238,16 @@ class ExperimentConfig:
             name = method.get("name")
             if name not in OFFLINE_METHODS:
                 raise ParseError(f"methods[{i}].name: unknown method {name!r}")
-            k = method.get("k")
-            if not isinstance(k, int) or k < 1:
-                raise ParseError(f"methods[{i}].k: positive integer required")
+            _check_int(method.get("k"), f"methods[{i}].k", 1)
             _check_smoothness(method, f"methods[{i}]")
-        trials = doc.get("trials", 1)
-        if not isinstance(trials, int) or trials < 1:
-            raise ParseError("trials: positive integer required")
         return ExperimentConfig(
             ground_set=doc["ground_set"],
             train=doc["train"],
             constraint=doc["constraint"],
             methods=methods,
             test=doc.get("test"),
-            trials=trials,
-            seed=int(doc.get("seed", 0)),
+            trials=_check_int(doc.get("trials", 1), "trials", 1),
+            seed=_seed(doc),
         )
 
     def to_dict(self) -> dict:
@@ -278,6 +273,22 @@ def _check_smoothness(section: dict, key: str) -> None:
             raise ParseError(f"{key}.smoothness: {exc}") from exc
 
 
+def _check_int(value, key: str, minimum: int) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``minimum``, else a ParseError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ParseError(f"{key}: integer >= {minimum} required, got {value!r}")
+    return value
+
+
+def _seed(doc: dict, override: int | None = None) -> int:
+    """The run seed: ``override`` (``--seed``) if given, else the config's ``seed`` (default 0).
+
+    Both must be nonnegative integers; the config's is checked either way.
+    """
+    seed = _check_int(doc.get("seed", 0), "seed", 0)
+    return seed if override is None else _check_int(override, "--seed", 0)
+
+
 def _require(doc, key, kind):
     if key not in doc:
         raise ParseError(f"{key}: missing required field")
@@ -293,7 +304,9 @@ def build_ground_set(cfg: dict) -> GroundSet:
             raise ParseError("ground_set: 'load' excludes 'bases' and 'csv_blocks'")
         return data_io.load_ground_set(cfg["load"])
     blocks = []
-    for i, basis in enumerate(cfg.get("bases", [])):
+    for i, basis in enumerate(_optional_list(cfg, "bases")):
+        if not isinstance(basis, dict):
+            raise ParseError(f"ground_set.bases[{i}]: expected an object")
         name = basis.get("name")
         side = basis.get("side", 8)
         if name == "dct2":
@@ -302,21 +315,26 @@ def build_ground_set(cfg: dict) -> GroundSet:
             blocks.append((f"haar2:{side}", haar2_basis(side)))
         else:
             raise ParseError(f"ground_set.bases[{i}].name: unknown basis {name!r}")
-    for path in cfg.get("csv_blocks", []):
+    for path in _optional_list(cfg, "csv_blocks"):
         blocks.append((Path(path).stem, load_atom_block(path)))
     if not blocks:
         raise ParseError("ground_set: no bases or csv_blocks given")
     return assemble(blocks)
 
 
+def _optional_list(cfg: dict, key: str) -> list:
+    """The list ``cfg[key]`` of a ground-set config, empty when absent."""
+    value = cfg.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"ground_set.{key}: expected list")
+    return value
+
+
 def _dataset_int(cfg: dict, key: str, minimum: int) -> int:
     """The integer ``cfg[key]`` of a dataset config, at least ``minimum``."""
     if key not in cfg:
         raise ParseError(f"dataset.{key}: missing required field")
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ParseError(f"dataset.{key}: integer >= {minimum} required, got {value!r}")
-    return value
+    return _check_int(cfg[key], f"dataset.{key}", minimum)
 
 
 def _synthetic_sizes(cfg: dict, n: int) -> tuple[int, int, int]:
@@ -546,12 +564,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _load_config_doc(path) -> dict:
+    """The JSON object in ``path``; a missing file, bad JSON or any other JSON value is a ParseError."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _emit(text: str, out: str | None):
@@ -564,8 +586,7 @@ def _emit(text: str, out: str | None):
 def _cmd_select(args) -> int:
     doc = _load_config_doc(args.config)
     config = ExperimentConfig.from_dict(doc)
-    if args.seed is not None:
-        config.seed = args.seed
+    config.seed = _seed(doc, args.seed)
     methods = [m for m in config.methods if args.method in (None, m["name"])]
     if not methods:
         raise ParseError(f"--method: {args.method!r} not present in config")
@@ -580,9 +601,9 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = ExperimentConfig.from_dict(_load_config_doc(args.config))
-    if args.seed is not None:
-        config.seed = args.seed
+    doc = _load_config_doc(args.config)
+    config = ExperimentConfig.from_dict(doc)
+    config.seed = _seed(doc, args.seed)
     result = run_experiment(config)
     if args.out:
         base = Path(args.out)
@@ -605,16 +626,16 @@ def _cmd_online(args) -> int:
     for key in ("k", "s"):
         if key not in online_cfg:
             raise ParseError(f"online.{key}: missing required field")
-    k, s = online_cfg["k"], online_cfg["s"]
-    if not (isinstance(k, int) and isinstance(s, int) and 1 <= s <= k):
-        raise ParseError(f"online: need integers 1 <= s <= k, got s = {s!r} and k = {k!r}")
+    k, s = _check_int(online_cfg["k"], "online.k", 1), _check_int(online_cfg["s"], "online.s", 1)
+    if s > k:
+        raise ParseError(f"online: need s <= k, got s = {s} and k = {k}")
     _check_smoothness(online_cfg, "online")
     ground_set = build_ground_set(_require(doc, "ground_set", dict))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = _seed(doc, args.seed)
     stream = build_dataset(_require(doc, "train", dict), ground_set, [seed, 0])
     horizon = online_cfg.get("horizon", stream.num_points)
-    if horizon is not None and (isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1):
-        raise ParseError(f"online.horizon: positive integer or null required, got {horizon!r}")
+    if horizon is not None:
+        _check_int(horizon, "online.horizon", 1)
     state = online_state(
         method,
         ground_set,
@@ -647,11 +668,11 @@ def _cmd_online(args) -> int:
 def _cmd_oracle(args) -> int:
     doc = _load_config_doc(args.config)
     ground_set = build_ground_set(_require(doc, "ground_set", dict))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = _seed(doc, args.seed)
     data = build_dataset(_require(doc, "train", dict), ground_set, [seed, 0])
     constraint = build_constraint(_require(doc, "constraint", dict), data.num_points)
     k = doc.get("k")
-    if not isinstance(k, int) or not 1 <= k <= ground_set.n:
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= ground_set.n:
         raise ParseError(f"k: integer in 1..{ground_set.n} required")
     value, atoms, supports = brute_force_optimum(data, ground_set, constraint, k)
     _emit(

@@ -19,11 +19,12 @@ These are the Batch-OMP identities (Rubinstein, Zibulevsky and Elad,
 Technion CS-2008-08); online rounds evaluate the same expressions
 (``_regain``, ``_swap_rows``) on one point's support, with G from
 ``gram_matrix``.  One thin orthogonal factorization A_Z = Q R per support
-(``SupportFactorization``, ``factor_insert``, ``factor_remove``) gives the
-same gains with c = R^-1 Q^T A (``addition_gains``, ``swap_gains``); it is
-the reference path the tests audit.  The module also provides the
-ground-set conditioning measures used to set smoothness parameters:
-coherence and restricted extremal singular values.
+(``SupportFactorization``, ``factor_insert``, ``factor_remove``) is the
+reference path behind ``ls_solve``; the same gains with c = R^-1 Q^T A
+(``addition_gains``, ``swap_gains``) are test oracles, in
+``tests/oracles.py``.  The module also provides the ground-set
+conditioning measures used to set smoothness parameters: coherence and
+restricted extremal singular values.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .errors import DimensionMismatch, RankDeficient, TooLarge
 from .groundset import require_unit_norm
@@ -104,6 +104,9 @@ class SupportFactorization:
         """Solve R x = Q^T y, given Q^T y; the array is overwritten."""
         if not (np.isfinite(self.r).all() and np.isfinite(qty).all()):
             raise ValueError("array must not contain infs or NaNs")
+        # Imported here so that only this reference path loads scipy.
+        from scipy.linalg.lapack import dtrtrs
+
         # R^T is a lower-triangular Fortran view of the C-ordered R: this is
         # the LAPACK call scipy's solve_triangular makes, minus its wrapper.
         x, info = dtrtrs(self.r.T, qty, lower=1, trans=1, overwrite_b=1)
@@ -184,49 +187,9 @@ def factor_remove(state: SupportFactorization, position: int) -> SupportFactoriz
     )
 
 
-def addition_gains(ground_set, state: SupportFactorization, r: np.ndarray) -> np.ndarray:
-    """Exact gains f(Z + b) - f(Z) of every atom b; atoms of Z or its span gain 0.
-
-    ``r`` is the residual on the support Z that ``state`` factors; with Q
-    its basis, adding b gains <b, r>^2 / (2 * (1 - ||Q^T b||^2)).
-    """
-    a = atom_matrix(ground_set)
-    gains = _regain((a.T @ r) ** 2, 1.0 - np.sum((state.q.T @ a) ** 2, axis=0))
-    gains[list(state.columns)] = 0.0
-    return gains
-
-
 def _regain(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / (2 * den), and 0 where den (the squared distance to the span) is below _DENOM_TOL."""
     return np.where(den > _DENOM_TOL, num / (2.0 * np.maximum(den, _DENOM_TOL)), 0.0)
-
-
-def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.ndarray, positions) -> np.ndarray:
-    """Exact gains f(Z - z_j + b) - f(Z) of every atom b, one row per j in ``positions``.
-
-    ``r`` is the residual of ``y`` on Z.  Removing z_j moves the residual
-    to r + (w_j / gamma_j) * Q Rinv[j]^T, whose regain of b follows the
-    addition formula on Z - z_j:
-
-        (<b, r> + (w_j / gamma_j) * c_jb)^2 / (2 * den_jb) - w_j^2 / (2 * gamma_j)
-
-    with Rinv = R^-1, gamma_j = ||Rinv[j]||^2, w = Rinv Q^T y,
-    c = Rinv Q^T A and den_jb = 1 - ||Q^T b||^2 + c_jb^2 / gamma_j.  Atoms
-    closer than _DENOM_TOL (squared) to span(Z - z_j) regain nothing, and
-    atoms of Z gain 0.
-    """
-    a = atom_matrix(ground_set)
-    positions = list(positions)
-    rinv, info = dtrtri(state.r.T, lower=1)  # (R^T)^-1 = (R^-1)^T
-    if info:
-        raise np.linalg.LinAlgError(f"triangular inverse failed (LAPACK info {info})")
-    rinv = rinv.T[positions]
-    qta = state.q.T @ a
-    gamma = np.sum(rinv**2, axis=1)[:, None]
-    w = (rinv @ (state.q.T @ y))[:, None]
-    rows = _swap_rows(a.T @ r, w, gamma, rinv @ qta, 1.0 - np.sum(qta**2, axis=0))
-    rows[:, list(state.columns)] = 0.0
-    return rows
 
 
 def _swap_rows(grad, w, gamma, c, dist):
@@ -421,10 +384,10 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
 def gram_gains(fit: GramFit, points) -> tuple[np.ndarray, np.ndarray]:
     """Exact addition gains (P, n) and swap gains (P, m, n) of ``points``, which all hold m atoms.
 
-    The gains of :func:`addition_gains` and :func:`swap_gains` in Gram
-    form, for unit-norm atoms: c = G_ZZ^-1 G[Z, :], gamma_j = (G_ZZ^-1)_jj
-    and 1 - ||Q^T b||^2 = 1 - G[Z, b] . c_b.  Entries of atoms in a
-    support are not zeroed.
+    The gains of the QR forms ``addition_gains`` and ``swap_gains`` (test
+    oracles) in Gram form, for unit-norm atoms: c = G_ZZ^-1 G[Z, :],
+    gamma_j = (G_ZZ^-1)_jj and 1 - ||Q^T b||^2 = 1 - G[Z, b] . c_b.
+    Entries of atoms in a support are not zeroed.
     """
     points = np.asarray(points, dtype=int)
     m = int(fit.size[points[0]])

@@ -1,14 +1,17 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here except ``online_round_reference`` and the two per-atom
-searches deliberately avoids the library's incremental code paths: least
-squares go through numpy's dense solvers and optima come from exhaustive
-enumeration.  The online round is kept in its thin-QR form, fed expert by
-expert, as the reference for the Gram-form round.  The coupled families'
-replacements are searched one atom at a time over support lists
-(``block_search_reference``, and ``average_search_reference`` through
-``solve_exchange``), as the reference for the padded-array tables and
-moves of ``constraints.coupled_step``.
+Everything here except ``online_round_reference``, the QR gain forms and
+the two per-atom searches deliberately avoids the library's incremental
+code paths: least squares go through numpy's dense solvers and optima
+come from exhaustive enumeration.  The online round is kept in its
+thin-QR form, fed expert by expert, as the reference for the Gram-form
+round, together with the QR forms of the exact addition and swap gains
+(``addition_gains``, ``swap_gains``) that ``linalg.gram_gains`` computes
+in Gram form.  The coupled families' replacements are searched one atom
+at a time over support lists (``block_search_reference``, and
+``average_search_reference`` through ``solve_exchange``), as the
+reference for the padded-array tables and moves of
+``constraints.coupled_step``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from dictsel.constraints import ExchangeInstance, Replacement, cheapest_removal, solve_exchange
 from dictsel.errors import RankDeficient
-from dictsel.linalg import addition_gains, atom_matrix, empty_factorization, factor_insert, factor_remove
-from dictsel.linalg import swap_gains
+from dictsel.linalg import SupportFactorization, _regain, _swap_rows, atom_matrix, empty_factorization
+from dictsel.linalg import factor_insert, factor_remove
 from dictsel.online import hedge_step
 
 
@@ -212,6 +216,46 @@ def omp_reference(dictionary, y, s):
         support.append(best)
         _, resid = lstsq_fit(dictionary, support, y)
     return support, float(resid @ resid)
+
+
+def addition_gains(ground_set, state: SupportFactorization, r: np.ndarray) -> np.ndarray:
+    """Exact gains f(Z + b) - f(Z) of every atom b; atoms of Z or its span gain 0.
+
+    ``r`` is the residual on the support Z that ``state`` factors; with Q
+    its basis, adding b gains <b, r>^2 / (2 * (1 - ||Q^T b||^2)).
+    """
+    a = atom_matrix(ground_set)
+    gains = _regain((a.T @ r) ** 2, 1.0 - np.sum((state.q.T @ a) ** 2, axis=0))
+    gains[list(state.columns)] = 0.0
+    return gains
+
+
+def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.ndarray, positions) -> np.ndarray:
+    """Exact gains f(Z - z_j + b) - f(Z) of every atom b, one row per j in ``positions``.
+
+    ``r`` is the residual of ``y`` on Z.  Removing z_j moves the residual
+    to r + (w_j / gamma_j) * Q Rinv[j]^T, whose regain of b follows the
+    addition formula on Z - z_j:
+
+        (<b, r> + (w_j / gamma_j) * c_jb)^2 / (2 * den_jb) - w_j^2 / (2 * gamma_j)
+
+    with Rinv = R^-1, gamma_j = ||Rinv[j]||^2, w = Rinv Q^T y,
+    c = Rinv Q^T A and den_jb = 1 - ||Q^T b||^2 + c_jb^2 / gamma_j.  Atoms
+    closer than ``linalg._DENOM_TOL`` (squared) to span(Z - z_j) regain
+    nothing, and atoms of Z gain 0.
+    """
+    a = atom_matrix(ground_set)
+    positions = list(positions)
+    rinv, info = dtrtri(state.r.T, lower=1)  # (R^T)^-1 = (R^-1)^T
+    if info:
+        raise np.linalg.LinAlgError(f"triangular inverse failed (LAPACK info {info})")
+    rinv = rinv.T[positions]
+    qta = state.q.T @ a
+    gamma = np.sum(rinv**2, axis=1)[:, None]
+    w = (rinv @ (state.q.T @ y))[:, None]
+    rows = _swap_rows(a.T @ r, w, gamma, rinv @ qta, 1.0 - np.sum(qta**2, axis=0))
+    rows[:, list(state.columns)] = 0.0
+    return rows
 
 
 def online_round_reference(state, y_t, ground_set):

@@ -20,6 +20,7 @@ from dictsel.cli import (
 from dictsel.data_io import Dataset, save_dataset, synth_dataset
 from dictsel.errors import ParseError, TooLarge
 from dictsel.offline import SelectorConfig, replacement_omp
+from dictsel.online import online_round, online_state
 
 from conftest import random_unit_atoms
 from oracles import f_value
@@ -247,6 +248,7 @@ def test_block_caps_must_cover_every_point(tmp_path):
     "section, field, value",
     [
         ("methods", "k", 17),  # the dct2 4x4 ground set has n = 16 atoms
+        ("methods", "k", True),
         ("train", "s", "abc"),
         ("train", "T", -1),
         ("train", "k_planted", 17),
@@ -281,7 +283,9 @@ def test_malformed_smoothness_is_a_config_error(tmp_path, capsys, command, value
     [
         ("online", {"online": {"method": "online_replacement_omp", "k": 2, "s": 3}}),
         ("online", {"online": {"method": "online_replacement_omp", "k": 3, "s": 2, "horizon": "abc"}}),
+        ("online", {"online": {"method": "online_replacement_omp", "k": True, "s": True}}),
         ("oracle", {"constraint": {"family": "individual", "s": 2}, "k": 17}),
+        ("oracle", {"constraint": {"family": "individual", "s": 2}, "k": True}),
     ],
 )
 def test_online_and_oracle_values_are_config_errors(tmp_path, command, doc):
@@ -289,6 +293,102 @@ def test_online_and_oracle_values_are_config_errors(tmp_path, command, doc):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
     assert main([command, "--config", str(cfg_path)]) == 2
+
+
+def every_command_config(seed=None):
+    """A config that select, bench, online and oracle all accept, with ``seed`` (absent if None)."""
+    doc = base_config(trials=1, methods=[{"name": "replacement_omp", "k": 3}])
+    doc["train"]["T"] = 4
+    doc["online"] = {"method": "online_replacement_omp", "k": 3, "s": 2}
+    doc["k"] = 2
+    del doc["seed"]
+    if seed is not None:
+        doc["seed"] = seed
+    return doc
+
+
+def run_cli(tmp_path, capsys, command, doc, *flags):
+    """Exit code, stdout and stderr of one CLI call on the config ``doc``."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main([command, "--config", str(cfg_path), *flags])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_config_error(code, err, field):
+    assert code == 2
+    assert err.startswith("config error:") and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["select", "bench", "online", "oracle"])
+@pytest.mark.parametrize(
+    "seed, flags", [("abc", ()), ([1], ()), (-1, ()), (1.5, ()), (True, ()), (0, ("--seed", "-1"))]
+)
+def test_malformed_seed_is_a_config_error(tmp_path, capsys, command, seed, flags):
+    code, _, err = run_cli(tmp_path, capsys, command, every_command_config(seed), *flags)
+    assert_config_error(code, err, "seed")
+
+
+@pytest.mark.parametrize("command", ["select", "bench", "online", "oracle", "groundset"])
+@pytest.mark.parametrize("doc", [[every_command_config()], "config", 3, None])
+def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, command, doc):
+    code, _, err = run_cli(tmp_path, capsys, command, doc)
+    assert_config_error(code, err, "expected a JSON object")
+
+
+@pytest.mark.parametrize("command", ["select", "bench", "online", "oracle", "groundset"])
+@pytest.mark.parametrize(
+    "bases, field", [([1], "bases[0]"), ([{"name": "dct2", "side": 4}, "haar2"], "bases[1]"), (5, "bases")]
+)
+def test_malformed_bases_are_config_errors(tmp_path, capsys, command, bases, field):
+    doc = every_command_config()
+    doc["ground_set"] = {"bases": bases}
+    code, _, err = run_cli(tmp_path, capsys, command, doc)
+    assert_config_error(code, err, field)
+
+
+def seeded_values(command, out):
+    """The seed-dependent numbers of one command's stdout, without wall times."""
+    if command == "select":
+        rows = [json.loads(out)["row"]]
+    elif command == "bench":
+        rows = json.loads(out)["rows"]
+    elif command == "online":
+        return [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    else:
+        payload = json.loads(out)
+        return [payload["optimum"], payload["atoms"], payload["supports"]]
+    return [{key: value for key, value in row.items() if key != "seconds"} for row in rows]
+
+
+def library_values(command, doc, seed):
+    """``seeded_values`` of a command, computed by the library calls it makes with ``seed``."""
+    ground_set = build_ground_set(doc["ground_set"])
+    if command in ("select", "bench"):
+        config = ExperimentConfig(doc["ground_set"], doc["train"], doc["constraint"], doc["methods"], seed=seed)
+        return [{key: value for key, value in row.to_dict().items() if key != "seconds"}
+                for row in run_experiment(config).rows]
+    data = build_dataset(doc["train"], ground_set, [seed, 0])
+    if command == "online":
+        online = doc["online"]
+        state = online_state(online["method"], ground_set, online["k"], online["s"], horizon=data.num_points, seed=seed)
+        for t in range(data.num_points):
+            online_round(state, data.matrix[:, t], ground_set)
+        return list(state.ledger.player_gains)
+    constraint = build_constraint(doc["constraint"], data.num_points)
+    value, atoms, supports = brute_force_optimum(data, ground_set, constraint, doc["k"])
+    return json.loads(json.dumps([value, list(atoms), supports]))
+
+
+@pytest.mark.parametrize("command", ["select", "bench", "online", "oracle"])
+@pytest.mark.parametrize("seed, flags, used", [(None, (), 0), (0, (), 0), (7, (), 7), (7, ("--seed", "3"), 3)])
+def test_valid_seeds_drive_every_command(tmp_path, capsys, command, seed, flags, used):
+    doc = every_command_config(seed)
+    code, out, err = run_cli(tmp_path, capsys, command, doc, *flags)
+    assert code == 0, err
+    assert seeded_values(command, out) == library_values(command, doc, used)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

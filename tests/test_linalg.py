@@ -18,11 +18,10 @@ from dictsel.constraints import IndividualSparsity
 from dictsel.errors import DimensionMismatch, InvalidGroundSet, RankDeficient, TooLarge
 from dictsel.encoders import omp_codes, utility, utility_gradient
 from dictsel.offline import SelectorConfig, replacement_greedy, replacement_omp
-from dictsel.linalg import SupportFactorization, addition_gains, gram_fit, gram_gains, gram_matrix, gram_update
-from dictsel.linalg import swap_gains
+from dictsel.linalg import SupportFactorization, gram_fit, gram_gains, gram_matrix, gram_update
 
 from conftest import random_unit_atoms
-from oracles import lstsq_fit
+from oracles import addition_gains, lstsq_fit, swap_gains
 
 
 def factorization_defects(fact, atoms):

@@ -283,8 +283,8 @@ def test_malformed_smoothness_is_a_config_error(tmp_path, capsys, command, value
     [
         ("online", {"online": {"method": "online_replacement_omp", "k": 2, "s": 3}}),
         ("online", {"online": {"method": "online_replacement_omp", "k": 3, "s": 2, "horizon": "abc"}}),
-        ("online", {"online": {"method": "online_replacement_omp", "k": True, "s": True}}),
         ("oracle", {"constraint": {"family": "individual", "s": 2}, "k": 17}),
+        ("online", {"online": {"method": "online_replacement_omp", "k": True, "s": True}}),
         ("oracle", {"constraint": {"family": "individual", "s": 2}, "k": True}),
     ],
 )

@@ -34,9 +34,9 @@ from .constraints import (
     require_feasible,
 )
 from .encoders import omp_codes
-from .errors import DictselError, ParseError, TooLarge
+from .errors import DictselError, InvalidSide, ParseError, TooLarge
 from .groundset import GroundSet, assemble, dct2_basis, haar2_basis, load_atom_block
-from .linalg import atom_matrix, coherence, resolve_smoothness
+from .linalg import atom_matrix, coherence
 from .offline import SelectorConfig, modular_greedy, replacement_greedy, replacement_omp
 from .online import METHODS as ONLINE_METHODS
 from .online import expert_hindsight_regrets, online_round, online_state
@@ -211,6 +211,54 @@ def _average_supports(a, y, constraint, dictionary):
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
+_MISSING = object()
+_KINDS = {int: "integer", float: "finite positive number", str: "string", list: "list", dict: "object"}
+_BASES = {"dct2": dct2_basis, "haar2": haar2_basis}
+
+
+def _check(value, name: str, kind=int, low=None, high=None):
+    """``value`` if it is a ``kind`` in ``low..high``, else a ParseError naming ``name``.
+
+    An int is never a bool or a float, a float is finite and positive (an
+    int included), and a string holds no NUL, so any string may name a file.
+    """
+    if kind is float:
+        ok = (isinstance(value, int) or isinstance(value, float) and math.isfinite(value)) and value > 0
+    else:
+        ok = isinstance(value, kind) and (low is None or low <= value) and (high is None or value <= high)
+    if isinstance(value, bool) or not ok or kind is str and "\0" in value:
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+        raise ParseError(f"{name}: {_KINDS[kind]}{bounds} required, got {value!r}")
+    return value
+
+
+def _field(section: dict, key: str, where: str = "", kind=int, low=None, high=None, default=_MISSING):
+    """``section[key]`` checked by ``_check`` as ``where.key``; ``default`` if absent (or null, for a None default)."""
+    name = f"{where}.{key}" if where else key
+    if key not in section or section[key] is None and default is None:
+        if default is _MISSING:
+            raise ParseError(f"{name}: missing required field")
+        return default
+    return _check(section[key], name, kind, low, high)
+
+
+def _choice(section: dict, key: str, where: str, options) -> str:
+    """The string ``section[key]``, which must be one of ``options``."""
+    value = _field(section, key, where, str)
+    if value not in options:
+        raise ParseError(f"{where}.{key}: {value!r} is not one of {', '.join(options)}")
+    return value
+
+
+def _ints(value, name: str, low=0, high=None) -> tuple[int, ...]:
+    """The list ``value`` of integers in ``low..high`` as a tuple; item i is named ``name[i]``."""
+    return tuple(_check(item, f"{name}[{i}]", int, low, high) for i, item in enumerate(_check(value, name, list)))
+
+
+def _dictionary_size(section: dict, where: str, n: int) -> int:
+    """The ``k`` of a method, the online section or the oracle: 1 <= k <= n, the ground set's atom count."""
+    return _field(section, "k", where, low=1, high=n)
+
 
 @dataclass
 class ExperimentConfig:
@@ -226,27 +274,21 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        _require(doc, "ground_set", dict)
-        _require(doc, "train", dict)
-        _require(doc, "constraint", dict)
-        methods = _require(doc, "methods", list)
+        """The checked sections of a config; each method's ``k`` is checked by ``run_experiment``."""
+        sections = {key: _field(doc, key, kind=dict) for key in ("ground_set", "train", "constraint")}
+        methods = _field(doc, "methods", kind=list)
         if not methods:
             raise ParseError("methods: at least one method required")
         for i, method in enumerate(methods):
-            if not isinstance(method, dict):
-                raise ParseError(f"methods[{i}]: expected an object")
-            name = method.get("name")
-            if name not in OFFLINE_METHODS:
-                raise ParseError(f"methods[{i}].name: unknown method {name!r}")
-            _check_int(method.get("k"), f"methods[{i}].k", 1)
-            _check_smoothness(method, f"methods[{i}]")
+            where = f"methods[{i}]"
+            _choice(_check(method, where, dict), "name", where, OFFLINE_METHODS)
+            _field(method, "s", where, low=0, default=None)
+            _field(method, "smoothness", where, float, default=None)
         return ExperimentConfig(
-            ground_set=doc["ground_set"],
-            train=doc["train"],
-            constraint=doc["constraint"],
+            **sections,
             methods=methods,
-            test=doc.get("test"),
-            trials=_check_int(doc.get("trials", 1), "trials", 1),
+            test=_field(doc, "test", kind=dict, default=None),
+            trials=_field(doc, "trials", low=1, default=1),
             seed=_seed(doc),
         )
 
@@ -264,37 +306,13 @@ class ExperimentConfig:
         return out
 
 
-def _check_smoothness(section: dict, key: str) -> None:
-    """A ParseError unless the section's optional ``smoothness`` is a finite positive number."""
-    if section.get("smoothness") is not None:
-        try:
-            resolve_smoothness(None, section["smoothness"])
-        except ValueError as exc:
-            raise ParseError(f"{key}.smoothness: {exc}") from exc
-
-
-def _check_int(value, key: str, minimum: int) -> int:
-    """``value`` if it is an integer (not a bool) of at least ``minimum``, else a ParseError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ParseError(f"{key}: integer >= {minimum} required, got {value!r}")
-    return value
-
-
 def _seed(doc: dict, override: int | None = None) -> int:
     """The run seed: ``override`` (``--seed``) if given, else the config's ``seed`` (default 0).
 
     Both must be nonnegative integers; the config's is checked either way.
     """
-    seed = _check_int(doc.get("seed", 0), "seed", 0)
-    return seed if override is None else _check_int(override, "--seed", 0)
-
-
-def _require(doc, key, kind):
-    if key not in doc:
-        raise ParseError(f"{key}: missing required field")
-    if not isinstance(doc[key], kind):
-        raise ParseError(f"{key}: expected {kind.__name__}")
-    return doc[key]
+    seed = _field(doc, "seed", low=0, default=0)
+    return seed if override is None else _check(override, "--seed", low=0)
 
 
 def build_ground_set(cfg: dict) -> GroundSet:
@@ -302,119 +320,90 @@ def build_ground_set(cfg: dict) -> GroundSet:
     if "load" in cfg:
         if "bases" in cfg or "csv_blocks" in cfg:
             raise ParseError("ground_set: 'load' excludes 'bases' and 'csv_blocks'")
-        return data_io.load_ground_set(cfg["load"])
+        return data_io.load_ground_set(_field(cfg, "load", "ground_set", str))
     blocks = []
-    for i, basis in enumerate(_optional_list(cfg, "bases")):
-        if not isinstance(basis, dict):
-            raise ParseError(f"ground_set.bases[{i}]: expected an object")
-        name = basis.get("name")
-        side = basis.get("side", 8)
-        if name == "dct2":
-            blocks.append((f"dct2:{side}", dct2_basis(side)))
-        elif name == "haar2":
-            blocks.append((f"haar2:{side}", haar2_basis(side)))
-        else:
-            raise ParseError(f"ground_set.bases[{i}].name: unknown basis {name!r}")
-    for path in _optional_list(cfg, "csv_blocks"):
+    for i, basis in enumerate(_field(cfg, "bases", "ground_set", list, default=[])):
+        where = f"ground_set.bases[{i}]"
+        name = _choice(_check(basis, where, dict), "name", where, tuple(_BASES))
+        side = _field(basis, "side", where, low=2, default=8)
+        try:
+            blocks.append((f"{name}:{side}", _BASES[name](side)))
+        except InvalidSide as exc:  # a haar2 side that is not a power of two
+            raise ParseError(f"{where}.side: {exc}") from exc
+    for i, path in enumerate(_field(cfg, "csv_blocks", "ground_set", list, default=[])):
+        path = _check(path, f"ground_set.csv_blocks[{i}]", str)
         blocks.append((Path(path).stem, load_atom_block(path)))
     if not blocks:
         raise ParseError("ground_set: no bases or csv_blocks given")
     return assemble(blocks)
 
 
-def _optional_list(cfg: dict, key: str) -> list:
-    """The list ``cfg[key]`` of a ground-set config, empty when absent."""
-    value = cfg.get(key, [])
-    if not isinstance(value, list):
-        raise ParseError(f"ground_set.{key}: expected list")
-    return value
+def _synthetic_sizes(cfg: dict, n: int, where: str) -> tuple[int, int, int]:
+    """T >= 1, k_planted and s of a synthetic dataset config over ``n`` atoms, with s <= k_planted <= n."""
+    t_count = _field(cfg, "T", where, low=1)
+    k_planted = _field(cfg, "k_planted", where, low=0, high=n)
+    return t_count, k_planted, _field(cfg, "s", where, low=0, high=k_planted)
 
 
-def _dataset_int(cfg: dict, key: str, minimum: int) -> int:
-    """The integer ``cfg[key]`` of a dataset config, at least ``minimum``."""
-    if key not in cfg:
-        raise ParseError(f"dataset.{key}: missing required field")
-    return _check_int(cfg[key], f"dataset.{key}", minimum)
-
-
-def _synthetic_sizes(cfg: dict, n: int) -> tuple[int, int, int]:
-    """T, k_planted and s of a synthetic dataset config over ``n`` atoms."""
-    t_count = _dataset_int(cfg, "T", 1)
-    k_planted = _dataset_int(cfg, "k_planted", 0)
-    s = _dataset_int(cfg, "s", 0)
-    if not s <= k_planted <= n:
-        raise ParseError(f"dataset: need s <= k_planted <= n = {n}, got s = {s} and k_planted = {k_planted}")
-    return t_count, k_planted, s
-
-
-def build_dataset(cfg: dict, ground_set, seed, planted=None) -> data_io.Dataset:
-    kind = cfg.get("kind")
+def build_dataset(cfg: dict, ground_set, seed, planted=None, where: str = "dataset") -> data_io.Dataset:
+    """The dataset of a ``train`` or ``test`` config section; errors name fields as ``where.key``."""
+    kind = _choice(cfg, "kind", where, ("synthetic", "patches", "load"))
     if kind == "synthetic":
-        t_count, k_planted, s = _synthetic_sizes(cfg, atom_matrix(ground_set).shape[1])
+        t_count, k_planted, s = _synthetic_sizes(cfg, atom_matrix(ground_set).shape[1], where)
         return data_io.synth_dataset(ground_set, t_count, k_planted, s, seed, planted=planted)
     if kind == "patches":
-        if "image" not in cfg:
-            raise ParseError("dataset: patches needs 'image' and 'T'")
-        t_count = _dataset_int(cfg, "T", 1)
-        image = data_io.read_pgm(cfg["image"])
-        return data_io.extract_patches(image, t_count, cfg.get("side", 8), seed)
-    if kind == "load":
-        if "path" not in cfg:
-            raise ParseError("dataset.path: missing required field")
-        dataset = data_io.load_dataset(cfg["path"])
-        if not np.isfinite(dataset.matrix).all():
-            raise ParseError(f"dataset.path: {cfg['path']} holds NaN or inf values")
-        return dataset
-    raise ParseError(f"dataset.kind: unknown kind {kind!r}")
+        t_count, side = _field(cfg, "T", where, low=1), _field(cfg, "side", where, low=1, default=8)
+        return data_io.extract_patches(data_io.read_pgm(_field(cfg, "image", where, str)), t_count, side, seed)
+    path = _field(cfg, "path", where, str)
+    dataset = data_io.load_dataset(path)
+    if not np.isfinite(dataset.matrix).all():
+        raise ParseError(f"{where}.path: {path} holds NaN or inf values")
+    return dataset
 
 
-def build_constraint(cfg: dict, t_count: int):
-    """The sparsity family of a constraint config; a malformed value is a ParseError."""
-    try:
-        return _constraint_from(cfg, t_count)
-    except (TypeError, ValueError) as exc:
-        # int() of a non-number, or a family constructor rejecting a value.
-        raise ParseError(f"constraint: {exc}") from exc
-
-
-def _constraint_from(cfg: dict, t_count: int):
-    family = cfg.get("family")
+def build_constraint(cfg: dict, t_count: int, num_atoms: int):
+    """The sparsity family of a constraint config over ``t_count`` points and ``num_atoms`` atoms."""
+    family = _choice(cfg, "family", "constraint", ("individual", "average", "block", "partition_matroid"))
     if family == "individual":
-        if "s" not in cfg:
-            raise ParseError("constraint.s: missing required field")
-        return IndividualSparsity(int(cfg["s"]))
+        return IndividualSparsity(_field(cfg, "s", "constraint", low=0))
     if family == "average":
         s_t = cfg.get("s_t")
-        if s_t is None:
-            raise ParseError("constraint.s_t: missing required field")
-        caps = tuple(s_t) if isinstance(s_t, list) else (int(s_t),) * t_count
+        if not isinstance(s_t, list):  # one cap for every point
+            s_t = [_field(cfg, "s_t", "constraint", low=0)] * t_count
+        caps = _ints(s_t, "constraint.s_t")
         if len(caps) != t_count:
-            raise ParseError("constraint.s_t: length must match T")
-        if "s_prime" in cfg:
-            s_prime = int(cfg["s_prime"])
-        elif "s_prime_per_point" in cfg:
-            s_prime = int(cfg["s_prime_per_point"]) * t_count
-        else:
-            raise ParseError("constraint: need s_prime or s_prime_per_point")
-        return AverageSparsity(caps, s_prime)
+            raise ParseError(f"constraint.s_t: {len(caps)} caps given for T = {t_count} points")
+        if "s_prime_per_point" in cfg and "s_prime" not in cfg:
+            return AverageSparsity(caps, _field(cfg, "s_prime_per_point", "constraint", low=0) * t_count)
+        return AverageSparsity(caps, _field(cfg, "s_prime", "constraint", low=0))
     if family == "block":
-        if "blocks" not in cfg or "caps" not in cfg:
-            raise ParseError("constraint: block needs 'blocks' and 'caps'")
-        blocks = tuple(tuple(int(t) for t in b) for b in cfg["blocks"])
+        blocks = _field(cfg, "blocks", "constraint", list)
+        blocks = tuple(_ints(block, f"constraint.blocks[{i}]") for i, block in enumerate(blocks))
         if sorted(t for b in blocks for t in b) != list(range(t_count)):
             raise ParseError(f"constraint.blocks: blocks must partition the T = {t_count} points")
-        return BlockSparsity(blocks, tuple(int(c) for c in cfg["caps"]))
-    if family == "partition_matroid":
-        if "rules" not in cfg:
-            raise ParseError("constraint.rules: missing required field")
-        rules = tuple(
-            tuple((frozenset(int(x) for x in cat), int(cap)) for cat, cap in rule)
-            for rule in cfg["rules"]
-        )
-        if len(rules) == 1 and t_count > 1:
-            rules = rules * t_count
-        return PartitionMatroid(rules)
-    raise ParseError(f"constraint.family: unknown family {family!r}")
+        caps = _ints(_field(cfg, "caps", "constraint", list), "constraint.caps")
+        if len(caps) != len(blocks):
+            raise ParseError(f"constraint.caps: {len(caps)} caps given for {len(blocks)} blocks")
+        return BlockSparsity(blocks, caps)
+    rules = _field(cfg, "rules", "constraint", list)
+    if len(rules) not in (1, t_count):
+        raise ParseError(f"constraint.rules: 1 or T = {t_count} rules required, got {len(rules)}")
+    rules = tuple(_rule(rule, f"constraint.rules[{t}]", num_atoms) for t, rule in enumerate(rules))
+    try:
+        return PartitionMatroid(rules * t_count if len(rules) == 1 else rules)
+    except ValueError as exc:  # categories of one rule overlap
+        raise ParseError(f"constraint.rules: {exc}") from exc
+
+
+def _rule(rule, name: str, num_atoms: int) -> tuple[tuple[frozenset, int], ...]:
+    """A matroid rule, a list of ``[atoms, cap]`` pairs with atom indices below ``num_atoms``."""
+    pairs = []
+    for j, pair in enumerate(_check(rule, name, list)):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{name}[{j}]: an [atoms, cap] pair required, got {pair!r}")
+        atoms = frozenset(_ints(pair[0], f"{name}[{j}][0]", 0, num_atoms - 1))
+        pairs.append((atoms, _check(pair[1], f"{name}[{j}][1]", low=0)))
+    return tuple(pairs)
 
 
 def run_selector(method: dict, data, ground_set, constraint):
@@ -510,7 +499,7 @@ def _eval_sparsity(constraint, method: dict) -> int:
         return constraint.s
     if isinstance(constraint, AverageSparsity):
         return max(constraint.s_t)
-    return method.get("s", 1)
+    return 1 if method.get("s") is None else method["s"]
 
 
 def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRow]:
@@ -518,15 +507,15 @@ def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRo
     planted = None
     if config.train.get("kind") == "synthetic":
         # Train and test share the planted dictionary within a trial.
-        _, k_planted, _ = _synthetic_sizes(config.train, ground_set.n)
+        _, k_planted, _ = _synthetic_sizes(config.train, ground_set.n, "train")
         planted = np.sort(rng.choice(ground_set.n, size=k_planted, replace=False))
-    train = build_dataset(config.train, ground_set, [config.seed, trial, 0], planted)
-    test_cfg = config.test if config.test is not None else config.train
-    test_planted = planted if test_cfg.get("kind") == "synthetic" else None
-    if test_cfg.get("kind") == "synthetic" and test_cfg.get("k_planted") != config.train.get("k_planted"):
-        test_planted = None
-    test = build_dataset(test_cfg, ground_set, [config.seed, trial, 1], test_planted)
-    constraint = build_constraint(config.constraint, train.num_points)
+    train = build_dataset(config.train, ground_set, [config.seed, trial, 0], planted, "train")
+    test_where = "train" if config.test is None else "test"
+    test_cfg = getattr(config, test_where)
+    same_plant = test_cfg.get("kind") == "synthetic" and test_cfg.get("k_planted") == config.train.get("k_planted")
+    test_planted = planted if same_plant else None
+    test = build_dataset(test_cfg, ground_set, [config.seed, trial, 1], test_planted, test_where)
+    constraint = build_constraint(config.constraint, train.num_points, ground_set.n)
     rows = []
     for method in config.methods:
         state, seconds = run_selector(method, train, ground_set, constraint)
@@ -551,8 +540,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials and methods; rows are collected in trial order."""
     ground_set = build_ground_set(config.ground_set)
     for i, method in enumerate(config.methods):
-        if method["k"] > ground_set.n:
-            raise ParseError(f"methods[{i}].k: {method['k']} exceeds the n = {ground_set.n} atoms")
+        _dictionary_size(method, f"methods[{i}]", ground_set.n)
     result = ExperimentResult(config.to_dict())
     for trial in range(config.trials):
         result.rows.extend(_run_trial(config, ground_set, trial))
@@ -564,12 +552,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _load_config_doc(path) -> dict:
-    """The JSON object in ``path``; a missing file, bad JSON or any other JSON value is a ParseError."""
+    """The JSON object in ``path``; a missing file, bad JSON or UTF-8, or any other JSON value is a ParseError."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -617,34 +605,18 @@ def _cmd_bench(args) -> int:
 
 def _cmd_online(args) -> int:
     doc = _load_config_doc(args.config)
-    online_cfg = doc.get("online")
-    if not isinstance(online_cfg, dict):
-        raise ParseError("online: missing required section")
-    method = online_cfg.get("method")
-    if method not in ONLINE_METHODS:
-        raise ParseError(f"online.method: unknown method {method!r}")
-    for key in ("k", "s"):
-        if key not in online_cfg:
-            raise ParseError(f"online.{key}: missing required field")
-    k, s = _check_int(online_cfg["k"], "online.k", 1), _check_int(online_cfg["s"], "online.s", 1)
-    if s > k:
-        raise ParseError(f"online: need s <= k, got s = {s} and k = {k}")
-    _check_smoothness(online_cfg, "online")
-    ground_set = build_ground_set(_require(doc, "ground_set", dict))
+    online_cfg = _field(doc, "online", kind=dict)
+    method = _choice(online_cfg, "method", "online", ONLINE_METHODS)
+    smoothness = _field(online_cfg, "smoothness", "online", float, default=None)
+    ground_set = build_ground_set(_field(doc, "ground_set", kind=dict))
+    k = _dictionary_size(online_cfg, "online", ground_set.n)
+    s = _field(online_cfg, "s", "online", low=1, high=k)
     seed = _seed(doc, args.seed)
-    stream = build_dataset(_require(doc, "train", dict), ground_set, [seed, 0])
+    stream = build_dataset(_field(doc, "train", kind=dict), ground_set, [seed, 0], where="train")
     horizon = online_cfg.get("horizon", stream.num_points)
-    if horizon is not None:
-        _check_int(horizon, "online.horizon", 1)
-    state = online_state(
-        method,
-        ground_set,
-        k,
-        s,
-        horizon=horizon,
-        seed=seed,
-        smoothness=online_cfg.get("smoothness"),
-    )
+    if horizon is not None:  # null: the horizon is unknown
+        _check(horizon, "online.horizon", low=1)
+    state = online_state(method, ground_set, k, s, horizon=horizon, seed=seed, smoothness=smoothness)
     for t in range(stream.num_points):
         online_round(state, stream.matrix[:, t], ground_set)
     lines = ["round,player_gain,cumulative_player_gain"]
@@ -667,13 +639,11 @@ def _cmd_online(args) -> int:
 
 def _cmd_oracle(args) -> int:
     doc = _load_config_doc(args.config)
-    ground_set = build_ground_set(_require(doc, "ground_set", dict))
+    ground_set = build_ground_set(_field(doc, "ground_set", kind=dict))
     seed = _seed(doc, args.seed)
-    data = build_dataset(_require(doc, "train", dict), ground_set, [seed, 0])
-    constraint = build_constraint(_require(doc, "constraint", dict), data.num_points)
-    k = doc.get("k")
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= ground_set.n:
-        raise ParseError(f"k: integer in 1..{ground_set.n} required")
+    data = build_dataset(_field(doc, "train", kind=dict), ground_set, [seed, 0], where="train")
+    constraint = build_constraint(_field(doc, "constraint", kind=dict), data.num_points, ground_set.n)
+    k = _dictionary_size(doc, "", ground_set.n)
     value, atoms, supports = brute_force_optimum(data, ground_set, constraint, k)
     _emit(
         json.dumps(
@@ -686,7 +656,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_groundset(args) -> int:
     doc = _load_config_doc(args.config)
-    ground_set = build_ground_set(_require(doc, "ground_set", dict))
+    ground_set = build_ground_set(_field(doc, "ground_set", kind=dict))
     info = {
         "d": ground_set.d,
         "n": ground_set.n,

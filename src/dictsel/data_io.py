@@ -10,6 +10,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -98,6 +99,8 @@ def extract_patches(image, num_patches, side=8, seed=0) -> Dataset:
     ``num_patches`` usable tiles exist.
     """
     img = np.asarray(image, dtype=float)
+    if side < 1:
+        raise ValueError(f"side must be positive, got {side}")
     if img.ndim != 2 or min(img.shape) < side:
         raise ValueError(f"image must be 2D with both sides >= {side}")
     rows, cols = img.shape[0] // side, img.shape[1] // side
@@ -145,12 +148,14 @@ def load_matrix(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ParseError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 21:
+        raise ParseError(f"{path}: truncated header ({len(blob)} bytes, 21 expected)")
     version = blob[4]
     if version != _VERSION:
         raise SchemaVersionMismatch(f"{path}: format version {version}, expected {_VERSION}")
     rows, cols = struct.unpack("<qq", blob[5:21])
     data = np.frombuffer(blob[21:], dtype="<f8")
-    if data.size != rows * cols:
+    if min(rows, cols) < 0 or data.size != rows * cols:
         raise ParseError(f"{path}: payload holds {data.size} values, expected {rows * cols}")
     return data.reshape(rows, cols).astype(float)
 
@@ -202,11 +207,9 @@ def load_dataset(path) -> Dataset:
     matrix = load_matrix(path)
     sidecar = _sidecar(path)
     if sidecar.exists():
-        meta = _load_json(sidecar)
-        if meta.get("schema_version") != _SCHEMA_VERSION:
-            raise SchemaVersionMismatch(
-                f"{sidecar}: schema version {meta.get('schema_version')}"
-            )
+        meta = _read_sidecar(sidecar, "provenance", "normalized")
+        if not isinstance(meta["provenance"], dict):
+            raise ParseError(f"{sidecar}: provenance must be a JSON object")
         return Dataset(matrix, meta["provenance"], bool(meta["normalized"]))
     return Dataset(matrix, {"kind": "loaded", "path": str(path)})
 
@@ -226,30 +229,37 @@ def load_ground_set(path):
     matrix = load_matrix(path)
     sidecar = _sidecar(path)
     if sidecar.exists():
-        meta = _load_json(sidecar)
-        if meta.get("schema_version") != _SCHEMA_VERSION:
-            raise SchemaVersionMismatch(
-                f"{sidecar}: schema version {meta.get('schema_version')}"
-            )
-        labels = [(name, int(idx)) for name, idx in meta["labels"]]
-        blocks = []
-        start = 0
-        while start < len(labels):
-            name = labels[start][0]
-            stop = start
-            while stop < len(labels) and labels[stop][0] == name:
-                stop += 1
-            blocks.append((name, matrix[:, start:stop]))
-            start = stop
+        labels = _read_sidecar(sidecar, "labels")["labels"]
+        if not isinstance(labels, list) or len(labels) != matrix.shape[1] or not all(map(_is_label, labels)):
+            raise ParseError(f"{sidecar}: labels must be {matrix.shape[1]} [name, index] pairs, one per column")
+        blocks, start = [], 0
+        for name, run in itertools.groupby(label[0] for label in labels):
+            width = len(list(run))
+            blocks.append((name, matrix[:, start : start + width]))
+            start += width
         return assemble(blocks)
     return assemble([("loaded", matrix)])
 
 
-def _load_json(path):
+def _is_label(label) -> bool:
+    """Whether a sidecar label is a [basis name, integer index] pair."""
+    return isinstance(label, list) and len(label) == 2 and isinstance(label[0], str) and type(label[1]) is int
+
+
+def _read_sidecar(path, *keys) -> dict:
+    """The JSON object of a sidecar file at the current schema version, holding ``keys``."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    if meta.get("schema_version") != _SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"{path}: schema version {meta.get('schema_version')}")
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise ParseError(f"{path}: missing field {', '.join(missing)}")
+    return meta
 
 
 def read_pgm(path) -> np.ndarray:

@@ -1,9 +1,16 @@
+import io
 import itertools
 import json
+import re
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictsel import AverageSparsity, IndividualSparsity, dct2_basis
 from dictsel.cli import (
@@ -17,7 +24,7 @@ from dictsel.cli import (
     residual_variance,
     run_experiment,
 )
-from dictsel.data_io import Dataset, save_dataset, synth_dataset
+from dictsel.data_io import Dataset, save_dataset, save_matrix, synth_dataset
 from dictsel.errors import ParseError, TooLarge
 from dictsel.offline import SelectorConfig, replacement_omp
 from dictsel.online import online_round, online_state
@@ -182,19 +189,19 @@ def test_config_rejects_missing_fields():
 
 
 def test_build_constraint_variants():
-    c = build_constraint({"family": "average", "s_t": 2, "s_prime_per_point": 3}, 4)
+    c = build_constraint({"family": "average", "s_t": 2, "s_prime_per_point": 3}, 4, 16)
     assert isinstance(c, AverageSparsity)
     assert c.s_prime == 12
     with pytest.raises(ParseError, match="family"):
-        build_constraint({"family": "nope"}, 4)
+        build_constraint({"family": "nope"}, 4, 16)
     matroid = build_constraint(
-        {"family": "partition_matroid", "rules": [[[[0, 1, 2], 1], [[3, 4], 2]]]}, 3
+        {"family": "partition_matroid", "rules": [[[[0, 1, 2], 1], [[3, 4], 2]]]}, 3, 16
     )
     assert len(matroid.rules) == 3
     assert matroid.independent(0, [0, 3, 4])
     assert not matroid.independent(0, [0, 1])
     block = build_constraint(
-        {"family": "block", "blocks": [[0, 1], [2, 3]], "caps": [2, 1]}, 4
+        {"family": "block", "blocks": [[0, 1], [2, 3]], "caps": [2, 1]}, 4, 16
     )
     assert block.caps == (2, 1)
 
@@ -234,9 +241,9 @@ def test_block_caps_must_cover_every_point(tmp_path):
     # Blocks over 2 of T = 10 points would leave 8 points unoptimized.
     cfg = {"family": "block", "blocks": [[0], [1]], "caps": [2, 2]}
     with pytest.raises(ParseError, match="partition"):
-        build_constraint(cfg, 10)
+        build_constraint(cfg, 10, 16)
     with pytest.raises(ParseError, match="partition"):
-        build_constraint({"family": "block", "blocks": [[0, 1], [1, 2]], "caps": [2, 2]}, 3)
+        build_constraint({"family": "block", "blocks": [[0, 1], [1, 2]], "caps": [2, 2]}, 3, 16)
     doc = base_config()
     doc["constraint"] = cfg
     cfg_path = tmp_path / "config.json"
@@ -253,18 +260,25 @@ def test_block_caps_must_cover_every_point(tmp_path):
         ("train", "T", -1),
         ("train", "k_planted", 17),
         ("constraint", "s", "abc"),
+        ("methods[1]", "s", "x"),  # methods[1] is modular_greedy
+        ("methods[1]", "s", -1),
+        ("methods[0]", "smoothness", True),
+        ("methods[0]", "smoothness", float("nan")),
+        ("", "test", 5),
+        ("", "trials", 0),
+        ("ground_set", "csv_blocks", [5]),
+        ("constraint", "s", 2.7),
+        ("constraint", "s", True),
+        ("train", "T", 4.0),
+        ("train", "s", 5),  # above k_planted = 4
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, section, field, value):
     doc = base_config()
-    if section == "methods":
-        doc["methods"][0][field] = value
-    else:
-        doc[section][field] = value
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(doc))
-    assert main(["select", "--config", str(cfg_path)]) == 2
-    assert field in capsys.readouterr().err
+    path = f"{'methods[0]' if section == 'methods' else section}.{field}".lstrip(".")
+    set_field(doc, path, value)
+    code, _, err = run_cli(tmp_path, capsys, "select", doc)
+    assert_config_error(code, err, path)
 
 
 @pytest.mark.parametrize("command", ["select", "online"])
@@ -278,21 +292,85 @@ def test_malformed_smoothness_is_a_config_error(tmp_path, capsys, command, value
     assert "smoothness" in capsys.readouterr().err
 
 
+BLOCK_HALVES = {"family": "block", "blocks": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]], "caps": [2, 2]}
+MATROID = {"family": "partition_matroid"}
+
+
+def online_section(**fields):
+    """An ``online`` config section for replacement OMP with k = 3 and s = 2, updated by ``fields``."""
+    return {"online": {"method": "online_replacement_omp", "k": 3, "s": 2, **fields}}
+
+
 @pytest.mark.parametrize(
-    "command, doc",
+    "command, doc, field",
     [
-        ("online", {"online": {"method": "online_replacement_omp", "k": 2, "s": 3}}),
-        ("online", {"online": {"method": "online_replacement_omp", "k": 3, "s": 2, "horizon": "abc"}}),
-        ("oracle", {"constraint": {"family": "individual", "s": 2}, "k": 17}),
-        ("online", {"online": {"method": "online_replacement_omp", "k": True, "s": True}}),
-        ("oracle", {"constraint": {"family": "individual", "s": 2}, "k": True}),
+        pytest.param("online", online_section(k=2, s=3), "online.s", id="online-doc0"),
+        pytest.param("online", online_section(horizon="abc"), "online.horizon", id="online-doc1"),
+        pytest.param("oracle", {"k": 17}, "k: integer in 1..16", id="oracle-doc2"),
+        pytest.param("online", online_section(k=True, s=True), "online.k", id="online-doc3"),
+        pytest.param("oracle", {"k": True}, "k: integer in 1..16", id="oracle-doc4"),
+        pytest.param("online", online_section(k=17), "online.k: integer in 1..16", id="online-k-above-n"),
+        pytest.param("online", online_section(smoothness=True), "online.smoothness", id="online-smoothness-bool"),
+        pytest.param(
+            "select",
+            {"constraint": BLOCK_HALVES, "methods": [{"name": "replacement_omp", "k": 4, "s": "x"}]},
+            "methods[0].s",
+            id="select-evaluation-s",
+        ),
+        pytest.param(
+            "select", {"test": {"kind": "synthetic", "T": 3, "k_planted": 4, "s": "x"}}, "test.s", id="test-s"
+        ),
+        pytest.param("select", {"train": {"kind": "load", "path": 5}}, "train.path", id="train-path-int"),
+        pytest.param(
+            "select", {"train": {"kind": "patches", "image": "a.pgm", "T": 2, "side": 0}}, "train.side", id="patch-side"
+        ),
+        pytest.param("groundset", {"ground_set": {"load": 5}}, "ground_set.load", id="ground-set-load-int"),
+        pytest.param(
+            "select",
+            {
+                "train": {"kind": "synthetic", "T": 6, "k_planted": 4, "s": 2},
+                "constraint": {**MATROID, "rules": [[[[0, 1], 1]]] * 4},
+            },
+            "constraint.rules: 1 or T = 6 rules",
+            id="matroid-rule-count",
+        ),
+        pytest.param(
+            "select",
+            {"constraint": {**MATROID, "rules": [[[[0, 99], 1]]]}},
+            "constraint.rules[0][0][0][1]",
+            id="matroid-atom-above-n",
+        ),
+        pytest.param(
+            "select",
+            {"constraint": {**MATROID, "rules": [[[[0, 1], 1], [[1, 2], 1]]]}},
+            "constraint.rules: rule 0",
+            id="matroid-overlap",
+        ),
+        pytest.param(
+            "select",
+            {"constraint": {"family": "average", "s_t": [1.5] + [2] * 9, "s_prime": 10}},
+            "constraint.s_t[0]",
+            id="average-float-cap",
+        ),
+        pytest.param(
+            "select",
+            {"constraint": {**BLOCK_HALVES, "caps": [2]}},
+            "constraint.caps",
+            id="block-cap-count",
+        ),
     ],
 )
-def test_online_and_oracle_values_are_config_errors(tmp_path, command, doc):
-    doc = {**base_config(), **doc}
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(doc))
-    assert main([command, "--config", str(cfg_path)]) == 2
+def test_online_and_oracle_values_are_config_errors(tmp_path, capsys, command, doc, field):
+    code, _, err = run_cli(tmp_path, capsys, command, {**base_config(), **doc})
+    assert_config_error(code, err, field)
+
+
+def set_field(doc, path, value):
+    """Set the config field at ``path``, such as ``ground_set.bases[0].side``; an index picks a list item."""
+    *parents, last = (int(token) if token.isdigit() else token for token in re.findall(r"[^.\[\]]+", path))
+    for token in parents:
+        doc = doc[token]
+    doc[last] = value
 
 
 def every_command_config(seed=None):
@@ -340,13 +418,144 @@ def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, comman
 
 @pytest.mark.parametrize("command", ["select", "bench", "online", "oracle", "groundset"])
 @pytest.mark.parametrize(
-    "bases, field", [([1], "bases[0]"), ([{"name": "dct2", "side": 4}, "haar2"], "bases[1]"), (5, "bases")]
+    "bases, field",
+    [
+        ([1], "bases[0]"),
+        ([{"name": "dct2", "side": 4}, "haar2"], "bases[1]"),
+        (5, "bases"),
+        ([{"name": "dct2", "side": "x"}], "ground_set.bases[0].side"),
+        ([{"name": "dct2", "side": 0}], "ground_set.bases[0].side"),
+        ([{"name": "dct2", "side": 3.0}], "ground_set.bases[0].side"),
+        ([{"name": "dct2", "side": 4}, {"name": "haar2", "side": 6}], "ground_set.bases[1].side"),
+        ([{"name": "fourier", "side": 4}], "ground_set.bases[0].name"),
+    ],
 )
 def test_malformed_bases_are_config_errors(tmp_path, capsys, command, bases, field):
     doc = every_command_config()
     doc["ground_set"] = {"bases": bases}
     code, _, err = run_cli(tmp_path, capsys, command, doc)
     assert_config_error(code, err, field)
+
+
+@pytest.mark.parametrize(
+    "command, section, blob, meta, message",
+    [
+        ("select", "train", b"DMAT\x01\x00", None, "truncated header"),
+        ("groundset", "ground_set", b"DMAT\x01\x00", None, "truncated header"),
+        ("select", "train", None, {"schema_version": 1, "normalized": False}, "missing field provenance"),
+        ("select", "train", None, [1], "expected a JSON object"),
+        ("groundset", "ground_set", None, {"schema_version": 1, "labels": [["a"]] * 16}, "labels"),
+        ("groundset", "ground_set", None, {"schema_version": 1, "labels": [["a", 0]]}, "labels"),
+    ],
+)
+def test_malformed_data_files_are_config_errors(tmp_path, capsys, command, section, blob, meta, message):
+    path = tmp_path / "saved.bin"
+    if blob is None:
+        save_matrix(path, dct2_basis(4))
+    else:
+        path.write_bytes(blob)
+    if meta is not None:
+        (tmp_path / "saved.bin.meta.json").write_text(json.dumps(meta))
+    doc = every_command_config()
+    doc[section] = {"kind": "load", "path": str(path)} if section == "train" else {"load": str(path)}
+    code, _, err = run_cli(tmp_path, capsys, command, doc)
+    assert_config_error(code, err, message)
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("command", ["select", "bench", "online", "oracle", "groundset"])
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(b"\xff\xfe{}")
+    code = main([command, "--config", str(cfg_path)])
+    assert_config_error(code, capsys.readouterr().err, str(cfg_path))
+
+
+def invalid_values(kind, low=None, high=None):
+    """Values of another type than ``kind`` (null and bools included), or integers outside ``low..high``."""
+    others = {
+        int: st.integers(-3, 40),
+        float: st.floats(),
+        str: st.text(max_size=3),
+        list: st.lists(st.integers(-2, 20), max_size=2),
+        dict: st.dictionaries(st.text(max_size=2), st.integers(-2, 20), max_size=1),
+    }
+    options = [st.none(), st.booleans(), *(values for other, values in others.items() if other is not kind)]
+    if kind is int:
+        options.append(st.integers(max_value=low - 1))
+        if high is not None:
+            options.append(st.integers(high + 1, high + 3))
+    if kind is float:
+        options.append(st.floats(max_value=0.0))
+    return st.one_of(options)
+
+
+# (path, kind, low, high) of the fields of every_command_config that a command reads; the
+# config has n = 16 atoms, T = 4 points, k_planted = 4, methods[0].k = 3 and online k = 3.
+GROUND_SET_FIELDS = [
+    ("ground_set", dict, None, None),
+    ("ground_set.bases", list, None, None),
+    ("ground_set.bases[0]", dict, None, None),
+    ("ground_set.bases[0].name", str, None, None),
+    ("ground_set.bases[0].side", int, 2, None),
+]
+DATA_FIELDS = [
+    ("train", dict, None, None),
+    ("train.kind", str, None, None),
+    ("train.T", int, 1, None),
+    ("train.k_planted", int, 0, 16),
+    ("train.s", int, 0, 4),
+    ("seed", int, 0, None),
+]
+FUZZ_CASES = (
+    [("groundset", *case) for case in GROUND_SET_FIELDS]
+    + [("groundset", "ground_set.csv_blocks", list, None, None), ("groundset", "ground_set.load", str, None, None)]
+    + [
+        ("select", *case)
+        for case in GROUND_SET_FIELDS
+        + DATA_FIELDS
+        + [
+            ("constraint", dict, None, None),
+            ("constraint.family", str, None, None),
+            ("constraint.s", int, 0, None),
+            ("methods", list, None, None),
+            ("methods[0]", dict, None, None),
+            ("methods[0].name", str, None, None),
+            ("methods[0].k", int, 1, 16),
+            ("methods[0].s", int, 0, None),
+            ("methods[0].smoothness", float, None, None),
+            ("trials", int, 1, None),
+            ("test", dict, None, None),
+        ]
+    ]
+    + [
+        ("online", *case)
+        for case in GROUND_SET_FIELDS
+        + DATA_FIELDS
+        + [
+            ("online", dict, None, None),
+            ("online.method", str, None, None),
+            ("online.k", int, 1, 16),
+            ("online.s", int, 1, 3),
+            ("online.horizon", int, 1, None),
+            ("online.smoothness", float, None, None),
+        ]
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES), data=st.data())
+def test_one_invalid_config_field_never_escapes_main(case, data):
+    command, path, kind, low, high = case
+    doc = every_command_config()
+    set_field(doc, path, data.draw(invalid_values(kind, low, high), label=path))
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main([command, "--config", str(cfg_path)])
+    assert code in (0, 2, 3), err.getvalue()
+    assert code == 0 or err.getvalue().startswith(("config error:", "error:"))
 
 
 def seeded_values(command, out):
@@ -377,7 +586,7 @@ def library_values(command, doc, seed):
         for t in range(data.num_points):
             online_round(state, data.matrix[:, t], ground_set)
         return list(state.ledger.player_gains)
-    constraint = build_constraint(doc["constraint"], data.num_points)
+    constraint = build_constraint(doc["constraint"], data.num_points, ground_set.n)
     value, atoms, supports = brute_force_optimum(data, ground_set, constraint, doc["k"])
     return json.loads(json.dumps([value, list(atoms), supports]))
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,12 @@ def test_synth_planted_override():
 def test_extract_patches_rejects_constant_image():
     with pytest.raises(InsufficientPatches):
         extract_patches(np.ones((16, 16)), 1, side=8)
+
+
+@pytest.mark.parametrize("side", [0, -2])
+def test_extract_patches_rejects_nonpositive_side(side):
+    with pytest.raises(ValueError, match="side must be positive"):
+        extract_patches(np.ones((16, 16)), 1, side)
 
 
 def test_extract_patches_tiling_count():
@@ -118,6 +126,24 @@ def test_matrix_binary_bad_version(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("blob", [b"DMAT", b"DMAT\x01\x00", b"DMAT\x01" + bytes(15)])
+def test_matrix_binary_truncated_header(tmp_path, blob):
+    path = tmp_path / "short.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match="truncated header"):
+        load_matrix(path)
+
+
+def test_matrix_binary_negative_shape(tmp_path):
+    path = tmp_path / "m.bin"
+    save_matrix(path, np.ones((1, 1)))
+    blob = bytearray(path.read_bytes())
+    blob[5:21] = np.array([-1, -1], dtype="<i8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match="expected 1"):
+        load_matrix(path)
+
+
 def test_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     m = rng.standard_normal((4, 7))
@@ -150,6 +176,49 @@ def test_dataset_load_without_sidecar(tmp_path):
     save_matrix(path, m)
     ds = load_dataset(path)
     assert ds.provenance["kind"] == "loaded"
+
+
+@pytest.mark.parametrize(
+    "meta, match",
+    [
+        ({"schema_version": 1, "normalized": False}, "provenance"),
+        ({"schema_version": 1, "provenance": {}}, "normalized"),
+        ({"schema_version": 1, "provenance": [], "normalized": False}, "provenance"),
+        ([1, 2], "JSON object"),
+        ("{", "Expecting"),
+    ],
+)
+def test_malformed_dataset_sidecar_is_parse_error(tmp_path, meta, match):
+    path = tmp_path / "data.bin"
+    save_matrix(path, np.ones((2, 3)))
+    sidecar = tmp_path / "data.bin.meta.json"
+    sidecar.write_text(meta if isinstance(meta, str) else json.dumps(meta))
+    with pytest.raises(ParseError, match=match):
+        load_dataset(path)
+    sidecar.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError, match="meta.json"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[["a"]] * 4, [["a", 0]], [["a", 0]] * 5, [["a", "0"]] * 4, [[0, 0]] * 4, [["a", True]] * 4, {"a": 0}],
+)
+def test_malformed_ground_set_labels_are_parse_errors(tmp_path, labels):
+    path = tmp_path / "gs.bin"
+    save_matrix(path, dct2_basis(2))
+    (tmp_path / "gs.bin.meta.json").write_text(json.dumps({"schema_version": 1, "labels": labels}))
+    with pytest.raises(ParseError, match="labels"):
+        load_ground_set(path)
+
+
+def test_ground_set_labels_split_blocks_by_name(tmp_path):
+    path = tmp_path / "gs.bin"
+    save_matrix(path, np.hstack([dct2_basis(2), haar2_basis(2)]))
+    labels = [["x", 0], ["x", 1], ["y", 0], ["y", 1], ["y", 2], ["y", 3], ["x", 0], ["x", 1]]
+    (tmp_path / "gs.bin.meta.json").write_text(json.dumps({"schema_version": 1, "labels": labels}))
+    expected = [(name, j) for name, width in (("x", 2), ("y", 4), ("x", 2)) for j in range(width)]
+    assert load_ground_set(path).labels == expected
 
 
 def test_ground_set_round_trip(tmp_path):

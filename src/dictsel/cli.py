@@ -279,9 +279,12 @@ class ExperimentConfig:
         methods = _field(doc, "methods", kind=list)
         if not methods:
             raise ParseError("methods: at least one method required")
+        family = sections["constraint"].get("family")
         for i, method in enumerate(methods):
             where = f"methods[{i}]"
-            _choice(_check(method, where, dict), "name", where, OFFLINE_METHODS)
+            name = _choice(_check(method, where, dict), "name", where, OFFLINE_METHODS)
+            if name == "replacement_greedy" and family in ("block", "average"):
+                raise ParseError(f"{where}.name: replacement_greedy supports per-point families only, not {family}")
             _field(method, "s", where, low=0, default=None)
             _field(method, "smoothness", where, float, default=None)
         return ExperimentConfig(
@@ -321,21 +324,24 @@ def build_ground_set(cfg: dict) -> GroundSet:
         if "bases" in cfg or "csv_blocks" in cfg:
             raise ParseError("ground_set: 'load' excludes 'bases' and 'csv_blocks'")
         return data_io.load_ground_set(_field(cfg, "load", "ground_set", str))
-    blocks = []
+    blocks = []  # (name, atoms, config field)
     for i, basis in enumerate(_field(cfg, "bases", "ground_set", list, default=[])):
         where = f"ground_set.bases[{i}]"
         name = _choice(_check(basis, where, dict), "name", where, tuple(_BASES))
         side = _field(basis, "side", where, low=2, default=8)
         try:
-            blocks.append((f"{name}:{side}", _BASES[name](side)))
+            blocks.append((f"{name}:{side}", _BASES[name](side), f"{where}.side"))
         except InvalidSide as exc:  # a haar2 side that is not a power of two
             raise ParseError(f"{where}.side: {exc}") from exc
     for i, path in enumerate(_field(cfg, "csv_blocks", "ground_set", list, default=[])):
         path = _check(path, f"ground_set.csv_blocks[{i}]", str)
-        blocks.append((Path(path).stem, load_atom_block(path)))
+        blocks.append((Path(path).stem, load_atom_block(path), f"ground_set.csv_blocks[{i}]"))
     if not blocks:
         raise ParseError("ground_set: no bases or csv_blocks given")
-    return assemble(blocks)
+    for name, atoms, where in blocks:
+        if len(atoms) != len(blocks[0][1]):
+            raise ParseError(f"{where}: block {name!r} has d={len(atoms)}, the first block has d={len(blocks[0][1])}")
+    return assemble(block[:2] for block in blocks)
 
 
 def _synthetic_sizes(cfg: dict, n: int, where: str) -> tuple[int, int, int]:

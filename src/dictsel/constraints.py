@@ -8,15 +8,14 @@ caps plus a global cap on the total support size).
 
 A *feasible replacement* for a candidate atom adds that atom to some
 supports and removes at most one atom from each support, staying inside
-the family.  Each family is searched by one implementation, on supports
-padded into a (T, m) atom array with the removal cost of each position:
-per-point families through their category tables (``point_categories``),
-block and average sparsity through the per-step data of ``coupled_step``,
-which gives every atom's best gain in closed form and then the winner's
-replacement.  For average sparsity that replacement is a budgeted
-exchange problem, solved exactly in O(T log T) by ``solve_exchange``.
-``search_replacement`` and ``replacement_values`` take supports as lists
-and pad them once.
+the family.  Every family is searched by one step object (``family_step``)
+built from the supports, padded into a (T, m) atom array with the removal
+cost of each position: ``values`` gives every atom's best gain in closed
+form, ``replacement`` the winner's replacement.  Per-point families are
+priced from category tallies (``point_categories``); for average sparsity
+the replacement is a budgeted exchange problem, solved exactly in
+O(T log T) by ``solve_exchange``.  ``search_replacement`` and
+``replacement_values`` take supports as lists and pad them once.
 """
 
 from __future__ import annotations
@@ -321,11 +320,11 @@ class PointCategories:
         held = np.where(supports >= 0, self.labels[rule[:, None], supports], -1)
         return rule, held[:, :, None] == np.arange(self.caps.shape[1])
 
-    def _per_atom(self, rule, table: np.ndarray) -> np.ndarray:
-        """The (P, n) entries of a (P, C) per-category table at each atom's category."""
+    def per_atom(self, rule, table: np.ndarray) -> np.ndarray:
+        """The (n, P) entries, in C order, of a (P, C) per-category table at each atom's category."""
         if len(self.labels) == 1:
-            return table[:, self.labels[0]]
-        return np.take_along_axis(table, self.labels[rule], axis=1)
+            return table.T[self.labels[0]]
+        return np.ascontiguousarray(np.take_along_axis(table, self.labels[rule], axis=1).T)
 
     def tally(self, points, supports, removal_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per category of each support: the atoms held, the cheapest removal and its position.
@@ -362,21 +361,9 @@ class PointCategories:
         outside = np.ones((len(rule), self.labels.shape[1]), dtype=bool)
         rows, cols = np.nonzero(supports >= 0)
         outside[rows, supports[rows, cols]] = False
-        addable = self._per_atom(rule, held.sum(axis=1) < self.caps[rule]) & outside
+        addable = self.per_atom(rule, held.sum(axis=1) < self.caps[rule]).T & outside
         same = np.take_along_axis(held, self.labels[rule][:, None, :], axis=2)
         return addable, same & (outside & ~addable)[:, None, :]
-
-    def option_costs(self, points, supports, counts: np.ndarray, cheapest: np.ndarray) -> np.ndarray:
-        """Cost (P, n) of each atom's cheapest option at each support, from its :meth:`tally`.
-
-        0 for an addition, the category's cheapest removal for a swap, inf
-        for no option: what :meth:`options` allows, priced.
-        """
-        rule = self.rule[points]
-        costs = self._per_atom(rule, np.where(counts < self.caps[rule], 0.0, cheapest))
-        rows, cols = np.nonzero(supports >= 0)
-        costs[rows, supports[rows, cols]] = math.inf
-        return costs
 
     def swap_positions(self, points, counts: np.ndarray, position: np.ndarray, atom: int) -> np.ndarray:
         """The support position each point gives up for ``atom``, from its :meth:`tally`.
@@ -384,9 +371,8 @@ class PointCategories:
         -1 where the atom's category has room, else the category's
         cheapest removal.
         """
-        rule = self.rule[points]
+        rule, rows = self.rule[points], np.arange(len(points))
         label = self.labels[rule, atom]
-        rows = np.arange(len(rule))
         return np.where(counts[rows, label] >= self.caps[rule, label], position[rows, label], -1)
 
 
@@ -416,24 +402,57 @@ def cheapest_removal(costs: Sequence[float], support: Sequence[int], positions=N
     return min(candidates, key=lambda j: (costs[j], support[j]), default=None)
 
 
+class PointStep:
+    """A per-point family's option costs, shared by every candidate atom of a step.
+
+    Built from the :meth:`PointCategories.tally` of the supports ``index``
+    (padded as :func:`family_step` takes them), ``cheapest`` in the step's
+    scaled costs.  ``table`` (T, C) is what an atom of each category pays
+    to join each support: 0 while the category has room, else its cheapest
+    removal (inf if it holds none).
+    """
+
+    def __init__(self, cats: PointCategories, index: np.ndarray, counts, cheapest, position):
+        self.cats, self.index, self.counts, self.position = cats, index, counts, position
+        self.table = np.where(counts < cats.caps[cats.rule], 0.0, cheapest)
+
+    def costs(self) -> np.ndarray:
+        """The (n, T) cost of each atom's cheapest option at each support, from ``table``."""
+        return self.cats.per_atom(self.cats.rule, self.table)
+
+    def values(self, add_gains: np.ndarray) -> np.ndarray:
+        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``."""
+        gains = self.costs()  # overwritten: a step holds one (n, T) array besides ``add_gains``
+        return np.maximum(np.subtract(add_gains, gains, out=gains), 0.0, out=gains).sum(axis=1)
+
+    def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
+        """``atom``'s best replacement, as :meth:`AverageStep.replacement` gives it.
+
+        Every point of positive gain takes the atom, in place of its
+        category's cheapest removal when the category is full.
+        """
+        cost = self.table[np.arange(len(self.table)), self.cats.labels[self.cats.rule, atom]]
+        gains = np.where((self.index == atom).any(axis=1), 0.0, add_gains) - cost
+        points = np.flatnonzero(gains > 0.0)
+        removed = self.cats.swap_positions(points, self.counts[points], self.position[points], atom)
+        return points, removed, np.ones(len(points), dtype=bool), float(gains[points].sum())
+
+
 class AverageStep:
     """Average sparsity's exchange data, shared by every candidate atom of a step.
 
-    Built from padded supports as :func:`coupled_step` takes them.
-    ``position`` (T,) is each support's cheapest removal (ties to the
-    lowest atom, -1 if empty) and ``costs`` its cost (inf if none);
-    ``tight`` marks the supports at their cap and ``slack`` is the room
-    left under the global cap.
+    Built from padded supports as :func:`family_step` takes them.
+    ``position`` (T,) is each support's cheapest removal and ``costs`` its
+    cost, as :meth:`PointCategories.tally` gives them for one uncapped
+    category holding every atom; ``tight`` marks the supports at their cap
+    and ``slack`` is the room left under the global cap.
     """
 
     def __init__(self, constraint: AverageSparsity, index: np.ndarray, costs: np.ndarray, num_atoms: int):
-        held = index >= 0
-        costs = np.where(held, costs, math.inf)
-        self.index, self.costs = index, costs.min(axis=1)
-        # Among the cheapest entries, the lowest atom.
-        ties = np.where(held & (costs == self.costs[:, None]), index, num_atoms)
-        self.position = np.where(held.any(axis=1), np.argmin(ties, axis=1), -1)
-        sizes = held.sum(axis=1)
+        points = np.arange(len(index))
+        whole = PointCategories(np.zeros((1, num_atoms), dtype=int), np.full((1, 1), math.inf), np.zeros_like(points))
+        sizes, self.costs, self.position = (column[:, 0] for column in whole.tally(points, index, costs))
+        self.index = index
         self.tight = sizes == np.asarray(constraint.s_t)
         self.slack = constraint.s_prime - int(sizes.sum())
 
@@ -471,7 +490,7 @@ class AverageStep:
 class BlockStep:
     """Block sparsity's union data, shared by every candidate atom of a step.
 
-    Built from padded supports as :func:`coupled_step` takes them.
+    Built from padded supports as :func:`family_step` takes them.
     ``member`` (B, n) marks the atoms each block's supports use and
     ``union`` (B, n) holds what dropping each from every support of the
     block costs (inf for the other atoms); ``full`` (B,) marks the unions
@@ -533,8 +552,8 @@ class BlockStep:
         return points, removed, adds[points], float(gain[take].sum())
 
 
-def coupled_step(constraint: SparsityConstraint, index: np.ndarray, costs: np.ndarray, num_atoms: int):
-    """The :class:`AverageStep` or :class:`BlockStep` of one step's supports.
+def family_step(constraint: SparsityConstraint, index: np.ndarray, costs: np.ndarray, num_atoms: int):
+    """The :class:`PointStep`, :class:`AverageStep` or :class:`BlockStep` of one step's supports.
 
     ``index`` (T, m) holds each support's atoms in order, -1 padding the
     shorter ones, and ``costs`` (T, m) the scaled, nonnegative cost of
@@ -545,7 +564,8 @@ def coupled_step(constraint: SparsityConstraint, index: np.ndarray, costs: np.nd
         return AverageStep(constraint, index, costs, num_atoms)
     if isinstance(constraint, BlockSparsity):
         return BlockStep(constraint, index, costs, num_atoms)
-    raise TypeError(f"{type(constraint).__name__} is not a coupled family")
+    cats = point_categories(constraint, len(index), num_atoms)
+    return PointStep(cats, index, *cats.tally(np.arange(len(index)), index, costs))
 
 
 def _padded(supports: Sequence[Sequence[int]], removal_costs: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -577,17 +597,8 @@ def search_replacement(
     """
     add_gains = np.asarray(add_gains, dtype=float)
     index, costs = _padded(supports, removal_costs)
-    num_atoms = 1 + max(atom, int(index.max()))
-    if isinstance(constraint, (IndividualSparsity, PartitionMatroid)):
-        cats = point_categories(constraint, len(index), num_atoms)
-        points = np.arange(len(index))
-        counts, cheapest, position = cats.tally(points, index, costs)
-        gains = add_gains - cats.option_costs(points, index, counts, cheapest)[:, atom]
-        points = np.flatnonzero(gains > 0.0)
-        removed = cats.swap_positions(points, counts[points], position[points], atom)
-        add, gain = np.ones(len(points), dtype=bool), gains[points].sum()
-    else:
-        points, removed, add, gain = coupled_step(constraint, index, costs, num_atoms).replacement(atom, add_gains)
+    step = family_step(constraint, index, costs, 1 + max(atom, int(index.max())))
+    points, removed, add, gain = step.replacement(atom, add_gains)
     per_t = [
         (t, None if r < 0 else int(index[t, r]), a) for t, r, a in zip(points.tolist(), removed.tolist(), add.tolist())
     ]
@@ -609,15 +620,15 @@ def replacement_values(
 ) -> np.ndarray:
     """The gain of :func:`search_replacement` for every atom at once.
 
-    Block and average sparsity only.  ``add_gains`` is (n, T): row j holds
-    atom j's add gains, zero at supports holding atom j, as
-    :func:`search_replacement` takes them; ``removal_costs`` and
-    ``supports`` are as there.  Returns the (n,) gains, computed in closed
-    form from the :func:`coupled_step` data shared by all atoms.
+    ``add_gains`` is (n, T): row j holds atom j's add gains, zero at
+    supports holding atom j, as :func:`search_replacement` takes them;
+    ``removal_costs`` and ``supports`` are as there.  Returns the (n,)
+    gains, computed in closed form from the :func:`family_step` data
+    shared by all atoms.
     """
     add_gains = np.asarray(add_gains, dtype=float)
     index, costs = _padded(supports, removal_costs)
-    return coupled_step(constraint, index, costs, add_gains.shape[0]).values(add_gains)
+    return family_step(constraint, index, costs, add_gains.shape[0]).values(add_gains)
 
 
 def require_feasible(constraint: SparsityConstraint, supports: Sequence) -> None:

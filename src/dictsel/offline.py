@@ -11,21 +11,23 @@ Three selectors over a common selection state:
 * ``replacement_omp`` replaces the exact differences with gradient-based
   proxy gains weighted by a smoothness parameter, which makes the
   per-step search a linear-objective problem and extends to block and
-  average sparsity.  The ``decay`` variant divides the smoothness
+  average sparsity.  Every family prices a step through one step object
+  (``constraints.family_step``): all atoms' gains at once, then the
+  winner's replacement.  The ``decay`` variant divides the smoothness
   parameter by sqrt(i) at iteration i so that late iterations keep
   making progress.
 
 Every selector keeps all supports in one batched Gram state
 (:class:`~dictsel.linalg.GramFit`) and edits it through the kernels of
 ``linalg``.  The replacement selectors share one loop, ``_select``, and
-differ only in their gain rule; their gain tables are refreshed only at
-the points the last replacement touched.  All selectors return a
-:class:`SelectionState` whose supports are feasible after every iteration
-(else InfeasibleState).  The objective never decreases: a replacement
-that would lower it by more than rounding, as proxy gains with a
-smoothness parameter below the restricted smoothness can (``decay``
-reaches such values), is undone and counted in ``rollbacks``, and the
-step takes the fallback add instead.
+differ only in their gain rule; the greedy gain tables and the per-point
+category tallies are refreshed only at the points the last replacement
+touched.  All selectors return a :class:`SelectionState` whose supports
+are feasible after every iteration (else InfeasibleState).  The
+objective never decreases: a replacement that would lower it by more
+than rounding, as proxy gains with a smoothness parameter below the
+restricted smoothness can (``decay`` reaches such values), is undone and
+counted in ``rollbacks``, and the step takes the fallback add instead.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import IndividualSparsity, PartitionMatroid, coupled_step, num_points, point_categories
+from .constraints import IndividualSparsity, PartitionMatroid, PointStep, family_step, num_points, point_categories
 from .constraints import require_feasible
 from .data_io import data_matrix
 from .errors import UnsupportedConstraint
 from .linalg import GramFit, atom_matrix, gram_fit, gram_gains, gram_update
-from .linalg import require_finite_atoms, resolve_smoothness, size_chunks, stack_points
+from .linalg import require_finite_atoms, resolve_smoothness, size_chunks
 
 _PER_POINT = (IndividualSparsity, PartitionMatroid)
 
@@ -97,7 +99,8 @@ class SelectionState:
     @property
     def supports(self) -> list[list[int]]:
         """Each point's support as a list of atoms, in insertion order."""
-        return [row[:m] for row, m in zip(self.fit.index.tolist(), self.fit.size.tolist())]
+        width = int(self.fit.size.max(initial=0))
+        return [row[:m] for row, m in zip(self.fit.index[:, :width].tolist(), self.fit.size.tolist())]
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -186,7 +189,8 @@ class _PerPoint:
 
     ``counts``, ``cheapest`` and ``position`` are (T, C): per category of
     each support, the atoms held and the cheapest removal by unscaled
-    w_j^2 and its position (see :meth:`PointCategories.tally`).
+    w_j^2 and its position (see :meth:`PointCategories.tally`).  Only the
+    supports a step touched are tallied again.
     """
 
     def __init__(self, constraint, t_count: int, num_atoms: int):
@@ -196,21 +200,40 @@ class _PerPoint:
         self.cheapest = np.full(shape, math.inf)
         self.position = np.full(shape, -1)
 
-    def refresh(self, fit: GramFit, points: np.ndarray) -> None:
+    def refresh(self, state: SelectionState, points: np.ndarray) -> None:
         """Tally the supports of ``points`` and check them against their caps."""
-        m = int(fit.size[points].max(initial=0))
-        tally = self.cats.tally(points, fit.index[points, :m], fit.coeffs[points, :m] ** 2)
+        m = int(state.fit.size[points].max(initial=0))
+        tally = self.cats.tally(points, state.fit.index[points, :m], state.coeffs[points, :m] ** 2)
         self.counts[points], self.cheapest[points], self.position[points] = tally
         self.cats.require_feasible(points, self.counts[points])
+
+    def step(self, fit: GramFit, scale: float) -> PointStep:
+        """The step data of the current supports, removals costing ``scale`` w_j^2."""
+        return PointStep(self.cats, fit.index, self.counts, scale * self.cheapest, self.position)
+
+
+class _Coupled:
+    """A block- or average-sparsity family, whose step data are built from all supports."""
+
+    def __init__(self, constraint, t_count: int, num_atoms: int):
+        self.constraint, self.num_atoms = constraint, num_atoms
+
+    def refresh(self, state: SelectionState, points: np.ndarray) -> None:
+        """Check the supports against the family; a coupled family may bind at any point."""
+        require_feasible(self.constraint, state.supports)
+
+    def step(self, fit: GramFit, scale: float):
+        """The step data of the current supports, removals costing ``scale`` w_j^2."""
+        return family_step(self.constraint, fit.index, scale * fit.coeffs**2, self.num_atoms)
 
 
 def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
     """The k iterations of ``step(state, family, touched, i) -> _Move | None``.
 
-    ``family`` is the :class:`_PerPoint` of a per-point family (None for
-    coupled families); ``touched`` are the points changed since the last
-    step.  A None step, or a replacement undone by :func:`_apply`, adds
-    the unselected atom of largest squared gradient mass without touching
+    ``family`` is the :class:`_PerPoint` or :class:`_Coupled` of the
+    constraint; ``touched`` are the points changed since the last step.
+    A None step, or a replacement undone by :func:`_apply`, adds the
+    unselected atom of largest squared gradient mass without touching
     any support, so the dictionary reaches k atoms.  Raises ValueError
     unless 1 <= k <= n and the family is defined on the data's T points.
     """
@@ -221,7 +244,7 @@ def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
     if points is not None and points != t_count:
         raise ValueError(f"the constraint is defined on {points} points, the data has {t_count}")
     state = _new_state(a, y, k, trace)
-    family = _PerPoint(constraint, t_count, n) if isinstance(constraint, _PER_POINT) else None
+    family = (_PerPoint if isinstance(constraint, _PER_POINT) else _Coupled)(constraint, t_count, n)
     touched = np.arange(t_count)
     for i in range(1, k + 1):
         move = step(state, family, touched, i)
@@ -235,53 +258,19 @@ def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
             state.atoms.append(int(np.argmax(mass)))
             touched = touched[:0]
         state.objective_history.append(state.objective)
-        if family is None:
-            require_feasible(constraint, state.supports)
-        else:
-            family.refresh(state.fit, touched)  # only the touched supports changed
+        family.refresh(state, touched)  # only the touched supports changed
     return state
 
 
-def _refresh_costs(state: SelectionState, family: _PerPoint, cost: np.ndarray, points) -> None:
-    """Recompute the (n, T) option costs of ``points`` from their tallies.
-
-    A cost is the unscaled w_j^2 of the cheapest position the atom may
-    replace, 0 for an addition, inf for no option.
-    """
-    fit = state.fit
-    step = stack_points(fit.gram.shape[0])
-    for start in range(0, len(points), step):
-        chunk = points[start : start + step]
-        m = int(fit.size[chunk].max())
-        costs = family.cats.option_costs(chunk, fit.index[chunk, :m], family.counts[chunk], family.cheapest[chunk])
-        cost[:, chunk] = costs.T
-
-
-def _romp_replacement(constraint, state, m_i, family, cost) -> _Move | None:
+def _romp_replacement(state: SelectionState, m_i: float, family) -> _Move | None:
     """The replacement of largest proxy gain among unselected atoms.
 
-    Per-point families clip each point's gain of the cheapest option in
-    ``cost`` at zero.  Block and average sparsity build the step's
-    :func:`~dictsel.constraints.coupled_step` data from the padded
-    supports once; it gives the whole table in closed form and then the
-    winner's replacement.
+    The family's step data (:func:`~dictsel.constraints.family_step`),
+    built once per step, give every atom's gain in closed form and then
+    the winner's replacement.
     """
-    # Under per-point families atoms of a support have no option there
-    # (infinite cost), so their gradient dust needs no zeroing.
-    scaled_g2 = (state.gradients**2 if family is not None else _zeroed_grad_sq(state)) / m_i
-    if family is not None:
-        point_gains = m_i * cost
-        np.subtract(scaled_g2, point_gains, out=point_gains)
-        np.maximum(point_gains, 0.0, out=point_gains)
-        table = point_gains.sum(axis=1)
-        winner = _winner(table, state.atoms)
-        if winner is None:
-            return None
-        points = np.flatnonzero(point_gains[winner] > 0.0)
-        removed = family.cats.swap_positions(points, family.counts[points], family.position[points], winner)
-        return _Move(winner, points, removed, np.ones(len(points), dtype=bool))
-
-    step = coupled_step(constraint, state.fit.index, m_i * state.coeffs**2, len(scaled_g2))
+    scaled_g2 = _zeroed_grad_sq(state) / m_i
+    step = family.step(state.fit, m_i)
     winner = _winner(step.values(scaled_g2), state.atoms)
     if winner is None:
         return None
@@ -302,13 +291,9 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
     a = atom_matrix(ground_set)
     y = data_matrix(data)
     base_m = resolve_smoothness(ground_set, config.smoothness)
-    cost = np.empty((a.shape[1], y.shape[1]))
 
     def step(state, family, touched, i):
-        if family is not None:
-            _refresh_costs(state, family, cost, touched)
-        m_i = base_m / math.sqrt(i) if config.decay else base_m
-        return _romp_replacement(constraint, state, m_i, family, cost)
+        return _romp_replacement(state, base_m / math.sqrt(i) if config.decay else base_m, family)
 
     return _select(a, y, constraint, config.k, trace, step)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictsel import AverageSparsity, IndividualSparsity, dct2_basis
+from dictsel import AverageSparsity, IndividualSparsity, cli, dct2_basis
 from dictsel.cli import (
     ExperimentConfig,
     ExperimentResult,
@@ -211,6 +211,17 @@ def test_build_ground_set_unknown_basis():
         build_ground_set({"bases": [{"name": "fourier", "side": 4}]})
 
 
+def test_blocks_of_another_d_are_config_errors(tmp_path):
+    # d=16 against the first block's d=64, from a basis and from a CSV block.
+    path = tmp_path / "small.csv"
+    np.savetxt(path, dct2_basis(4), delimiter=",")
+    with pytest.raises(ParseError, match=r"ground_set\.bases\[1\]\.side: .*d=16.*d=64"):
+        build_ground_set({"bases": [{"name": "dct2", "side": 8}, {"name": "haar2", "side": 4}]})
+    with pytest.raises(ParseError, match=r"ground_set\.csv_blocks\[0\]: .*d=16.*d=64"):
+        build_ground_set({"bases": [{"name": "dct2", "side": 8}], "csv_blocks": [str(path)]})
+    assert build_ground_set({"bases": [{"name": "dct2", "side": 4}], "csv_blocks": [str(path)]}).n == 32
+
+
 def test_build_ground_set_load_is_exclusive(tmp_path):
     cfg = {"load": str(tmp_path / "saved.bin"), "bases": [{"name": "dct2", "side": 4}]}
     with pytest.raises(ParseError, match="load"):
@@ -365,6 +376,22 @@ def test_online_and_oracle_values_are_config_errors(tmp_path, capsys, command, d
     assert_config_error(code, err, field)
 
 
+@pytest.mark.parametrize("command", ["select", "bench"])
+@pytest.mark.parametrize(
+    "constraint", [BLOCK_HALVES, {"family": "average", "s_t": 2, "s_prime": 15}], ids=["block", "average"]
+)
+def test_greedy_under_a_coupled_family_is_a_config_error(tmp_path, capsys, monkeypatch, command, constraint):
+    # The config names the pairing, so no trial runs, not even the method before it.
+    ran = []
+    monkeypatch.setattr(cli, "run_selector", lambda method, *args: ran.append(method))
+    methods = [{"name": "replacement_omp", "k": 3}, {"name": "replacement_greedy", "k": 3}]
+    flags = ("--method", "replacement_greedy") if command == "select" else ()
+    doc = {**base_config(methods=methods), "constraint": constraint}
+    code, _, err = run_cli(tmp_path, capsys, command, doc, *flags)
+    assert_config_error(code, err, "methods[1].name")
+    assert ran == []
+
+
 def set_field(doc, path, value):
     """Set the config field at ``path``, such as ``ground_set.bases[0].side``; an index picks a list item."""
     *parents, last = (int(token) if token.isdigit() else token for token in re.findall(r"[^.\[\]]+", path))
@@ -428,6 +455,7 @@ def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, comman
         ([{"name": "dct2", "side": 3.0}], "ground_set.bases[0].side"),
         ([{"name": "dct2", "side": 4}, {"name": "haar2", "side": 6}], "ground_set.bases[1].side"),
         ([{"name": "fourier", "side": 4}], "ground_set.bases[0].name"),
+        ([{"name": "dct2", "side": 4}, {"name": "haar2", "side": 8}], "ground_set.bases[1].side"),
     ],
 )
 def test_malformed_bases_are_config_errors(tmp_path, capsys, command, bases, field):

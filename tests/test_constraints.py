@@ -18,7 +18,7 @@ from dictsel import (
     replacement_sparsity_p,
     solve_exchange,
 )
-from dictsel.constraints import cheapest_removal, point_categories, replacement_values, search_replacement
+from dictsel.constraints import cheapest_removal, family_step, point_categories, replacement_values, search_replacement
 from dictsel.errors import InfeasibleState
 
 from oracles import average_search_reference, best_replacement_oracle, block_search_reference, exchange_optimum
@@ -338,8 +338,9 @@ def test_point_options_matroid_counts():
 
 @pytest.mark.parametrize("family", ["individual", "matroid"])
 def test_category_tallies_price_the_point_options(family):
-    # Option costs and swap positions from the batched tallies against the
-    # masks of point_options and cheapest_removal, support by support.
+    # The step's option costs and swap positions, from the batched tallies,
+    # against the masks of point_options and cheapest_removal, support by
+    # support.
     rng = np.random.default_rng(39)
     for _ in range(200):
         t_count = int(rng.integers(1, 6))
@@ -355,19 +356,17 @@ def test_category_tallies_price_the_point_options(family):
         for t, z in enumerate(supports):
             padded[t, : len(z)] = z
         removal = rng.choice([0.25, 0.5, 0.75], size=padded.shape)  # ties are common
-        cats = point_categories(constraint, t_count, N_ATOMS)
-        points = np.arange(t_count)
-        counts, cheapest, position = cats.tally(points, padded, removal)
-        cats.require_feasible(points, counts)
-        costs = cats.option_costs(points, padded, counts, cheapest)
+        step = family_step(constraint, padded, removal, N_ATOMS)
+        costs, points = step.costs(), np.arange(t_count)
+        step.cats.require_feasible(points, step.counts)
         for t, z in enumerate(supports):
             addable, swappable = point_options(constraint, t, z, N_ATOMS)
-            for atom in range(N_ATOMS):
+            for atom in set(range(N_ATOMS)) - set(z):
                 pos = cheapest_removal(removal[t, : len(z)], z, np.flatnonzero(swappable[:, atom]))
                 expected = 0.0 if addable[atom] else (math.inf if pos is None else removal[t, pos])
-                assert costs[t, atom] == expected
+                assert costs[atom, t] == expected
                 if addable[atom] or pos is not None:
-                    got = cats.swap_positions(points[[t]], counts[[t]], position[[t]], atom)[0]
+                    got = step.cats.swap_positions(points[[t]], step.counts[[t]], step.position[[t]], atom)[0]
                     assert got == (-1 if addable[atom] else pos)
 
 
@@ -397,16 +396,21 @@ def test_apply_replacement_keeps_untouched_points():
     assert new == [{0}, {4, 9}, {5}]
 
 
-def coupled_instance(rng, family, slack, ties):
-    """Random feasible supports of a coupled family, with (n, T) add gains and costs.
+def family_instance(rng, family, slack, ties):
+    """Random feasible supports of a family, with (n, T) add gains and costs.
 
-    Per-point and block caps start at 0, so empty tight supports (infinite
-    removal cost) and cap-0 blocks occur; about half the blocks fill their
-    union to the cap.  With ``ties`` gains and costs are rounded to 0.1.
+    Per-point families get at most 3 points, which the exhaustive oracle
+    can enumerate.  For the coupled families, per-point and block caps
+    start at 0, so empty tight supports (infinite removal cost) and cap-0
+    blocks occur; about half the blocks fill their union to the cap.  With
+    ``ties`` gains and costs are rounded to 0.1.
     """
-    t_count = int(rng.integers(1, 7))
+    t_count = int(rng.integers(1, 4 if family in ("individual", "matroid") else 7))
     supports = [[] for _ in range(t_count)]
-    if family == "average":
+    if family in ("individual", "matroid"):
+        constraint = random_constraint(rng, family, t_count)
+        supports = random_supports(rng, constraint, t_count)
+    elif family == "average":
         s_t = rng.integers(0, 4, size=t_count).tolist()
         for t, cap in enumerate(s_t):
             size = cap if rng.random() < 0.5 else int(rng.integers(0, cap + 1))
@@ -438,26 +442,32 @@ def coupled_instance(rng, family, slack, ties):
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    family=st.sampled_from(["average", "block"]),
+    family=st.sampled_from(["individual", "matroid", "average", "block"]),
     slack=st.integers(0, 3),
     ties=st.booleans(),
 )
 def test_coupled_step_values_match_per_atom_search(seed, family, slack, ties):
     # Gains and decisions of the padded-array step against the per-atom
-    # searches over support lists.
+    # searches over support lists, and for per-point families against the
+    # exhaustive oracle.
     rng = np.random.default_rng(seed)
-    constraint, supports, add, costs = coupled_instance(rng, family, slack, ties)
-    reference = average_search_reference if family == "average" else block_search_reference
+    constraint, supports, add, costs = family_instance(rng, family, slack, ties)
     values = replacement_values(constraint, supports, add, costs)
     assert values.shape == (N_ATOMS,)
     for atom in range(N_ATOMS):
-        expected = reference(constraint, supports, atom, add[atom], costs)
-        assert abs(values[atom] - expected.gain) <= 1e-12, (atom, values[atom], expected.gain)
         rep = search_replacement(constraint, supports, atom, add[atom], costs)
-        assert rep.per_t == expected.per_t, atom
-        assert abs(rep.gain - expected.gain) <= 1e-12
-
-
-def test_replacement_values_reject_per_point_families():
-    with pytest.raises(TypeError):
-        replacement_values(IndividualSparsity(1), [[]], np.zeros((2, 1)), [np.zeros(0)])
+        if family in ("average", "block"):
+            reference = average_search_reference if family == "average" else block_search_reference
+            expected = reference(constraint, supports, atom, add[atom], costs)
+            assert rep.per_t == expected.per_t, atom
+            expected = expected.gain
+        else:
+            # An optimal replacement: its decisions realize the optimum, add
+            # the atom wherever they touch a support and stay feasible.
+            expected = best_replacement_oracle(constraint, supports, atom, add[atom], costs, is_feasible)
+            realized = [add[atom, t] - (0.0 if r is None else costs[t][supports[t].index(r)]) for t, r, _ in rep.per_t]
+            assert abs(sum(realized) - expected) <= 1e-12 and min(realized, default=1.0) > 0.0
+            assert all(added for _, _, added in rep.per_t)
+            assert is_feasible(constraint, apply_replacement(supports, rep))
+        assert abs(values[atom] - expected) <= 1e-12, (atom, values[atom], expected)
+        assert abs(rep.gain - expected) <= 1e-12

@@ -21,7 +21,7 @@ from dictsel import (
     utility_gradient,
 )
 from dictsel import constraints, offline
-from dictsel.constraints import coupled_step, solve_exchange
+from dictsel.constraints import family_step, solve_exchange
 from dictsel.data_io import synth_dataset
 from dictsel.errors import UnsupportedConstraint
 from dictsel.offline import SelectorConfig, modular_greedy, replacement_greedy, replacement_omp
@@ -280,7 +280,7 @@ def test_romp_coupled_step_values_match_per_atom_search_at_every_step(monkeypatc
     steps = []
 
     def checked_step(constraint, index, costs, num_atoms):
-        step = coupled_step(constraint, index, costs, num_atoms)
+        step = family_step(constraint, index, costs, num_atoms)
         values = step.values
 
         def checked_values(add_gains):
@@ -295,7 +295,7 @@ def test_romp_coupled_step_values_match_per_atom_search_at_every_step(monkeypatc
         step.values = checked_values
         return step
 
-    monkeypatch.setattr(offline, "coupled_step", checked_step)
+    monkeypatch.setattr(offline, "family_step", checked_step)
     for seed in range(3):
         a, y = coupled_data(seed)
         replacement_omp(y, a, COUPLED[family], SelectorConfig(k=8))
@@ -310,7 +310,7 @@ def test_coupled_romp_step_replaces_only_the_winner(monkeypatch, family):
     replaced, solves, winners = [], [], []
 
     def counting_step(constraint, index, costs, num_atoms):
-        step = coupled_step(constraint, index, costs, num_atoms)
+        step = family_step(constraint, index, costs, num_atoms)
         replacement = step.replacement
 
         def counting_replacement(atom, add_gains):
@@ -333,7 +333,7 @@ def test_coupled_romp_step_replaces_only_the_winner(monkeypatch, family):
         winners.append(move)
         return move
 
-    monkeypatch.setattr(offline, "coupled_step", counting_step)
+    monkeypatch.setattr(offline, "family_step", counting_step)
     monkeypatch.setattr(constraints, "solve_exchange", counting_solve)
     monkeypatch.setattr(offline, "_romp_replacement", checked_step)
     for seed in range(3):
@@ -342,10 +342,16 @@ def test_coupled_romp_step_replaces_only_the_winner(monkeypatch, family):
     assert len(winners) == 24 and sum(move is not None for move in winners) >= 12
 
 
-TWO_CATEGORIES = PartitionMatroid((((frozenset(range(16)), 2), (frozenset(range(16, 32)), 2)),) * 12)
+PINNED_FAMILIES = {
+    **COUPLED,
+    "matroid": PartitionMatroid((((frozenset(range(16)), 2), (frozenset(range(16, 32)), 2)),) * 12),
+    "individual": IndividualSparsity(2),
+    "individual-decay": IndividualSparsity(2),
+}
 
 # Atoms and supports, in order, of replacement_omp with k = 8 on coupled_data,
-# as recorded before the coupled families moved to the padded support arrays.
+# as recorded before the coupled families moved to the padded support arrays
+# (the individual caps: before every family was priced by one step object).
 PINNED_COUPLED_OUTPUTS = {
     ("average", 0): (
         (3, 26, 0, 12, 5, 2, 4, 1),
@@ -377,15 +383,33 @@ PINNED_COUPLED_OUTPUTS = {
             (8, 30, 4, 21), (30, 4, 13, 23), (30, 4, 21, 0), (30, 4, 0, 23), (8, 30, 31, 4), (8, 30, 4, 21),
         ),
     ),
+    ("individual", 0): (
+        (3, 26, 0, 12, 2, 7, 4, 31),
+        ((3, 12), (3, 26), (26, 12), (3, 2), (4, 31), (0, 2), (3, 26), (0, 12), (3, 7), (26, 0), (3, 0), (12, 4)),
+    ),
+    ("individual", 1): (
+        (8, 30, 31, 7, 21, 13, 12, 4),
+        (
+            (8, 30), (8, 12), (30, 31), (31, 4), (31, 21), (31, 13), (30, 7), (30, 7), (30, 21), (7, 12), (8, 30),
+            (8, 30),
+        ),
+    ),
+    ("individual-decay", 0): (
+        (3, 26, 0, 12, 2, 4, 21, 1),
+        ((3, 21), (26, 1), (12, 1), (2, 1), (4, 21), (0, 2), (26, 1), (0, 1), (3, 21), (26, 0), (3, 21), (12, 4)),
+    ),
+    ("individual-decay", 1): (
+        (8, 30, 31, 7, 0, 20, 15, 13),
+        ((8, 30), (8, 13), (0, 15), (31, 15), (31, 15), (0, 13), (7, 20), (15, 13), (30, 15), (7, 0), (8, 15), (8, 13)),
+    ),
 }
 
 
 @pytest.mark.parametrize("family, seed", PINNED_COUPLED_OUTPUTS)
 def test_coupled_romp_outputs_stay_pinned(family, seed):
     # A change to these outputs is a change of selection behaviour, made on purpose or not.
-    constraint = COUPLED.get(family, TWO_CATEGORIES)
     a, y = coupled_data(seed)
-    state = replacement_omp(y, a, constraint, SelectorConfig(k=8))
+    state = replacement_omp(y, a, PINNED_FAMILIES[family], SelectorConfig(k=8, decay=family.endswith("decay")))
     atoms, supports = PINNED_COUPLED_OUTPUTS[family, seed]
     assert tuple(state.atoms) == atoms
     assert tuple(map(tuple, state.supports)) == supports

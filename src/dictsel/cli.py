@@ -274,18 +274,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        """The checked sections of a config; each method's ``k`` is checked by ``run_experiment``."""
+        """The checked sections of a config; each method's ``k`` is checked by ``_checked_ground_set``."""
         sections = {key: _field(doc, key, kind=dict) for key in ("ground_set", "train", "constraint")}
         methods = _field(doc, "methods", kind=list)
         if not methods:
             raise ParseError("methods: at least one method required")
         family = sections["constraint"].get("family")
+        cap = _field(sections["constraint"], "s", "constraint", low=0) if family == "individual" else None
         for i, method in enumerate(methods):
             where = f"methods[{i}]"
             name = _choice(_check(method, where, dict), "name", where, OFFLINE_METHODS)
             if name == "replacement_greedy" and family in ("block", "average"):
                 raise ParseError(f"{where}.name: replacement_greedy supports per-point families only, not {family}")
-            _field(method, "s", where, low=0, default=None)
+            _field(method, "s", where, low=0, high=cap if name == "modular_greedy" else None, default=None)
             _field(method, "smoothness", where, float, default=None)
         return ExperimentConfig(
             **sections,
@@ -508,14 +509,23 @@ def _eval_sparsity(constraint, method: dict) -> int:
     return 1 if method.get("s") is None else method["s"]
 
 
-def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRow]:
-    rng = np.random.default_rng([config.seed, trial])
+def _train_set(train_cfg: dict, ground_set, seed: int, trial: int) -> tuple[data_io.Dataset, np.ndarray | None]:
+    """The train set of trial ``trial`` and its planted atoms (None unless synthetic).
+
+    Every command that reads a ``train`` section builds it here, so
+    ``online`` and ``oracle`` see trial 0 of ``select`` and ``bench``.
+    """
+    rng = np.random.default_rng([seed, trial])
     planted = None
-    if config.train.get("kind") == "synthetic":
-        # Train and test share the planted dictionary within a trial.
-        _, k_planted, _ = _synthetic_sizes(config.train, ground_set.n, "train")
+    if train_cfg.get("kind") == "synthetic":
+        _, k_planted, _ = _synthetic_sizes(train_cfg, ground_set.n, "train")
         planted = np.sort(rng.choice(ground_set.n, size=k_planted, replace=False))
-    train = build_dataset(config.train, ground_set, [config.seed, trial, 0], planted, "train")
+    return build_dataset(train_cfg, ground_set, [seed, trial, 0], planted, "train"), planted
+
+
+def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRow]:
+    # Train and test share the planted dictionary within a trial.
+    train, planted = _train_set(config.train, ground_set, config.seed, trial)
     test_where = "train" if config.test is None else "test"
     test_cfg = getattr(config, test_where)
     same_plant = test_cfg.get("kind") == "synthetic" and test_cfg.get("k_planted") == config.train.get("k_planted")
@@ -542,11 +552,17 @@ def _run_trial(config: ExperimentConfig, ground_set, trial: int) -> list[TrialRo
     return rows
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all trials and methods; rows are collected in trial order."""
+def _checked_ground_set(config: ExperimentConfig) -> GroundSet:
+    """The config's ground set, once every method's ``k`` is checked against its atom count."""
     ground_set = build_ground_set(config.ground_set)
     for i, method in enumerate(config.methods):
         _dictionary_size(method, f"methods[{i}]", ground_set.n)
+    return ground_set
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run all trials and methods; rows are collected in trial order."""
+    ground_set = _checked_ground_set(config)
     result = ExperimentResult(config.to_dict())
     for trial in range(config.trials):
         result.rows.extend(_run_trial(config, ground_set, trial))
@@ -581,12 +597,13 @@ def _cmd_select(args) -> int:
     doc = _load_config_doc(args.config)
     config = ExperimentConfig.from_dict(doc)
     config.seed = _seed(doc, args.seed)
+    ground_set = _checked_ground_set(config)  # every method, before --method picks one
     methods = [m for m in config.methods if args.method in (None, m["name"])]
     if not methods:
         raise ParseError(f"--method: {args.method!r} not present in config")
     config.methods = methods[:1]
     config.trials = 1
-    result = run_experiment(config)
+    result = ExperimentResult(config.to_dict(), _run_trial(config, ground_set, 0))
     if args.format == "csv":
         _emit(result.to_csv(), args.out)
     else:
@@ -618,7 +635,7 @@ def _cmd_online(args) -> int:
     k = _dictionary_size(online_cfg, "online", ground_set.n)
     s = _field(online_cfg, "s", "online", low=1, high=k)
     seed = _seed(doc, args.seed)
-    stream = build_dataset(_field(doc, "train", kind=dict), ground_set, [seed, 0], where="train")
+    stream, _ = _train_set(_field(doc, "train", kind=dict), ground_set, seed, 0)
     horizon = online_cfg.get("horizon", stream.num_points)
     if horizon is not None:  # null: the horizon is unknown
         _check(horizon, "online.horizon", low=1)
@@ -647,7 +664,7 @@ def _cmd_oracle(args) -> int:
     doc = _load_config_doc(args.config)
     ground_set = build_ground_set(_field(doc, "ground_set", kind=dict))
     seed = _seed(doc, args.seed)
-    data = build_dataset(_field(doc, "train", kind=dict), ground_set, [seed, 0], where="train")
+    data, _ = _train_set(_field(doc, "train", kind=dict), ground_set, seed, 0)
     constraint = build_constraint(_field(doc, "constraint", kind=dict), data.num_points, ground_set.n)
     k = _dictionary_size(doc, "", ground_set.n)
     value, atoms, supports = brute_force_optimum(data, ground_set, constraint, k)
@@ -689,9 +706,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        if name != "groundset":
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name in ("select", "bench"):
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(func=func)
     sub.choices["select"].add_argument("--method", default=None)
     return parser
@@ -715,3 +734,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

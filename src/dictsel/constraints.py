@@ -14,8 +14,8 @@ cost of each position: ``values`` gives every atom's best gain in closed
 form, ``replacement`` the winner's replacement.  Per-point families are
 priced from category tallies (``point_categories``); for average sparsity
 the replacement is a budgeted exchange problem, solved exactly in
-O(T log T) by ``solve_exchange``.  ``search_replacement`` and
-``replacement_values`` take supports as lists and pad them once.
+O(T log T) by ``solve_exchange``.  ``best_replacement`` takes supports
+as lists, pads them once and runs the same step for one atom.
 """
 
 from __future__ import annotations
@@ -578,57 +578,11 @@ def _padded(supports: Sequence[Sequence[int]], removal_costs: Sequence) -> tuple
     return index, costs
 
 
-def search_replacement(
-    constraint: SparsityConstraint,
-    supports: Sequence[Sequence[int]],
-    atom: int,
-    add_gains: np.ndarray,
-    removal_costs: Sequence[np.ndarray],
-) -> Replacement:
-    """Gain-maximizing feasible replacement for one candidate atom.
-
-    ``add_gains[t]`` is the (already smoothness-scaled) gain of adding the
-    candidate to Z_t and ``removal_costs[t][j]`` the scaled, nonnegative
-    cost of dropping the j-th atom of Z_t; entries for supports already
-    holding the candidate must be zero.  ``supports`` are the current Z_t
-    as ordered index sequences (the order fixes removal-cost positions),
-    assumed feasible.  Nonpositive additions are declined, so the gain is
-    never negative and feasibility is kept.
-    """
-    add_gains = np.asarray(add_gains, dtype=float)
-    index, costs = _padded(supports, removal_costs)
-    step = family_step(constraint, index, costs, 1 + max(atom, int(index.max())))
-    points, removed, add, gain = step.replacement(atom, add_gains)
-    per_t = [
-        (t, None if r < 0 else int(index[t, r]), a) for t, r, a in zip(points.tolist(), removed.tolist(), add.tolist())
-    ]
-    return Replacement(atom, per_t, float(gain))
-
-
 def _prefix_sums(rows: np.ndarray) -> np.ndarray:
     """Row-wise sums of the first 0, 1, ..., m entries of each (., m) row."""
     sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
     np.cumsum(rows, axis=1, out=sums[:, 1:])
     return sums
-
-
-def replacement_values(
-    constraint: SparsityConstraint,
-    supports: Sequence[Sequence[int]],
-    add_gains: np.ndarray,
-    removal_costs: Sequence[np.ndarray],
-) -> np.ndarray:
-    """The gain of :func:`search_replacement` for every atom at once.
-
-    ``add_gains`` is (n, T): row j holds atom j's add gains, zero at
-    supports holding atom j, as :func:`search_replacement` takes them;
-    ``removal_costs`` and ``supports`` are as there.  Returns the (n,)
-    gains, computed in closed form from the :func:`family_step` data
-    shared by all atoms.
-    """
-    add_gains = np.asarray(add_gains, dtype=float)
-    index, costs = _padded(supports, removal_costs)
-    return family_step(constraint, index, costs, add_gains.shape[0]).values(add_gains)
 
 
 def require_feasible(constraint: SparsityConstraint, supports: Sequence) -> None:
@@ -644,6 +598,21 @@ def best_replacement(
     add_gains: np.ndarray,
     removal_costs: Sequence[np.ndarray],
 ) -> Replacement:
-    """:func:`search_replacement`, raising InfeasibleState on infeasible ``supports``."""
+    """Gain-maximizing feasible replacement for one candidate atom.
+
+    ``add_gains[t]`` is the (already smoothness-scaled) gain of adding the
+    candidate to Z_t and ``removal_costs[t][j]`` the scaled, nonnegative
+    cost of dropping the j-th atom of Z_t; entries for supports already
+    holding the candidate must be zero.  ``supports`` are the current Z_t
+    as ordered index sequences (the order fixes removal-cost positions);
+    InfeasibleState unless they are feasible.  Nonpositive additions are
+    declined, so the gain is never negative and feasibility is kept.
+    """
     require_feasible(constraint, supports)
-    return search_replacement(constraint, supports, atom, add_gains, removal_costs)
+    index, costs = _padded(supports, removal_costs)
+    step = family_step(constraint, index, costs, 1 + max(atom, int(index.max())))
+    points, removed, add, gain = step.replacement(atom, np.asarray(add_gains, dtype=float))
+    per_t = [
+        (t, None if r < 0 else int(index[t, r]), a) for t, r, a in zip(points.tolist(), removed.tolist(), add.tolist())
+    ]
+    return Replacement(atom, per_t, float(gain))

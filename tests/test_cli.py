@@ -1,7 +1,10 @@
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -392,6 +395,25 @@ def test_greedy_under_a_coupled_family_is_a_config_error(tmp_path, capsys, monke
     assert ran == []
 
 
+@pytest.mark.parametrize("command", ["select", "bench"])
+def test_modular_greedy_above_an_individual_cap_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    ran = []
+    monkeypatch.setattr(cli, "run_selector", lambda method, *args: ran.append(method))
+    methods = [{"name": "replacement_omp", "k": 3}, {"name": "modular_greedy", "k": 3, "s": 3}]
+    flags = ("--method", "replacement_omp") if command == "select" else ()
+    code, _, err = run_cli(tmp_path, capsys, command, base_config(methods=methods), *flags)
+    assert_config_error(code, err, "methods[1].s")
+    assert ran == []
+
+
+@pytest.mark.parametrize("picked", ["replacement_omp", "replacement_greedy"])
+def test_select_checks_every_method_before_picking_one(tmp_path, capsys, picked):
+    # As bench does: the error names the entry as the file numbers it.
+    methods = [{"name": "replacement_omp", "k": 4}, {"name": "replacement_greedy", "k": 99}]
+    code, _, err = run_cli(tmp_path, capsys, "select", base_config(methods=methods), "--method", picked)
+    assert_config_error(code, err, "methods[1].k: integer in 1..16")
+
+
 def set_field(doc, path, value):
     """Set the config field at ``path``, such as ``ground_set.bases[0].side``; an index picks a list item."""
     *parents, last = (int(token) if token.isdigit() else token for token in re.findall(r"[^.\[\]]+", path))
@@ -607,7 +629,11 @@ def library_values(command, doc, seed):
         config = ExperimentConfig(doc["ground_set"], doc["train"], doc["constraint"], doc["methods"], seed=seed)
         return [{key: value for key, value in row.to_dict().items() if key != "seconds"}
                 for row in run_experiment(config).rows]
-    data = build_dataset(doc["train"], ground_set, [seed, 0])
+    # Trial 0's train set, as select and bench build it: the plant from the
+    # generator [seed, 0], the points from the seed [seed, 0, 0].
+    rng = np.random.default_rng([seed, 0])
+    planted = np.sort(rng.choice(ground_set.n, size=doc["train"]["k_planted"], replace=False))
+    data = build_dataset(doc["train"], ground_set, [seed, 0, 0], planted)
     if command == "online":
         online = doc["online"]
         state = online_state(online["method"], ground_set, online["k"], online["s"], horizon=data.num_points, seed=seed)
@@ -626,6 +652,61 @@ def test_valid_seeds_drive_every_command(tmp_path, capsys, command, seed, flags,
     code, out, err = run_cli(tmp_path, capsys, command, doc, *flags)
     assert code == 0, err
     assert seeded_values(command, out) == library_values(command, doc, used)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_bounds_every_select_method_on_the_same_config(tmp_path, capsys, seed):
+    # The oracle solves the train set that select and bench run trial 0 on.
+    doc = {
+        "ground_set": {"bases": [{"name": "dct2", "side": 3}]},
+        "train": {"kind": "synthetic", "T": 4, "k_planted": 3, "s": 2},
+        "constraint": {"family": "individual", "s": 2},
+        "methods": [{"name": name, "k": 3} for name in cli.OFFLINE_METHODS],
+        "k": 3,
+        "seed": seed,
+    }
+    code, out, err = run_cli(tmp_path, capsys, "oracle", doc)
+    assert code == 0, err
+    optimum = json.loads(out)["optimum"]
+    for name in cli.OFFLINE_METHODS:
+        code, out, err = run_cli(tmp_path, capsys, "select", doc, "--method", name)
+        assert code == 0, err
+        assert json.loads(out)["row"]["objective"] <= optimum * (1 + 1e-12), name
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("online", ("--format", "csv")),
+        ("oracle", ("--format", "csv")),
+        ("groundset", ("--format", "csv")),
+        ("groundset", ("--seed", "1")),
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, command, flags):
+    assert run_cli(tmp_path, capsys, command, every_command_config())[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, capsys, command, every_command_config(), *flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_python_m_dictsel_cli_runs_the_command(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"ground_set": {"bases": [{"name": "dct2", "side": 1}]}}))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "dictsel.cli", "groundset", "--config", str(config)],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        for config in (root / "demos" / "configs" / "offline_bench.json", bad)
+    ]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert (json.loads(runs[0].stdout)["d"], json.loads(runs[0].stdout)["n"]) == (64, 128)
+    assert runs[1].returncode == 2
+    assert runs[1].stderr.startswith("config error: ground_set.bases[0].side")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

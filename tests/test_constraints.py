@@ -18,7 +18,7 @@ from dictsel import (
     replacement_sparsity_p,
     solve_exchange,
 )
-from dictsel.constraints import cheapest_removal, family_step, point_categories, replacement_values, search_replacement
+from dictsel.constraints import _padded, cheapest_removal, family_step, point_categories
 from dictsel.errors import InfeasibleState
 
 from oracles import average_search_reference, best_replacement_oracle, block_search_reference, exchange_optimum
@@ -447,15 +447,15 @@ def family_instance(rng, family, slack, ties):
     ties=st.booleans(),
 )
 def test_coupled_step_values_match_per_atom_search(seed, family, slack, ties):
-    # Gains and decisions of the padded-array step against the per-atom
-    # searches over support lists, and for per-point families against the
-    # exhaustive oracle.
+    # Gains of the padded-array step and decisions of the list-form search
+    # against the per-atom reference searches over support lists, and for
+    # per-point families against the exhaustive oracle.
     rng = np.random.default_rng(seed)
     constraint, supports, add, costs = family_instance(rng, family, slack, ties)
-    values = replacement_values(constraint, supports, add, costs)
+    values = family_step(constraint, *_padded(supports, costs), N_ATOMS).values(add)
     assert values.shape == (N_ATOMS,)
     for atom in range(N_ATOMS):
-        rep = search_replacement(constraint, supports, atom, add[atom], costs)
+        rep = best_replacement(constraint, supports, atom, add[atom], costs)
         if family in ("average", "block"):
             reference = average_search_reference if family == "average" else block_search_reference
             expected = reference(constraint, supports, atom, add[atom], costs)

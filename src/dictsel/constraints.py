@@ -20,6 +20,7 @@ as lists, pads them once and runs the same step for one atom.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -29,6 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InfeasibleState
+from .linalg import stack_rows
 
 
 @dataclass(frozen=True)
@@ -304,7 +306,9 @@ class PointCategories:
     ``caps[rule[t], c]`` atoms of category c.  The last category is
     uncapped (inf) and holds the atoms no category names.  Individual caps
     are one category of cap s; a partition matroid has its rules'
-    categories, one table row per distinct rule.
+    categories, one table row per distinct rule.  Atoms that fall in the
+    same category under every rule form one class (``classes``), so
+    per-atom tables are gathered from one row per class.
 
     The methods take ``points`` (P,) and their supports as a (P, m) atom
     array, -1 padding the shorter ones.
@@ -320,11 +324,22 @@ class PointCategories:
         held = np.where(supports >= 0, self.labels[rule[:, None], supports], -1)
         return rule, held[:, :, None] == np.arange(self.caps.shape[1])
 
-    def per_atom(self, rule, table: np.ndarray) -> np.ndarray:
-        """The (n, P) entries, in C order, of a (P, C) per-category table at each atom's category."""
-        if len(self.labels) == 1:
-            return table.T[self.labels[0]]
-        return np.ascontiguousarray(np.take_along_axis(table, self.labels[rule], axis=1).T)
+    @functools.cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The categories (R, K) of each atom class under every rule, and each atom's class (n,)."""
+        # Sorted by their label columns, the atoms of one class are adjacent;
+        # the zero key keeps the sort defined when there are no rules.
+        order = np.lexsort((*self.labels, np.zeros(self.labels.shape[1], dtype=int)))
+        columns = self.labels[:, order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
+        atom_class = np.empty_like(order)
+        atom_class[order] = np.cumsum(first) - 1
+        return columns[:, first], atom_class
+
+    def per_class(self, rule, table: np.ndarray) -> np.ndarray:
+        """The (P, K) entries of a (P, C) per-category table at each atom class's category."""
+        return table[np.arange(len(rule))[:, None], self.classes[0][rule]]
 
     def tally(self, points, supports, removal_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per category of each support: the atoms held, the cheapest removal and its position.
@@ -361,7 +376,7 @@ class PointCategories:
         outside = np.ones((len(rule), self.labels.shape[1]), dtype=bool)
         rows, cols = np.nonzero(supports >= 0)
         outside[rows, supports[rows, cols]] = False
-        addable = self.per_atom(rule, held.sum(axis=1) < self.caps[rule]).T & outside
+        addable = self.per_class(rule, held.sum(axis=1) < self.caps[rule])[:, self.classes[1]] & outside
         same = np.take_along_axis(held, self.labels[rule][:, None, :], axis=2)
         return addable, same & (outside & ~addable)[:, None, :]
 
@@ -409,21 +424,34 @@ class PointStep:
     (padded as :func:`family_step` takes them), ``cheapest`` in the step's
     scaled costs.  ``table`` (T, C) is what an atom of each category pays
     to join each support: 0 while the category has room, else its cheapest
-    removal (inf if it holds none).
+    removal (inf if it holds none); ``by_class`` (K, T) is the same per
+    atom class.
     """
 
     def __init__(self, cats: PointCategories, index: np.ndarray, counts, cheapest, position):
         self.cats, self.index, self.counts, self.position = cats, index, counts, position
         self.table = np.where(counts < cats.caps[cats.rule], 0.0, cheapest)
+        self.by_class = np.ascontiguousarray(cats.per_class(cats.rule, self.table).T)
 
-    def costs(self) -> np.ndarray:
-        """The (n, T) cost of each atom's cheapest option at each support, from ``table``."""
-        return self.cats.per_atom(self.cats.rule, self.table)
+    def costs(self, atoms=slice(None)) -> np.ndarray:
+        """The (len(atoms), T) cost, in C order, of each atom's cheapest option at each support."""
+        return np.take(self.by_class, self.cats.classes[1][atoms], axis=0)
 
     def values(self, add_gains: np.ndarray) -> np.ndarray:
-        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``."""
-        gains = self.costs()  # overwritten: a step holds one (n, T) array besides ``add_gains``
-        return np.maximum(np.subtract(add_gains, gains, out=gains), 0.0, out=gains).sum(axis=1)
+        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``.
+
+        Atoms are priced ``stack_rows(T)`` rows at a time, so a step holds
+        no (n, T) array besides ``add_gains``; each row is summed on its
+        own, so the chunking does not change a bit.
+        """
+        n, t_count = add_gains.shape
+        out = np.empty(n)
+        rows = stack_rows(t_count)
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            gains = self.costs(block)  # overwritten
+            np.maximum(np.subtract(add_gains[block], gains, out=gains), 0.0, out=gains).sum(axis=1, out=out[block])
+        return out
 
     def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
         """``atom``'s best replacement, as :meth:`AverageStep.replacement` gives it.

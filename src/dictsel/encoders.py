@@ -27,7 +27,11 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import GramFit, atom_matrix, gram_fit, gram_update, require_finite_atoms
 
+# A point stops once its residual norm falls to _RESIDUAL_STOP, or once no
+# atom's correlation with its residual exceeds _CORRELATION_STOP times
+# max(residual norm, 1).
 _RESIDUAL_STOP = 1e-10
+_CORRELATION_STOP = 1e-12
 
 
 @dataclass
@@ -52,9 +56,9 @@ def omp_codes(dictionary, y: np.ndarray, s: int) -> tuple[GramFit, np.ndarray]:
 
     Each step adds, at every point, the atom most correlated with its
     residual and re-solves least squares on the support.  A point stops
-    early once its residual norm, sqrt(||y||^2 - 2 f), falls below 1e-10
-    (to avoid fitting floating-point noise) or no atom correlates with
-    its residual.
+    early once its residual norm r = sqrt(||y||^2 - 2 f) is at most 1e-10
+    (to avoid fitting floating-point noise) or no untried atom's
+    correlation with its residual exceeds 1e-12 * max(r, 1).
     Numerically dependent candidates are skipped.  Returns the fits
     (supports ``index[t, :size[t]]``, coefficients) and each column's
     squared residual, taken from y - D X with X the (num_atoms, T) code
@@ -78,7 +82,8 @@ def omp_codes(dictionary, y: np.ndarray, s: int) -> tuple[GramFit, np.ndarray]:
         corr = np.abs(fit.gradients[:, active])
         corr[tried[:, active]] = 0.0
         best = np.argmax(corr, axis=0)
-        go = (rnorm > _RESIDUAL_STOP) & (corr[best, np.arange(active.size)] > 1e-12 * np.maximum(rnorm, 1.0))
+        top = corr[best, np.arange(active.size)]
+        go = (rnorm > _RESIDUAL_STOP) & (top > _CORRELATION_STOP * np.maximum(rnorm, 1.0))
         active, best = active[go], best[go]
         tried[best, active] = True
         gram_update(fit, active, np.full(active.size, -1), best)

@@ -239,6 +239,16 @@ def stack_points(num_atoms: int) -> int:
     return max(1, STACK // num_atoms)
 
 
+def stack_rows(t_count: int) -> int:
+    """Atom rows per chunk of an (n, T) per-atom table over ``t_count`` points.
+
+    At least 16, so that a chunk's per-call overhead stays small at large
+    T; STACK // T where that is more, which keeps a 128-atom table at
+    T <= 64 in one chunk.
+    """
+    return max(16, STACK // max(t_count, 1))
+
+
 def require_finite_atoms(a: np.ndarray) -> np.ndarray:
     """Return ``a``, or raise ValueError if it holds NaN or inf, as data_io.data_matrix does for data."""
     if not np.isfinite(a).all():
@@ -269,22 +279,27 @@ class GramFit:
     f_values: np.ndarray
     rank_skips: int = 0
 
-    def snapshot(self, points) -> tuple:
-        """Copies of the rows of ``points``, for :meth:`restore`."""
-        return (
-            self.index[points],
-            self.size[points],
-            self.coeffs[points],
-            self.gradients[:, points],
-            self.f_values[points],
-        )
+    def snapshot(self, points, scratch: np.ndarray) -> tuple:
+        """Copies of the rows of ``points``, for :meth:`restore` after one :func:`gram_update` of them.
+
+        Support columns past the first max(size) + 1 are not copied: an
+        update adds at most one atom to each support, so it leaves them as
+        they are.  The (n, P) gradient columns are copied into the first
+        n * P floats of the contiguous float array ``scratch``, which must
+        hold them until the restore or until the snapshot is dropped.
+        """
+        n, m = self.gradients.shape[0], min(self.index.shape[1], int(self.size[points].max(initial=0)) + 1)
+        gradients = scratch.reshape(-1)[: n * len(points)].reshape(n, len(points))
+        # "wrap" reads in-range indices as "raise" does, without a buffered copy.
+        np.take(self.gradients, points, axis=1, out=gradients, mode="wrap")
+        return self.index[points, :m], self.size[points], self.coeffs[points, :m], gradients, self.f_values[points]
 
     def restore(self, points, rows: tuple) -> None:
         """Write back the rows a :meth:`snapshot` of ``points`` took."""
         index, size, coeffs, gradients, f_values = rows
-        self.index[points] = index
+        self.index[points, : index.shape[1]] = index
         self.size[points] = size
-        self.coeffs[points] = coeffs
+        self.coeffs[points, : coeffs.shape[1]] = coeffs
         self.gradients[:, points] = gradients
         self.f_values[points] = f_values
 

@@ -139,14 +139,15 @@ class _Move:
     add: np.ndarray
 
 
-def _apply(state: SelectionState, move: _Move, iteration: int) -> bool:
+def _apply(state: SelectionState, move: _Move, iteration: int, scratch: np.ndarray) -> bool:
     """Apply ``move`` unless it lowers the objective; returns whether it was kept.
 
     An add refused because the candidate depends on the remaining support
-    is skipped; the removal alone still stands, as it is feasible.
+    is skipped; the removal alone still stands, as it is feasible.  The
+    rollback snapshot of the touched gradients is taken into ``scratch``.
     """
     fit, p = state.fit, move.points
-    before = fit.snapshot(p)
+    before = fit.snapshot(p, scratch)
     added = gram_update(fit, p, move.removed, np.where(move.add, move.added_atom, -1))
     f_before, f_after = before[-1], fit.f_values[p]
     if (f_after - f_before).sum() < -_ROLLBACK_RTOL * 0.5 * state.data_sq[p].sum():
@@ -164,13 +165,13 @@ def _apply(state: SelectionState, move: _Move, iteration: int) -> bool:
     return True
 
 
-def _zeroed_grad_sq(state: SelectionState) -> np.ndarray:
-    """Squared gradient entries with the current supports zeroed exactly.
+def _zeroed_grad_sq(state: SelectionState, out: np.ndarray) -> np.ndarray:
+    """Squared gradient entries, written into the (n, T) ``out``, with the current supports zeroed exactly.
 
     Entries on a solved support vanish mathematically; zeroing removes the
     floating-point dust so no-op additions never carry positive gain.
     """
-    g2 = state.gradients**2
+    g2 = np.square(state.gradients, out=out)
     index = state.fit.index
     held = index >= 0
     g2[index[held], np.nonzero(held)[0]] = 0.0
@@ -228,10 +229,15 @@ class _Coupled:
 
 
 def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
-    """The k iterations of ``step(state, family, touched, i) -> _Move | None``.
+    """The k iterations of ``step(state, family, touched, i, scratch) -> _Move | None``.
 
     ``family`` is the :class:`_PerPoint` or :class:`_Coupled` of the
     constraint; ``touched`` are the points changed since the last step.
+    ``scratch`` is one (n, T) float array that every iteration reuses, so
+    that the squared gradients, the rollback snapshot and the fallback's
+    gradient mass allocate no (n, T) array each step: the step may write
+    it, and once the step has returned its move :func:`_apply` takes the
+    rollback snapshot into it.  It is dropped when the selection returns.
     A None step, or a replacement undone by :func:`_apply`, adds the
     unselected atom of largest squared gradient mass without touching
     any support, so the dictionary reaches k atoms.  Raises ValueError
@@ -246,14 +252,15 @@ def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
     state = _new_state(a, y, k, trace)
     family = (_PerPoint if isinstance(constraint, _PER_POINT) else _Coupled)(constraint, t_count, n)
     touched = np.arange(t_count)
+    scratch = np.empty((n, t_count))
     for i in range(1, k + 1):
-        move = step(state, family, touched, i)
-        if move is not None and _apply(state, move, i):
+        move = step(state, family, touched, i, scratch)
+        if move is not None and _apply(state, move, i, scratch):
             state.atoms.append(move.added_atom)
             touched = move.points
         else:
             # Supports hold only dictionary atoms: no gradient dust in unselected rows.
-            mass = (state.gradients**2).sum(axis=1)
+            mass = np.square(state.gradients, out=scratch).sum(axis=1)
             mass[state.atoms] = -math.inf
             state.atoms.append(int(np.argmax(mass)))
             touched = touched[:0]
@@ -262,14 +269,16 @@ def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
     return state
 
 
-def _romp_replacement(state: SelectionState, m_i: float, family) -> _Move | None:
+def _romp_replacement(state: SelectionState, m_i: float, family, scratch: np.ndarray) -> _Move | None:
     """The replacement of largest proxy gain among unselected atoms.
 
     The family's step data (:func:`~dictsel.constraints.family_step`),
     built once per step, give every atom's gain in closed form and then
-    the winner's replacement.
+    the winner's replacement.  The scaled squared gradients are built in
+    the (n, T) ``scratch``.
     """
-    scaled_g2 = _zeroed_grad_sq(state) / m_i
+    scaled_g2 = _zeroed_grad_sq(state, scratch)
+    scaled_g2 /= m_i
     step = family.step(state.fit, m_i)
     winner = _winner(step.values(scaled_g2), state.atoms)
     if winner is None:
@@ -292,8 +301,8 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
     y = data_matrix(data)
     base_m = resolve_smoothness(ground_set, config.smoothness)
 
-    def step(state, family, touched, i):
-        return _romp_replacement(state, base_m / math.sqrt(i) if config.decay else base_m, family)
+    def step(state, family, touched, i, scratch):
+        return _romp_replacement(state, base_m / math.sqrt(i) if config.decay else base_m, family, scratch)
 
     return _select(a, y, constraint, config.k, trace, step)
 
@@ -348,7 +357,7 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
     best = np.zeros((a.shape[1], y.shape[1]))
     code = np.zeros(best.shape, dtype=np.int32)
 
-    def step(state, family, touched, i):
+    def step(state, family, touched, i, scratch):
         _greedy_tables(state, family, best, code, touched)
         table = best.sum(axis=1)
         winner = _winner(table, state.atoms)

@@ -18,6 +18,7 @@ from dictsel import (
     replacement_sparsity_p,
     solve_exchange,
 )
+from dictsel import constraints
 from dictsel.constraints import _padded, cheapest_removal, family_step, point_categories
 from dictsel.errors import InfeasibleState
 
@@ -368,6 +369,40 @@ def test_category_tallies_price_the_point_options(family):
                 if addable[atom] or pos is not None:
                     got = step.cats.swap_positions(points[[t]], step.counts[[t]], step.position[[t]], atom)[0]
                     assert got == (-1 if addable[atom] else pos)
+
+
+@pytest.mark.parametrize("rows", [1, 16, None, 128], ids=["rows1", "rows16", "default", "rowsN"])
+@pytest.mark.parametrize("family", ["individual", "matroid"])
+def test_point_step_values_do_not_depend_on_row_chunks(monkeypatch, family, rows):
+    # PointStep.values prices stack_rows(T) atoms at a time (54 of the 128
+    # here by default, a ragged last chunk); every chunking must give the
+    # values of the whole (n, T) cost table bit for bit.
+    rng = np.random.default_rng(61)
+    n, t_count = 128, 150
+    if family == "individual":
+        constraint = IndividualSparsity(3)
+    else:
+        # Two rules with different category boundaries; atoms 96-127 fall
+        # in no category of the second.
+        first = ((frozenset(range(64)), 2), (frozenset(range(64, 128)), 2))
+        second = ((frozenset(range(32)), 1), (frozenset(range(32, 96)), 2))
+        constraint = PartitionMatroid(tuple(first if t % 2 else second for t in range(t_count)))
+    index = np.full((t_count, 7), -1)
+    for t in range(t_count):
+        support = []
+        for atom in rng.permutation(n)[: int(rng.integers(0, 8))].tolist():
+            if is_feasible(constraint, [[]] * t + [support + [atom]] + [[]] * (t_count - t - 1)):
+                support.append(atom)
+        index[t, : len(support)] = support
+    removal = rng.choice([0.25, 0.5, 0.75], size=index.shape)  # ties are common
+    add = np.round(rng.uniform(0.0, 1.0, size=(n, t_count)), 1)
+    step = family_step(constraint, index, removal, n)
+    expected = np.maximum(add - step.costs(), 0.0).sum(axis=1)
+    if rows is not None:
+        monkeypatch.setattr(constraints, "stack_rows", lambda t_count: rows)
+    got = step.values(add)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert (step.by_class.shape[0] == 1) == (family == "individual")
 
 
 def test_category_tallies_reject_supports_over_their_caps():

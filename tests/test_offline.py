@@ -1,4 +1,7 @@
+import gc
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -462,6 +465,15 @@ def test_fallback_fills_dictionary_when_gains_vanish(select):
     assert state.objective == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("constraint", [IndividualSparsity(1), PartitionMatroid(())], ids=["caps", "matroid"])
+@pytest.mark.parametrize("select", SELECTORS.values(), ids=SELECTORS.keys())
+def test_selectors_fill_the_dictionary_without_data_points(select, constraint):
+    # With no points every gain is zero, and the fallback picks the atoms.
+    state = select(np.zeros((9, 0)), dct2_basis(3), constraint, 3)
+    assert state.atoms == [0, 1, 2]
+    assert state.objective_history == [0.0] * 3
+
+
 def random_family(family, rng, n, t_count):
     """A random constraint of the named family over n atoms and t_count points."""
     if family == "caps":
@@ -590,6 +602,84 @@ def test_replacements_that_lower_the_objective_are_undone(config):
     assert len(set(state.atoms)) == len(state.atoms) == 30
     assert np.all(np.diff(state.objective_history) >= -1e-12 * 0.5 * float((y * y).sum()))
     state_consistency(state, gs.matrix, y, IndividualSparsity(5))
+
+
+def fit_rows(fit, points):
+    """The rows of ``points`` in every per-point array of a GramFit, as bytes."""
+    rows = (fit.index[points], fit.size[points], fit.coeffs[points], fit.gradients[:, points], fit.f_values[points])
+    return [(row.shape, row.tobytes()) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "config", [SelectorConfig(k=30, smoothness=0.3), SelectorConfig(k=30, decay=True)], ids=["M=0.3", "decay"]
+)
+def test_rollbacks_restore_the_touched_points_bitwise(monkeypatch, config):
+    # The rollback snapshot lives in the selection's reused scratch and
+    # copies only the support columns an update can write; an undone step
+    # must still leave every touched row as it was, bit for bit.
+    gs, y = rollback_data()
+    apply, undone = offline._apply, []
+
+    def checked(state, move, iteration, scratch):
+        before = fit_rows(state.fit, move.points)
+        kept = apply(state, move, iteration, scratch)
+        if not kept:
+            assert fit_rows(state.fit, move.points) == before, iteration
+            undone.append(iteration)
+        return kept
+
+    monkeypatch.setattr(offline, "_apply", checked)
+    state = replacement_omp(y, gs, IndividualSparsity(5), config)
+    assert len(undone) == state.rollbacks >= 1
+
+
+def selection_fingerprint(state):
+    return state.atoms, state.supports, state.objective_history, state.rollbacks
+
+
+def test_scratch_lives_for_one_selection(monkeypatch):
+    # One (n, T) scratch per selection: calls at another T in between do
+    # not change a selection, and a returned state keeps none of it.
+    gs = assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))])
+    y = synth_dataset(gs, 800, 30, 5, 0).matrix + 0.05 * np.random.default_rng(0).standard_normal((64, 800))
+    first = {}
+    for t_count in (800, 30, 800, 30):
+        state = replacement_omp(y[:, :t_count], gs, IndividualSparsity(5), SelectorConfig(k=30, smoothness=0.3))
+        assert selection_fingerprint(state) == selection_fingerprint(first.setdefault(t_count, state))
+    assert first[800].rollbacks >= 1 and first[30].rollbacks >= 1
+    apply, scratches = offline._apply, []
+
+    def recorded(state, move, iteration, scratch):
+        scratches.append(weakref.ref(scratch))
+        return apply(state, move, iteration, scratch)
+
+    monkeypatch.setattr(offline, "_apply", recorded)
+    for select in (
+        lambda: replacement_omp(y[:, :100], gs, IndividualSparsity(5), SelectorConfig(k=20), trace=True),
+        lambda: replacement_greedy(y[:, :100], gs, IndividualSparsity(5), 20, trace=True),
+    ):
+        scratches.clear()
+        state = select()
+        gc.collect()
+        assert scratches and all(ref() is None for ref in scratches)
+        assert len(state.atoms) == 20
+
+
+def test_romp_peak_memory_is_two_tables_above_its_result():
+    # Under individual caps the scratch is the only (n, T) array a ROMP
+    # selection allocates besides its state; with the steps' small
+    # temporaries the peak stays within two (n, T) float tables above
+    # what the returned state holds.
+    gs = assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))])
+    y = synth_dataset(gs, 800, 20, 5, 0).matrix
+    tracemalloc.start()
+    try:
+        state = replacement_omp(y, gs, IndividualSparsity(5), SelectorConfig(k=20))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state.atoms) == 20
+    assert peak - retained <= 2 * gs.n * y.shape[1] * 8
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -348,15 +348,16 @@ class PointCategories:
         of the category (inf if it holds none) and that entry's position
         (ties to the lowest atom; -1 if none).
         """
-        _, held = self._held(points, supports)
-        counts = held.sum(axis=1)
+        # (P, C, m), so that every reduction runs along the last, contiguous axis.
+        held = np.ascontiguousarray(self._held(points, supports)[1].transpose(0, 2, 1))
+        counts = np.count_nonzero(held, axis=2)
         if not supports.shape[1]:
             return counts, np.full(counts.shape, math.inf), np.full(counts.shape, -1)
-        costs = np.where(held, removal_costs[:, :, None], math.inf)
-        cheapest = costs.min(axis=1)
+        costs = np.where(held, removal_costs[:, None, :], math.inf)
+        cheapest = costs.min(axis=2)
         # Among the cheapest entries of a category, the lowest atom; atoms are below n.
-        ties = np.where(held & (costs == cheapest[:, None, :]), supports[:, :, None], self.labels.shape[1])
-        return counts, cheapest, np.where(counts > 0, np.argmin(ties, axis=1), -1)
+        ties = np.where(held & (costs == cheapest[:, :, None]), supports[:, None, :], self.labels.shape[1])
+        return counts, cheapest, np.where(counts > 0, np.argmin(ties, axis=2), -1)
 
     def require_feasible(self, points, counts: np.ndarray) -> None:
         """Raise InfeasibleState unless the :meth:`tally` counts of ``points`` are within their caps."""

@@ -16,15 +16,15 @@ follow in closed form (``gram_gains``):
   c_jb^2 / gamma_j.
 
 These are the Batch-OMP identities (Rubinstein, Zibulevsky and Elad,
-Technion CS-2008-08); online rounds evaluate the same expressions
-(``_regain``, ``_swap_rows``) on one point's support, with G from
-``gram_matrix``.  One thin orthogonal factorization A_Z = Q R per support
-(``SupportFactorization``, ``factor_insert``, ``factor_remove``) is the
-reference path behind ``ls_solve``; the same gains with c = R^-1 Q^T A
-(``addition_gains``, ``swap_gains``) are test oracles, in
-``tests/oracles.py``.  The module also provides the ground-set
-conditioning measures used to set smoothness parameters: coherence and
-restricted extremal singular values.
+Technion CS-2008-08); online rounds call the same kernels (``_regain``,
+``_swap_rows``, which write into their first array argument) on one
+point's support, with G from ``gram_matrix``.  One thin orthogonal
+factorization A_Z = Q R per support (``SupportFactorization``,
+``factor_insert``, ``factor_remove``) is the reference path behind
+``ls_solve``; the same gains with c = R^-1 Q^T A (``addition_gains``,
+``swap_gains``) are test oracles, in ``tests/oracles.py``.  The module
+also provides the ground-set conditioning measures used to set
+smoothness parameters: coherence and restricted extremal singular values.
 """
 
 from __future__ import annotations
@@ -188,20 +188,27 @@ def factor_remove(state: SupportFactorization, position: int) -> SupportFactoriz
 
 
 def _regain(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / (2 * den), and 0 where den (the squared distance to the span) is below _DENOM_TOL."""
-    return np.where(den > _DENOM_TOL, num / (2.0 * np.maximum(den, _DENOM_TOL)), 0.0)
+    """num / (2 * den) into ``num``, returned; 0 where den (squared distance to the span) is not above _DENOM_TOL."""
+    num /= 2.0 * np.maximum(den, _DENOM_TOL)
+    np.copyto(num, 0.0, where=~(den > _DENOM_TOL))
+    return num
 
 
-def _swap_rows(grad, w, gamma, c, dist):
-    """The swap-gain expression shared by the QR and Gram forms; one row per support position.
+def _swap_rows(c, grad, w, gamma, dist):
+    """The swap-gain expression shared by offline and online gains; one row per support position.
 
-    ``grad`` and ``dist`` (the squared distance of each atom to the
-    support's span) are (..., n), ``w`` and ``gamma`` (..., m, 1) and
-    ``c`` (..., m, n).
+    ``c`` (..., m, n) is overwritten with the rows and returned; ``grad``
+    and ``dist`` (the squared distance of each atom to the support's
+    span) are (..., n), ``w`` and ``gamma`` (..., m, 1).
     """
-    rows = _regain((grad[..., None, :] + (w / gamma) * c) ** 2, dist[..., None, :] + c**2 / gamma)
-    rows -= 0.5 * w**2 / gamma
-    return rows
+    den = np.square(c) / gamma
+    den += dist[..., None, :]
+    c *= w / gamma
+    c += grad[..., None, :]
+    np.square(c, out=c)
+    _regain(c, den)
+    c -= 0.5 * w**2 / gamma
+    return c
 
 
 def ls_solve(ground_set, support, y: np.ndarray) -> np.ndarray:
@@ -360,11 +367,12 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
     atoms = np.asarray(atoms, dtype=int)
     drop = removed >= 0
     if drop.any():
-        rows = fit.index[points[drop]]
+        dropped = points[drop]
+        rows = fit.index[dropped]
         keep = np.arange(rows.shape[1]) != removed[drop, None]
-        fit.index[points[drop], :-1] = rows[keep].reshape(len(rows), -1)
-        fit.index[points[drop], -1] = -1
-        fit.size[points[drop]] -= 1
+        fit.index[dropped, :-1] = rows[keep].reshape(len(rows), -1)
+        fit.index[dropped, -1] = -1
+        fit.size[dropped] -= 1
     g, corr = fit.gram, fit.corr
     appended = np.zeros(len(points), dtype=bool)
     for m, idx in size_chunks(fit.size[points], g.shape[0]):
@@ -374,7 +382,8 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
         zs, zb = z[:, :m], z[:, m]
         gzb = g[zs, zb[:, None]]
         cz = corr[z, p[:, None]]
-        vu = np.linalg.solve(g[zs[:, :, None], zs[:, None, :]], np.stack([cz[:, :m], gzb], axis=2))
+        gzz = g.take(zs[:, :, None] * len(g) + zs[:, None, :])  # G_ZZ, by one flat gather
+        vu = np.linalg.solve(gzz, np.concatenate([cz[:, :m, None], gzb[:, :, None]], axis=2))
         v, u = vu[..., 0], vu[..., 1]
         bv, bu = np.einsum("pj,pjk->kp", gzb, vu)  # G[b, Z] v and G[b, Z] u
         norm_sq = g[zb, zb]
@@ -382,10 +391,10 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
         grow = (b >= 0) & (dist > SPAN_RTOL * norm_sq)
         wb = np.divide(cz[:, m] - bv, dist, out=np.zeros(len(p)), where=grow)
         w = np.concatenate([v - u * wb[:, None], wb[:, None]], axis=1)
-        grad = corr[:, p] - (w[:, None, :] @ g[z])[:, 0].T  # g[z] holds rows G[Z, :] = G[:, Z]^T
+        grad = corr[:, p] - (w[:, None, :] @ g.take(z, axis=0))[:, 0].T  # rows G[Z, :] = G[:, Z]^T
         fit.gradients[:, p] = grad
         # c.w - w.G w / 2 written as w.(c + (c - G w)) / 2: stationary in w.
-        fit.f_values[p] = 0.5 * np.sum(w * (cz + grad[z, np.arange(len(p))[:, None]]), axis=1)
+        fit.f_values[p] = 0.5 * (w * (cz + grad[z, np.arange(len(p))[:, None]])).sum(axis=1)
         fit.coeffs[p] = 0.0
         fit.coeffs[p, :m] = w[:, :m]
         fit.coeffs[p[grow], m] = wb[grow]
@@ -409,20 +418,20 @@ def gram_gains(fit: GramFit, points) -> tuple[np.ndarray, np.ndarray]:
     z = fit.index[points, :m]
     grad = fit.gradients[:, points].T
     gz = fit.gram[z]  # rows G[Z, :]
-    c, dist, gamma = gram_terms(np.linalg.inv(np.take_along_axis(gz, z[:, None, :], axis=2)), gz)
-    w = fit.coeffs[points, :m, None]
-    return _regain(grad**2, dist), _swap_rows(grad, w, gamma, c, dist)
+    inv = np.linalg.inv(np.take_along_axis(gz, z[:, None, :], axis=2))
+    c, dist = gram_terms(inv, gz)
+    del gz  # a (P, m, n) table the swap rows need no more
+    swap = _swap_rows(c, grad, fit.coeffs[points, :m, None], np.diagonal(inv, axis1=-2, axis2=-1)[..., None], dist)
+    return _regain(np.square(grad), dist), swap
 
 
-def gram_terms(inv: np.ndarray, gz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c = G_ZZ^-1 G[Z, :], each unit-norm atom's squared distance 1 - G[Z, b] . c_b to span(Z), and gamma.
+def gram_terms(inv: np.ndarray, gz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c = G_ZZ^-1 G[Z, :] and each unit-norm atom's squared distance 1 - G[Z, b] . c_b to span(Z).
 
-    Takes ``inv`` = G_ZZ^-1 (..., m, m) and ``gz`` = G[Z, :] (..., m, n);
-    gamma_j = (G_ZZ^-1)_jj comes as (..., m, 1).
+    Takes ``inv`` = G_ZZ^-1 (..., m, m) and ``gz`` = G[Z, :] (..., m, n).
     """
     c = inv @ gz
-    dist = 1.0 - np.einsum("...jb,...jb->...b", gz, c)
-    return c, dist, np.diagonal(inv, axis1=-2, axis2=-1)[..., None]
+    return c, 1.0 - np.einsum("...jb,...jb->...b", gz, c)
 
 
 def coherence(ground_set) -> float:

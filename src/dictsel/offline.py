@@ -206,7 +206,7 @@ class _PerPoint:
         m = int(state.fit.size[points].max(initial=0))
         tally = self.cats.tally(points, state.fit.index[points, :m], state.coeffs[points, :m] ** 2)
         self.counts[points], self.cheapest[points], self.position[points] = tally
-        self.cats.require_feasible(points, self.counts[points])
+        self.cats.require_feasible(points, tally[0])
 
     def step(self, fit: GramFit, scale: float) -> PointStep:
         """The step data of the current supports, removals costing ``scale`` w_j^2."""

@@ -10,8 +10,8 @@ gains are kept in a ledger so hindsight regret can be audited.
 
 A round works in Gram form: the state keeps G = A^T A, the round computes
 A^T y once, and each slot edits a support of at most s atoms by bordering
-the inverse of G_ZZ (see :class:`_RoundFit`); the gains are the
-expressions ``linalg.gram_gains`` evaluates for many points.  The k
+the inverse of G_ZZ (see :class:`_RoundFit`); the gains come from the
+kernels ``linalg.gram_gains`` runs on many points.  The k
 experts keep their weights as rows of one :class:`HedgeBank`, so a round
 feeds them all with one update (:func:`hedge_update`).
 """
@@ -92,27 +92,35 @@ class HedgeExpert:
         return w / w.sum()
 
 
+def _checked_max(g: np.ndarray) -> float:
+    """The largest of the gains ``g``; ValueError unless every gain is finite and nonnegative."""
+    top = float(g.max())
+    if not (g.min() >= 0.0 and top < math.inf):  # a NaN fails both
+        raise ValueError("gains must be finite and nonnegative")
+    return top
+
+
 def hedge_update(experts, gains) -> list[int]:
     """Feed one round of gains to consecutive experts of one bank and sample each one's next atom.
 
     Row i of the (len(experts), n) ``gains`` goes to ``experts[i]``, which
     must be row ``experts[0].row + i`` of the bank (ValueError otherwise).
     Gains must be finite and nonnegative; each row is normalized by its
-    expert's current scale so the exponent stays in [0, eta].  Each draw
-    is the inverse-CDF draw ``Generator.choice(n, p=p)`` makes from the
-    expert's own generator, without its per-call validation of p: the same
-    uniform gives the same atom.  Returns the next choices.
+    expert's current scale so the exponent stays in [0, eta].  A rejected
+    call changes nothing.  Each expert's next atom is the count of entries
+    <= u in its cdf p.cumsum() / (last entry), u one uniform from its own
+    generator: on a non-decreasing cdf, the ``searchsorted(u, side="right")``
+    that ``Generator.choice(n, p=p)`` returns, without its validation of p.
     """
     g = np.asarray(gains, dtype=float)
-    if not np.all(np.isfinite(g)) or g.min() < 0.0:
-        raise ValueError("gains must be finite and nonnegative")
+    _checked_max(g)
     bank, first = experts[0].bank, experts[0].row
+    if any(expert.bank is not bank or expert.row != first + i for i, expert in enumerate(experts)):
+        raise ValueError("experts fed together must be consecutive rows of one bank")
     rows = slice(first, first + len(experts))
     log_weights = bank.log_weights[rows]
     eta, bound = [], []
     for i, expert in enumerate(experts):
-        if expert.bank is not bank or expert.row != first + i:
-            raise ValueError("experts fed together must be consecutive rows of one bank")
         if expert.horizon is None and expert.rounds == 2**expert._epoch:
             # Doubling trick: restart with a doubled horizon guess.
             expert._epoch += 1
@@ -126,9 +134,10 @@ def hedge_update(experts, gains) -> list[int]:
     w = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
     cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    for expert, row_cdf in zip(experts, cdf):
-        expert.next_choice = int(row_cdf.searchsorted(expert.rng.random(), side="right"))
-    return [expert.next_choice for expert in experts]
+    choices = np.count_nonzero(cdf <= np.array([e.rng.random() for e in experts])[:, None], axis=1).tolist()
+    for expert, choice in zip(experts, choices):
+        expert.next_choice = choice
+    return choices
 
 
 def hedge_step(expert: HedgeExpert, gains: np.ndarray) -> int:
@@ -205,26 +214,27 @@ class _RoundFit:
         Refuses, changing nothing, when b depends on the remaining support
         Z: when d = G[b, b] - G[b, Z] u, u = G_ZZ^-1 G[Z, b], is at most
         SPAN_RTOL * G[b, b], the test ``linalg.gram_update`` makes.  Both
-        edits border the inverse.
+        edits border the inverse; on the empty support d = G[b, b] and
+        the inverse is 1 / d.
         """
         z, inv, gz, g = self.z, self.inv, self.gz, self.gram
         if pos is not None:
-            keep = np.arange(len(z) - 1)
-            keep[pos:] += 1
+            keep = [j for j in range(len(z)) if j != pos]
             rows = inv.take(keep, 0)
             col = rows[:, pos]
             inv = rows.take(keep, 1) - col[:, None] * col / inv[pos, pos]
             gz = gz.take(keep, 0)
             z = z[:pos] + z[pos + 1 :]
-        gzb = gz[:, b]
-        u = inv @ gzb
-        d = g[b, b] - gzb @ u
+        if z:
+            u = inv @ gz[:, b]
+        d = g[b, b] - gz[:, b] @ u if z else g[b, b]
         if d <= SPAN_RTOL * g[b, b]:
             return False
         m = len(z)
         grown = np.empty((m + 1, m + 1))
-        grown[:m, :m] = inv + u[:, None] * u / d
-        grown[:m, m] = grown[m, :m] = -u / d
+        if z:
+            grown[:m, :m] = inv + u[:, None] * u / d
+            grown[:m, m] = grown[m, :m] = -u / d
         grown[m, m] = 1.0 / d
         self.z = z + [b]
         self.inv = grown
@@ -235,27 +245,29 @@ class _RoundFit:
 
     def value(self) -> float:
         """f(Z) = C[Z] . w - w^T G_ZZ w / 2, as w . (C[Z] + grad[Z]) / 2: stationary in w."""
-        return 0.5 * float(self.w @ (self.aty[self.z] + self.grad[self.z]))
+        return 0.5 * float(self.w @ (self.aty.take(self.z) + self.grad.take(self.z)))
 
 
 def _romp_gains(fit: _RoundFit, room: bool, m_val: float) -> np.ndarray:
     """Gradient-proxy gains: g_b^2 / M, less M times the cheapest squared coefficient once full."""
-    grad_sq = fit.grad**2
-    grad_sq[fit.z] = 0.0
-    if room:
-        return grad_sq / m_val
-    cheapest = m_val * float((fit.w**2).min())
-    return np.maximum(grad_sq / m_val - cheapest, 0.0)
+    gains = np.square(fit.grad)
+    gains[fit.z] = 0.0
+    gains /= m_val
+    if not room:
+        gains -= m_val * float((fit.w**2).min())
+    return gains if room else np.maximum(gains, 0.0, out=gains)
 
 
 def _greedy_gains(fit: _RoundFit, room: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact addition gains, or the best swap gain per atom with the (m, n) swap rows once full."""
-    c, dist, gamma = gram_terms(fit.inv, fit.gz)
+    if not fit.z:  # every atom is at distance 1 from the empty span: _regain gives g_b^2 / 2
+        return np.square(fit.grad) / 2.0, None
+    c, dist = gram_terms(fit.inv, fit.gz)
     if room:
-        gains = _regain(fit.grad**2, dist)
+        gains = _regain(np.square(fit.grad), dist)
         gains[fit.z] = 0.0
         return gains, None
-    swaps = _swap_rows(fit.grad, fit.w[:, None], gamma, c, dist)
+    swaps = _swap_rows(c, fit.grad, fit.w[:, None], fit.inv.diagonal()[:, None], dist)
     swaps[:, fit.z] = 0.0
     return np.maximum(swaps.max(axis=0), 0.0), swaps
 
@@ -317,13 +329,13 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
                 if room:
                     pos = None
                 elif state.method == "online_replacement_omp":
-                    pos = cheapest_removal(fit.w**2, fit.z)
+                    pos = cheapest_removal((fit.w**2).tolist(), fit.z)
                 else:
-                    pos = int(np.argmax(swaps[:, choice]))
+                    pos = int(swaps[:, choice].argmax())
                 if fit.replace(pos, choice):
                     gains = None
 
-    state.gain_bound = max(state.gain_bound, float(feedback.max()))
+    state.gain_bound = max(state.gain_bound, _checked_max(feedback))  # checked before any write
     for expert in state.experts:
         expert.scale = state.gain_bound
     hedge_update(state.experts, feedback)

@@ -7,8 +7,10 @@ come from exhaustive enumeration.  The online round is kept in its
 thin-QR form, fed expert by expert, as the reference for the Gram-form
 round, together with the QR forms of the exact addition and swap gains
 (``addition_gains``, ``swap_gains``) that ``linalg.gram_gains`` computes
-in Gram form.  The coupled families' replacements are searched one atom
-at a time over support lists (``block_search_reference``, and
+in Gram form, written with the plain-expression forms of the in-place
+gain kernels (``regain_expression``, ``swap_rows_expression``).  The
+coupled families' replacements are searched one atom at a time over
+support lists (``block_search_reference``, and
 ``average_search_reference`` through ``solve_exchange``), as the
 reference for the padded-array tables and moves of
 ``constraints.coupled_step``.
@@ -24,7 +26,7 @@ from scipy.linalg.lapack import dtrtri
 
 from dictsel.constraints import ExchangeInstance, Replacement, cheapest_removal, solve_exchange
 from dictsel.errors import RankDeficient
-from dictsel.linalg import SupportFactorization, _regain, _swap_rows, atom_matrix, empty_factorization
+from dictsel.linalg import _DENOM_TOL, SupportFactorization, atom_matrix, empty_factorization
 from dictsel.linalg import factor_insert, factor_remove
 from dictsel.online import hedge_step
 
@@ -218,6 +220,17 @@ def omp_reference(dictionary, y, s):
     return support, float(resid @ resid)
 
 
+def regain_expression(num, den):
+    """``linalg._regain`` as one expression on fresh arrays: num / (2 * den), 0 where den <= _DENOM_TOL."""
+    return np.where(den > _DENOM_TOL, num / (2.0 * np.maximum(den, _DENOM_TOL)), 0.0)
+
+
+def swap_rows_expression(c, grad, w, gamma, dist):
+    """``linalg._swap_rows`` as expressions on fresh arrays, leaving ``c`` as it is."""
+    rows = regain_expression((grad[..., None, :] + (w / gamma) * c) ** 2, dist[..., None, :] + c**2 / gamma)
+    return rows - 0.5 * w**2 / gamma
+
+
 def addition_gains(ground_set, state: SupportFactorization, r: np.ndarray) -> np.ndarray:
     """Exact gains f(Z + b) - f(Z) of every atom b; atoms of Z or its span gain 0.
 
@@ -225,7 +238,7 @@ def addition_gains(ground_set, state: SupportFactorization, r: np.ndarray) -> np
     its basis, adding b gains <b, r>^2 / (2 * (1 - ||Q^T b||^2)).
     """
     a = atom_matrix(ground_set)
-    gains = _regain((a.T @ r) ** 2, 1.0 - np.sum((state.q.T @ a) ** 2, axis=0))
+    gains = regain_expression((a.T @ r) ** 2, 1.0 - np.sum((state.q.T @ a) ** 2, axis=0))
     gains[list(state.columns)] = 0.0
     return gains
 
@@ -253,7 +266,7 @@ def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.nda
     qta = state.q.T @ a
     gamma = np.sum(rinv**2, axis=1)[:, None]
     w = (rinv @ (state.q.T @ y))[:, None]
-    rows = _swap_rows(a.T @ r, w, gamma, rinv @ qta, 1.0 - np.sum(qta**2, axis=0))
+    rows = swap_rows_expression(rinv @ qta, a.T @ r, w, gamma, 1.0 - np.sum(qta**2, axis=0))
     rows[:, list(state.columns)] = 0.0
     return rows
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -12,6 +14,7 @@ from dictsel import (
     haar2_basis,
     ls_solve,
     restricted_spectrum,
+    synth_dataset,
 )
 from dictsel import linalg
 from dictsel.constraints import IndividualSparsity
@@ -21,7 +24,7 @@ from dictsel.offline import SelectorConfig, replacement_greedy, replacement_omp
 from dictsel.linalg import SupportFactorization, gram_fit, gram_gains, gram_matrix, gram_update
 
 from conftest import random_unit_atoms
-from oracles import addition_gains, lstsq_fit, swap_gains
+from oracles import addition_gains, lstsq_fit, regain_expression, swap_gains, swap_rows_expression
 
 
 def factorization_defects(fact, atoms):
@@ -424,6 +427,85 @@ def test_gram_gains_match_qr_gains():
             if m:
                 rows = swap_gains(a, fact, y[:, t], r, range(m))
                 assert np.abs(swap[t][:, outside] - rows[:, outside]).max() <= tol
+
+
+def fitted_supports(a, y, m, rng, first=()):
+    """A GramFit of the columns of ``y``, each on ``first`` plus random atoms up to m (never both 0 and 64)."""
+    t_count = y.shape[1]
+    fit = gram_fit(a, y, m)
+    for j in range(m):
+        if j < len(first):
+            atoms = np.full(t_count, first[j])
+        else:
+            atoms = [rng.choice(np.setdiff1d(np.arange(1, 64), fit.index[t, : fit.size[t]])) for t in range(t_count)]
+        assert gram_update(fit, np.arange(t_count), np.full(t_count, -1), atoms).all()
+    return fit
+
+
+@pytest.mark.parametrize("points", [None, 1, 10, 64])
+def test_in_place_gain_kernels_match_their_expressions_bitwise(points):
+    # Every support holds atom 0, so its Haar duplicate 64 lies in the span:
+    # the additions and most swap rows meet den <= _DENOM_TOL there.  None
+    # takes one point's (m, n) terms, as an online round does.
+    a = dct_haar()
+    rng = np.random.default_rng(23)
+    t_count = points or 1
+    y = rng.standard_normal((64, t_count))
+    for m in (2, 3, 5):
+        fit = fitted_supports(a, y, m, rng, first=(0,))
+        pts = np.arange(t_count)
+        z = fit.index[:, :m]
+        gz = fit.gram[z]
+        inv = np.linalg.inv(np.take_along_axis(gz, z[:, None, :], axis=2))
+        c, dist = linalg.gram_terms(inv, gz)
+        grad, w = fit.gradients.T, fit.coeffs[:, :m, None]
+        gamma = np.diagonal(inv, axis1=-2, axis2=-1)[..., None]
+        if points is None:
+            c, dist, grad, w, gamma = c[0], dist[0], grad[0], w[0], gamma[0]
+        den = dist[..., None, :] + c**2 / gamma
+        assert (dist <= linalg._DENOM_TOL).any() and (den <= linalg._DENOM_TOL).any()
+        assert (den > linalg._DENOM_TOL).any()
+        kept = dist.copy()
+        add = regain_expression(grad**2, dist)
+        num = np.square(grad)
+        assert linalg._regain(num, dist) is num
+        assert np.array_equal(num, add) and np.array_equal(dist, kept)
+        rows = swap_rows_expression(c, grad, w, gamma, dist)
+        buffer = c.copy()
+        assert linalg._swap_rows(buffer, grad, w, gamma, dist) is buffer
+        assert np.array_equal(buffer, rows) and np.array_equal(dist, kept)
+        if points is not None:
+            gains = gram_gains(fit, pts)
+            assert np.array_equal(gains[0], add) and np.array_equal(gains[1], rows)
+
+
+def test_regain_zeroes_every_distance_not_above_the_tolerance():
+    tol = linalg._DENOM_TOL
+    den = np.array([-1.0, 0.0, tol / 2, tol, np.nextafter(tol, 1.0), 1e-6, 1.0, np.inf, np.nan])
+    num = np.linspace(0.5, 4.5, den.size)
+    with np.errstate(invalid="ignore"):
+        expected = regain_expression(num, den)
+    assert np.array_equal(linalg._regain(num.copy(), den), expected)
+    assert np.array_equal(expected == 0.0, [True] * 4 + [False] * 3 + [True] * 2)
+
+
+def test_gram_gains_peak_memory_is_four_swap_tables():
+    # One 64-point chunk at m = 5, the most a 128-atom chunk holds: the
+    # kernels write the swap rows into c, so besides G[Z, :] and c the
+    # call holds the distances and their scaled copy, within 4 (P, m, n)
+    # float tables.  Written as expressions on fresh arrays, the same
+    # gains peaked at 6.8 tables.
+    gs = assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))])
+    y = synth_dataset(gs, 64, 30, 5, 0).matrix
+    fit = fitted_supports(gs.matrix, y, 5, np.random.default_rng(24))
+    tracemalloc.start()
+    try:
+        add, swap = gram_gains(fit, np.arange(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert swap.shape == (64, 5, gs.n)
+    assert peak <= 4 * swap.nbytes
 
 
 def chunked_outputs():

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -105,6 +106,57 @@ def test_hedge_update_matches_hedge_step_bitwise(horizon, n):
             assert np.array_equal(a.log_weights, b.log_weights)
             assert np.array_equal(a.cumulative_gains, b.cumulative_gains)
             assert (a.eta, a.rounds) == (b.eta, b.rounds)
+
+
+class FixedUniforms:
+    """Stands in for an expert's generator: ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_vector_draw_is_searchsorted_right_per_row():
+    # Log-weights far enough apart that weights underflow to 0 and leave
+    # flat runs in the cdf; each u is drawn, 0, just below 1, or exactly a
+    # cdf value.  Zero gains leave the log-weights as set.
+    rng = np.random.default_rng(25)
+    k, n = 6, 40
+    bank = HedgeBank.zeros(k, n)
+    experts = [HedgeExpert(n, np.random.default_rng(i), 100, bank, i) for i in range(k)]
+    spread = np.array([1.0, 30.0, 300.0, 800.0, 1.0, 0.0])[:, None]
+    flat_rows = 0
+    for trial in range(60):
+        bank.log_weights[:] = rng.standard_normal((k, n)) * spread
+        bank.log_weights[4, 10:30] = -1e4
+        w = np.exp(bank.log_weights - bank.log_weights.max(axis=1, keepdims=True))
+        cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        flat_rows += int((np.diff(cdf, axis=1) == 0.0).any(axis=1).sum())
+        on_cdf = cdf[np.arange(k), rng.integers(0, n, k)]
+        u = [rng.random(k), on_cdf, np.zeros(k), np.full(k, np.nextafter(1.0, 0.0))][trial % 4]
+        for expert, x in zip(experts, u):
+            expert.rng = FixedUniforms([x])
+        draws = hedge_update(experts, np.zeros((k, n)))
+        assert draws == [int(row.searchsorted(x, side="right")) for row, x in zip(cdf, u)]
+        assert draws == [expert.next_choice for expert in experts]
+    assert flat_rows >= 3 * 60
+
+
+def test_rejected_hedge_update_changes_nothing():
+    # experts[2] is not the row after experts[0]: that is found before
+    # experts[0]'s doubling-trick restart or round count is written.  Bad
+    # gains are found before any write too.
+    bank = HedgeBank.zeros(3, 8)
+    experts = [HedgeExpert(8, np.random.default_rng(i), None, bank, i) for i in range(3)]
+    hedge_update(experts, np.ones((3, 8)))
+    before = pickle.dumps(experts)
+    for group, gains in (([experts[0], experts[2]], np.ones((2, 8))), (experts, np.full((3, 8), np.inf))):
+        with pytest.raises(ValueError):
+            hedge_update(group, gains)
+        assert pickle.dumps(experts) == before
 
 
 def test_hedge_update_feeds_consecutive_experts_of_one_bank():
@@ -374,6 +426,24 @@ def test_gram_round_matches_qr_reference(method):
             assert dc_pair(support) == dc_pair(ref_support)
         else:
             assert support == ref_support
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_round_whose_gains_overflow_changes_nothing(method):
+    # Finite data whose squared correlations overflow: the gains are inf,
+    # and the round is refused before the gain bound or any expert's scale
+    # is written, so the next ordinary round still learns.
+    rng = np.random.default_rng(26)
+    gs = assemble([("dct2", dct2_basis(4)), ("haar2", haar2_basis(4))])
+    state = online_state(method, gs, k=3, s=2, horizon=20, seed=13)
+    online_round(state, rng.standard_normal(16), gs)
+    before = copy.deepcopy(state)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite and nonnegative"):
+        online_round(state, np.full(16, 1e160), gs)
+    assert pickle.dumps(state) == pickle.dumps(before)
+    online_round(state, rng.standard_normal(16), gs)
+    assert np.isfinite(state.gain_bound) and state.rounds == 2
+    assert not np.array_equal(state.bank.log_weights, before.bank.log_weights)
 
 
 def test_online_round_rejects_data_of_another_dimension():

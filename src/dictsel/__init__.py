@@ -45,7 +45,6 @@ from .online import (
     OnlineState,
     alpha_regret,
     expert_hindsight_regrets,
-    hedge_step,
     online_round,
     online_state,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "factor_insert",
     "factor_remove",
     "haar2_basis",
-    "hedge_step",
     "is_feasible",
     "load_atom_block",
     "modular_greedy",

@@ -11,9 +11,11 @@ gains are kept in a ledger so hindsight regret can be audited.
 A round works in Gram form: the state keeps G = A^T A, the round computes
 A^T y once, and each slot edits a support of at most s atoms by bordering
 the inverse of G_ZZ (see :class:`_RoundFit`); the gains come from the
-kernels ``linalg.gram_gains`` runs on many points.  The k
-experts keep their weights as rows of one :class:`HedgeBank`, so a round
-feeds them all with one update (:func:`hedge_update`).
+kernels ``linalg.gram_gains`` runs on many points.  The k experts are
+the rows of one :class:`HedgeBank`, the run's only hedge state: it holds
+their weights, generators and next atoms and their shared learning-rate
+schedule, and a round feeds them all with one update (:func:`hedge_update`).
+:class:`HedgeExpert` is a frozen view of one row.
 """
 
 from __future__ import annotations
@@ -32,51 +34,47 @@ from .linalg import resolve_smoothness
 METHODS = ("online_modular", "online_replacement_greedy", "online_replacement_omp")
 
 
+def _eta(num_atoms: int, horizon: int) -> float:
+    return math.sqrt(8.0 * math.log(num_atoms) / max(horizon, 1))
+
+
 @dataclass
 class HedgeBank:
-    """Log-weights and cumulative fed gains of a set of experts, one (num_experts, n) row each."""
+    """Weights, fed gains, generators and next atoms of one run's experts, one (num_experts, n) row each.
+
+    All experts are fed every round, so they share one round count and one
+    eta = sqrt(8 ln n / horizon); without a horizon the bank restarts with a
+    doubled guess 2**epoch whenever the guess is exhausted.
+    """
 
     log_weights: np.ndarray
     cumulative_gains: np.ndarray
+    rngs: list[np.random.Generator]
+    choices: list[int]
+    horizon: int | None
+    eta: float
+    rounds: int = 0
+    epoch: int = 0
 
     @classmethod
-    def zeros(cls, num_experts: int, num_atoms: int) -> "HedgeBank":
-        return cls(np.zeros((num_experts, num_atoms)), np.zeros((num_experts, num_atoms)))
+    def start(cls, num_atoms: int, rngs: list, horizon: int | None = None) -> "HedgeBank":
+        """One expert per generator, each with uniform weights and a first atom drawn from it."""
+        shape = (len(rngs), num_atoms)
+        choices = [int(rng.integers(num_atoms)) for rng in rngs]
+        return cls(np.zeros(shape), np.zeros(shape), rngs, choices, horizon, _eta(num_atoms, horizon or 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HedgeExpert:
-    """Multiplicative-weights expert over the atom set.
+    """Frozen view of expert ``row`` of ``bank``.  It reads the bank at each
+    access, because a deep copy would turn held row views into separate arrays."""
 
-    Weights are kept in log space; ``scale`` is the current upper bound
-    on fed gains so updates use exp(eta * gain / scale).  ``horizon``
-    fixes eta as sqrt(8 ln n / horizon); without a horizon the expert
-    restarts with a doubled guess whenever the guess is exhausted.
+    bank: HedgeBank
+    row: int
 
-    The log-weights and cumulative gains are row ``row`` of ``bank``,
-    which the experts of one online state share (a new bank of one row by
-    default).  The expert reads them through the bank rather than holding
-    row views, because a deep copy turns views into separate arrays.
-    """
-
-    num_atoms: int
-    rng: np.random.Generator
-    horizon: int | None = None
-    bank: HedgeBank | None = None
-    row: int = 0
-    scale: float = 1.0
-    rounds: int = 0
-    next_choice: int = field(init=False)
-
-    def __post_init__(self):
-        if self.bank is None:
-            self.bank = HedgeBank.zeros(1, self.num_atoms)
-        self._epoch = 0
-        self.eta = self._eta_for(self.horizon if self.horizon else 1)
-        self.next_choice = int(self.rng.integers(self.num_atoms))
-
-    def _eta_for(self, horizon: int) -> float:
-        return math.sqrt(8.0 * math.log(self.num_atoms) / max(horizon, 1))
+    @property
+    def num_atoms(self) -> int:
+        return self.bank.log_weights.shape[1]
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -92,57 +90,36 @@ class HedgeExpert:
         return w / w.sum()
 
 
-def _checked_max(g: np.ndarray) -> float:
-    """The largest of the gains ``g``; ValueError unless every gain is finite and nonnegative."""
-    top = float(g.max())
-    if not (g.min() >= 0.0 and top < math.inf):  # a NaN fails both
-        raise ValueError("gains must be finite and nonnegative")
-    return top
+def hedge_update(bank: HedgeBank, gains, bound: float) -> list[int]:
+    """Feed row i of ``gains`` to expert i of ``bank`` and draw every expert's next atom.
 
-
-def hedge_update(experts, gains) -> list[int]:
-    """Feed one round of gains to consecutive experts of one bank and sample each one's next atom.
-
-    Row i of the (len(experts), n) ``gains`` goes to ``experts[i]``, which
-    must be row ``experts[0].row + i`` of the bank (ValueError otherwise).
-    Gains must be finite and nonnegative; each row is normalized by its
-    expert's current scale so the exponent stays in [0, eta].  A rejected
-    call changes nothing.  Each expert's next atom is the count of entries
-    <= u in its cdf p.cumsum() / (last entry), u one uniform from its own
-    generator: on a non-decreasing cdf, the ``searchsorted(u, side="right")``
-    that ``Generator.choice(n, p=p)`` returns, without its validation of p.
+    ``gains`` must have the bank's shape and be finite and nonnegative
+    (ValueError otherwise, before any write).  Dividing them by ``bound``,
+    the largest gain fed so far (1 while it is 0), keeps the exponent in
+    [0, eta].  Expert i's next atom is the count of its cdf entries <= u, u
+    one uniform from its own generator: on a non-decreasing cdf, the
+    ``searchsorted(u, side="right")`` that ``Generator.choice(n, p=p)``
+    returns, without its validation of p.
     """
     g = np.asarray(gains, dtype=float)
-    _checked_max(g)
-    bank, first = experts[0].bank, experts[0].row
-    if any(expert.bank is not bank or expert.row != first + i for i, expert in enumerate(experts)):
-        raise ValueError("experts fed together must be consecutive rows of one bank")
-    rows = slice(first, first + len(experts))
-    log_weights = bank.log_weights[rows]
-    eta, bound = [], []
-    for i, expert in enumerate(experts):
-        if expert.horizon is None and expert.rounds == 2**expert._epoch:
-            # Doubling trick: restart with a doubled horizon guess.
-            expert._epoch += 1
-            expert.eta = expert._eta_for(2**expert._epoch)
-            log_weights[i] = 0.0
-        expert.rounds += 1
-        eta.append(expert.eta)
-        bound.append(expert.scale if expert.scale > 0.0 else 1.0)
-    bank.cumulative_gains[rows] += g
-    log_weights += np.array(eta)[:, None] * g / np.array(bound)[:, None]
-    w = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
+    if g.shape != bank.log_weights.shape:
+        raise ValueError(f"gains have shape {g.shape}, the bank {bank.log_weights.shape}")
+    if not (g.min() >= 0.0 and g.max() < math.inf):  # a NaN fails both
+        raise ValueError("gains must be finite and nonnegative")
+    if bank.horizon is None and bank.rounds == 2**bank.epoch:
+        # Doubling trick: restart with a doubled horizon guess.
+        bank.epoch += 1
+        bank.eta = _eta(g.shape[1], 2**bank.epoch)
+        bank.log_weights[:] = 0.0
+    bank.rounds += 1
+    bank.cumulative_gains += g
+    bank.log_weights += bank.eta * g / (bound if bound > 0.0 else 1.0)
+    w = np.exp(bank.log_weights - bank.log_weights.max(axis=1, keepdims=True))
     cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    choices = np.count_nonzero(cdf <= np.array([e.rng.random() for e in experts])[:, None], axis=1).tolist()
-    for expert, choice in zip(experts, choices):
-        expert.next_choice = choice
-    return choices
-
-
-def hedge_step(expert: HedgeExpert, gains: np.ndarray) -> int:
-    """Feed one round of gains to one expert and sample its next atom: :func:`hedge_update` of one row."""
-    return hedge_update([expert], np.asarray(gains, dtype=float)[None])[0]
+    u = np.array([rng.random() for rng in bank.rngs])
+    bank.choices = np.count_nonzero(cdf <= u[:, None], axis=1).tolist()
+    return list(bank.choices)
 
 
 @dataclass
@@ -161,7 +138,7 @@ class OnlineLedger:
 
 @dataclass
 class OnlineState:
-    """k experts over one bank, the atoms A and G = A^T A, the round counter, gain bound and ledger."""
+    """The hedge bank of the k experts, the atoms A and G = A^T A, the gain bound and ledger."""
 
     method: str
     k: int
@@ -170,10 +147,17 @@ class OnlineState:
     atoms: np.ndarray
     gram: np.ndarray
     bank: HedgeBank
-    experts: list[HedgeExpert]
-    rounds: int = 0
     gain_bound: float = 0.0
     ledger: OnlineLedger = field(default_factory=OnlineLedger)
+
+    @property
+    def rounds(self) -> int:
+        return self.bank.rounds
+
+    @property
+    def experts(self) -> list[HedgeExpert]:
+        """Frozen views of the bank's rows, one per expert."""
+        return [HedgeExpert(self.bank, i) for i in range(self.k)]
 
 
 def online_state(method, ground_set, k, s, horizon=None, seed=0, smoothness=None) -> OnlineState:
@@ -183,14 +167,10 @@ def online_state(method, ground_set, k, s, horizon=None, seed=0, smoothness=None
     if not 1 <= s <= k:
         raise ValueError("need 1 <= s <= k")
     a = require_finite_atoms(atom_matrix(ground_set))
-    n = a.shape[1]
     m_val = resolve_smoothness(ground_set, smoothness)
     seeds = np.random.SeedSequence(seed).spawn(k)
-    bank = HedgeBank.zeros(k, n)
-    experts = [
-        HedgeExpert(n, np.random.default_rng(seeds[i]), horizon, bank, i) for i in range(k)
-    ]
-    return OnlineState(method, k, s, m_val, a, gram_matrix(ground_set), bank, experts)
+    bank = HedgeBank.start(a.shape[1], [np.random.default_rng(child) for child in seeds], horizon)
+    return OnlineState(method, k, s, m_val, a, gram_matrix(ground_set), bank)
 
 
 class _RoundFit:
@@ -306,7 +286,9 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     if y.shape != a.shape[:1]:
         raise DimensionMismatch(f"y_t has shape {y.shape} but the atoms have {a.shape[0]} rows")
     aty = a.T @ y
-    played = [expert.next_choice for expert in state.experts]
+    if not math.isfinite(aty @ aty):
+        raise ValueError("y_t is too large: ||A^T y_t||^2 is not finite")
+    played = list(state.bank.choices)
     fit = _RoundFit(state.gram, aty)
     feedback = np.empty((state.k, aty.size))
 
@@ -335,11 +317,9 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
                 if fit.replace(pos, choice):
                     gains = None
 
-    state.gain_bound = max(state.gain_bound, _checked_max(feedback))  # checked before any write
-    for expert in state.experts:
-        expert.scale = state.gain_bound
-    hedge_update(state.experts, feedback)
-    state.rounds += 1
+    bound = max(state.gain_bound, float(feedback.max()))
+    hedge_update(state.bank, feedback, bound)  # refuses bad gains before any write
+    state.gain_bound = bound
     state.ledger.player_gains.append(fit.value())
     state.ledger.expert_choice_gains.append(feedback[np.arange(state.k), played])
     state.ledger.dictionaries.append(played)

@@ -28,7 +28,7 @@ from dictsel.constraints import ExchangeInstance, Replacement, cheapest_removal,
 from dictsel.errors import RankDeficient
 from dictsel.linalg import _DENOM_TOL, SupportFactorization, atom_matrix, empty_factorization
 from dictsel.linalg import factor_insert, factor_remove
-from dictsel.online import hedge_step
+from dictsel.online import hedge_update
 
 
 def lstsq_fit(atom_matrix, support, y):
@@ -272,7 +272,7 @@ def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.nda
 
 
 def online_round_reference(state, y_t, ground_set):
-    """``online.online_round`` on thin-QR support factorizations, one ``hedge_step`` per expert.
+    """``online.online_round`` on thin-QR support factorizations.
 
     Each slot refits the support with ``factor_insert``/``factor_remove``
     and computes its gains afresh (``addition_gains``/``swap_gains`` for
@@ -282,7 +282,7 @@ def online_round_reference(state, y_t, ground_set):
     a = atom_matrix(ground_set)
     y = np.asarray(y_t, dtype=float)
     m_val = state.smoothness
-    played = [expert.next_choice for expert in state.experts]
+    played = list(state.bank.choices)
 
     fact = empty_factorization(a.shape[0])
     resid = y.copy()
@@ -337,10 +337,7 @@ def online_round_reference(state, y_t, ground_set):
 
     realized = 0.5 * (float(y @ y) - float(resid @ resid))
     state.gain_bound = max(state.gain_bound, max(float(g.max()) for g in feedbacks))
-    for expert, gains in zip(state.experts, feedbacks):
-        expert.scale = state.gain_bound
-        hedge_step(expert, gains)
-    state.rounds += 1
+    hedge_update(state.bank, feedbacks, state.gain_bound)
     state.ledger.player_gains.append(realized)
     state.ledger.expert_choice_gains.append(np.array([g[c] for g, c in zip(feedbacks, played)]))
     state.ledger.dictionaries.append(played)

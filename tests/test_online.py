@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -12,7 +13,6 @@ from dictsel.online import (
     HedgeExpert,
     alpha_regret,
     expert_hindsight_regrets,
-    hedge_step,
     hedge_update,
     online_round,
     online_state,
@@ -22,90 +22,114 @@ from conftest import random_unit_atoms
 from oracles import f_value, online_round_reference
 
 
-def make_expert(n=8, horizon=100, seed=0):
-    return HedgeExpert(n, np.random.default_rng(seed), horizon)
+def make_bank(n=8, horizon=100, seed=0):
+    """A bank of one expert."""
+    return HedgeBank.start(n, [np.random.default_rng(seed)], horizon)
+
+
+def probabilities(bank):
+    """The distribution of the bank's only expert."""
+    return HedgeExpert(bank, 0).probabilities
 
 
 def test_hedge_uniform_under_zero_gains():
-    expert = make_expert()
+    bank = make_bank()
     for _ in range(5):
-        hedge_step(expert, np.zeros(8))
-    assert np.allclose(expert.probabilities, 1.0 / 8)
-    assert abs(expert.probabilities.sum() - 1.0) <= 1e-12
+        hedge_update(bank, np.zeros((1, 8)), 1.0)
+    assert np.allclose(probabilities(bank), 1.0 / 8)
+    assert abs(probabilities(bank).sum() - 1.0) <= 1e-12
 
 
 def test_hedge_concentrates_on_dominant_atom():
-    expert = make_expert(n=64, horizon=200, seed=1)
-    gains = np.zeros(64)
-    gains[17] = 1.0
+    bank = make_bank(n=64, horizon=200, seed=1)
+    gains = np.zeros((1, 64))
+    gains[0, 17] = 1.0
     for _ in range(200):
-        hedge_step(expert, gains)
-    assert expert.probabilities[17] > 0.99
+        hedge_update(bank, gains, 1.0)
+    p = probabilities(bank)
+    assert p[17] > 0.99
     # Closed form: weight ratio exp(200 * eta) against 63 flat atoms.
-    expected = 1.0 / (1.0 + 63 * np.exp(-200 * expert.eta))
-    assert expert.probabilities[17] == pytest.approx(expected, rel=1e-9)
+    expected = 1.0 / (1.0 + 63 * np.exp(-200 * bank.eta))
+    assert p[17] == pytest.approx(expected, rel=1e-9)
 
 
 def test_hedge_zero_learning_rate_stays_uniform():
-    expert = make_expert(seed=2)
-    expert.eta = 0.0
+    bank = make_bank(seed=2)
+    bank.eta = 0.0
     rng = np.random.default_rng(3)
     for _ in range(50):
-        hedge_step(expert, rng.uniform(0, 1, size=8))
-    assert np.allclose(expert.probabilities, 1.0 / 8)
+        hedge_update(bank, rng.uniform(0, 1, size=(1, 8)), 1.0)
+    assert np.allclose(probabilities(bank), 1.0 / 8)
 
 
 def test_hedge_rejects_negative_gains():
-    expert = make_expert()
+    bank = make_bank()
     with pytest.raises(ValueError):
-        hedge_step(expert, np.array([0.0, -1.0] + [0.0] * 6))
+        hedge_update(bank, np.array([[0.0, -1.0] + [0.0] * 6]), 1.0)
 
 
 def test_hedge_doubling_trick_runs():
-    expert = HedgeExpert(8, np.random.default_rng(4), horizon=None)
-    etas = []
-    for _ in range(20):
-        hedge_step(expert, np.ones(8))
-        etas.append(expert.eta)
+    # Without a horizon the bank restarts at updates 2, 3, 5, 9 and 17 (after
+    # 1, 2, 4, 8 and 16 rounds) and at no other: the e-th restart drops the
+    # log-weights fed before it and sets eta = sqrt(8 ln n / 2**e).
+    n = 8
+    bank = HedgeBank.start(n, [np.random.default_rng(4), np.random.default_rng(5)], horizon=None)
+    restarts = {2: 1, 3: 2, 5: 3, 9: 4, 17: 5}
+    rng = np.random.default_rng(6)
+    eta = math.sqrt(8 * math.log(n))
+    expected = np.zeros((2, n))
+    etas = [bank.eta]
+    for update in range(1, 21):
+        gains = rng.random((2, n))
+        if update in restarts:
+            eta = math.sqrt(8 * math.log(n) / 2 ** restarts[update])
+            expected = np.zeros((2, n))
+        expected += eta * gains / 1.0
+        hedge_update(bank, gains, 1.0)
+        assert bank.eta == eta
+        assert np.array_equal(bank.log_weights, expected)
+        etas.append(bank.eta)
+    assert (bank.rounds, bank.epoch) == (20, 5)
     assert etas[0] > etas[-1] > 0
 
 
 @pytest.mark.parametrize("horizon", [1000, None])
 def test_hedge_draw_matches_generator_choice(horizon):
     n = 128
-    expert = HedgeExpert(n, np.random.default_rng(9), horizon)
+    bank = make_bank(n, horizon, seed=9)
     clone = np.random.default_rng(0)  # its state is replaced before every draw
     gains_rng = np.random.default_rng(10)
     profile = gains_rng.exponential(size=n)
+    bound = 1.0
     for _ in range(1000):
         gains = profile * gains_rng.random(n)
-        expert.scale = max(expert.scale, float(gains.max()))
-        clone.bit_generator.state = expert.rng.bit_generator.state
-        choice = hedge_step(expert, gains)
-        assert choice == clone.choice(n, p=expert.probabilities)
-    assert expert.probabilities.max() > 0.5  # the draws were not all uniform
+        bound = max(bound, float(gains.max()))
+        clone.bit_generator.state = bank.rngs[0].bit_generator.state
+        (choice,) = hedge_update(bank, gains[None], bound)
+        assert choice == clone.choice(n, p=probabilities(bank))
+    assert probabilities(bank).max() > 0.5  # the draws were not all uniform
 
 
 @pytest.mark.parametrize("horizon", [40, None])
 @pytest.mark.parametrize("n", [37, 128])
 def test_hedge_update_matches_hedge_step_bitwise(horizon, n):
-    # One batched update of k experts against k one-expert steps; 40 rounds
-    # take the doubling trick through five restarts.
+    # One update of a k-row bank against k one-row banks (one hedge step
+    # each); 40 rounds take the doubling trick through five restarts.
     k = 5
-    bank = HedgeBank.zeros(k, n)
-    batched = [HedgeExpert(n, np.random.default_rng([20, i]), horizon, bank, i) for i in range(k)]
-    single = [HedgeExpert(n, np.random.default_rng([20, i]), horizon) for i in range(k)]
+    batched = HedgeBank.start(n, [np.random.default_rng([20, i]) for i in range(k)], horizon)
+    single = [make_bank(n, horizon, seed=[20, i]) for i in range(k)]
+    assert batched.choices == [bank.choices[0] for bank in single]
     gains_rng = np.random.default_rng(21)
+    bound = 1.0
     for _ in range(40):
         gains = gains_rng.exponential(size=(k, n)) * (gains_rng.random((k, 1)) < 0.9)
-        for a, b in zip(batched, single):
-            a.scale = b.scale = max(b.scale, float(gains.max()))
-        draws = hedge_update(batched, gains)
-        assert draws == [hedge_step(expert, g) for expert, g in zip(single, gains)]
-        for a, b in zip(batched, single):
-            assert np.array_equal(a.log_weights, b.log_weights)
-            assert np.array_equal(a.cumulative_gains, b.cumulative_gains)
-            assert (a.eta, a.rounds) == (b.eta, b.rounds)
+        bound = max(bound, float(gains.max()))
+        draws = hedge_update(batched, gains, bound)
+        assert draws == [hedge_update(bank, g[None], bound)[0] for bank, g in zip(single, gains)]
+        assert np.array_equal(batched.log_weights, np.vstack([bank.log_weights for bank in single]))
+        assert np.array_equal(batched.cumulative_gains, np.vstack([bank.cumulative_gains for bank in single]))
+        for bank in single:
+            assert (batched.eta, batched.rounds, batched.epoch) == (bank.eta, bank.rounds, bank.epoch)
 
 
 class FixedUniforms:
@@ -124,8 +148,7 @@ def test_vector_draw_is_searchsorted_right_per_row():
     # cdf value.  Zero gains leave the log-weights as set.
     rng = np.random.default_rng(25)
     k, n = 6, 40
-    bank = HedgeBank.zeros(k, n)
-    experts = [HedgeExpert(n, np.random.default_rng(i), 100, bank, i) for i in range(k)]
+    bank = HedgeBank.start(n, [np.random.default_rng(i) for i in range(k)], 100)
     spread = np.array([1.0, 30.0, 300.0, 800.0, 1.0, 0.0])[:, None]
     flat_rows = 0
     for trial in range(60):
@@ -137,38 +160,26 @@ def test_vector_draw_is_searchsorted_right_per_row():
         flat_rows += int((np.diff(cdf, axis=1) == 0.0).any(axis=1).sum())
         on_cdf = cdf[np.arange(k), rng.integers(0, n, k)]
         u = [rng.random(k), on_cdf, np.zeros(k), np.full(k, np.nextafter(1.0, 0.0))][trial % 4]
-        for expert, x in zip(experts, u):
-            expert.rng = FixedUniforms([x])
-        draws = hedge_update(experts, np.zeros((k, n)))
+        bank.rngs = [FixedUniforms([x]) for x in u]
+        draws = hedge_update(bank, np.zeros((k, n)), 1.0)
         assert draws == [int(row.searchsorted(x, side="right")) for row, x in zip(cdf, u)]
-        assert draws == [expert.next_choice for expert in experts]
+        assert draws == bank.choices
     assert flat_rows >= 3 * 60
 
 
 def test_rejected_hedge_update_changes_nothing():
-    # experts[2] is not the row after experts[0]: that is found before
-    # experts[0]'s doubling-trick restart or round count is written.  Bad
-    # gains are found before any write too.
-    bank = HedgeBank.zeros(3, 8)
-    experts = [HedgeExpert(8, np.random.default_rng(i), None, bank, i) for i in range(3)]
-    hedge_update(experts, np.ones((3, 8)))
-    before = pickle.dumps(experts)
-    for group, gains in (([experts[0], experts[2]], np.ones((2, 8))), (experts, np.full((3, 8), np.inf))):
-        with pytest.raises(ValueError):
-            hedge_update(group, gains)
-        assert pickle.dumps(experts) == before
-
-
-def test_hedge_update_feeds_consecutive_experts_of_one_bank():
-    bank = HedgeBank.zeros(3, 8)
-    experts = [HedgeExpert(8, np.random.default_rng(i), 10, bank, i) for i in range(3)]
-    alone = HedgeExpert(8, np.random.default_rng(3), 10)
-    gains = np.ones((2, 8))
-    for group in ([experts[0], alone], [experts[0], experts[2]], [experts[1], experts[0]]):
-        with pytest.raises(ValueError, match="one bank"):
-            hedge_update(group, gains)
-    hedge_update(experts[1:], gains)
-    assert np.array_equal(bank.cumulative_gains, [np.zeros(8), np.ones(8), np.ones(8)])
+    # After one round without a horizon the next update restarts the bank;
+    # gains of another shape (one row, which would broadcast to every
+    # expert, or one row too few) and bad gains are found before that or
+    # any other write.
+    bank = HedgeBank.start(8, [np.random.default_rng(i) for i in range(3)], None)
+    hedge_update(bank, np.ones((3, 8)), 1.0)
+    before = pickle.dumps(bank)
+    rejected = [(np.arange(8.0), "shape"), (np.ones((2, 8)), "shape"), (np.full((3, 8), np.inf), "finite")]
+    for gains, message in rejected:
+        with pytest.raises(ValueError, match=message):
+            hedge_update(bank, gains, 1.0)
+        assert pickle.dumps(bank) == before
 
 
 def test_first_round_uses_pure_additions():
@@ -261,8 +272,7 @@ def test_org_swaps_at_the_best_position():
         y = rng.standard_normal(6)
         state = online_state("online_replacement_greedy", a, k=s + 1, s=s, horizon=5, seed=7)
         played = [int(j) for j in rng.choice(10, size=s + 1, replace=False)]
-        for expert, atom in zip(state.experts, played):
-            expert.next_choice = atom
+        state.bank.choices = list(played)
         online_round(state, y, a)
         support, atom = played[:s], played[s]
         expected = max(
@@ -280,8 +290,7 @@ def test_slots_add_while_the_support_has_room(method):
     a = random_unit_atoms(rng, 6, 10)
     y = rng.standard_normal(6)
     state = online_state(method, a, k=4, s=2, horizon=5, seed=8)
-    for expert, atom in zip(state.experts, [3, 3, 7, 7]):
-        expert.next_choice = atom
+    state.bank.choices = [3, 3, 7, 7]
     _, feedbacks = online_round(state, y, a)
     assert feedbacks[2][7] > 0.0
     assert state.ledger.supports[-1] == [3, 7]
@@ -396,6 +405,38 @@ def test_deep_copied_state_plays_the_same_rounds():
         assert np.array_equal(expert_hindsight_regrets(original), expert_hindsight_regrets(clone))
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_deep_copied_state_has_its_own_bank(method):
+    # The expert views of a copy read the copy's bank, rounds played on the
+    # copy leave the original as it was, and both play a stream alike.
+    rng = np.random.default_rng(28)
+    gs = assemble([("dct2", dct2_basis(4)), ("haar2", haar2_basis(4))])
+    original = online_state(method, gs, k=4, s=2, horizon=None, seed=14)
+    online_round(original, rng.standard_normal(16), gs)
+    clone = copy.deepcopy(original)
+    for i, view in enumerate(clone.experts):
+        assert view.bank is clone.bank and view.row == i
+        assert np.shares_memory(view.log_weights, clone.bank.log_weights)
+        assert not np.shares_memory(view.log_weights, original.bank.log_weights)
+    kept = pickle.dumps(original)
+    views = [(view.log_weights.copy(), view.cumulative_gains.copy()) for view in original.experts]
+    ys = rng.standard_normal((20, 16))
+    for y in ys:
+        online_round(clone, y, gs)
+    assert pickle.dumps(original) == kept
+    for view, (log_weights, gains) in zip(original.experts, views):
+        assert np.array_equal(view.log_weights, log_weights)
+        assert np.array_equal(view.cumulative_gains, gains)
+    for y in ys:
+        online_round(original, y, gs)
+    a, b = original.ledger, clone.ledger
+    assert (a.player_gains, a.dictionaries, a.supports) == (b.player_gains, b.dictionaries, b.supports)
+    assert np.array_equal(a.expert_choice_gains, b.expert_choice_gains)
+    assert np.array_equal(original.bank.log_weights, clone.bank.log_weights)
+    assert original.bank.choices == clone.bank.choices
+    assert original.rounds == clone.rounds == 21 and original.gain_bound == clone.gain_bound
+
+
 def dc_pair(support):
     """The support's atoms, sorted, with atom 64 (the Haar duplicate of the DCT DC atom 0) written as 0."""
     return sorted(0 if j == 64 else j for j in support)
@@ -430,15 +471,15 @@ def test_gram_round_matches_qr_reference(method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_round_whose_gains_overflow_changes_nothing(method):
-    # Finite data whose squared correlations overflow: the gains are inf,
-    # and the round is refused before the gain bound or any expert's scale
-    # is written, so the next ordinary round still learns.
+    # Finite data whose squared correlations overflow: the round names y_t
+    # and is refused before the gain bound or the bank is written, so the
+    # next ordinary round still learns.
     rng = np.random.default_rng(26)
     gs = assemble([("dct2", dct2_basis(4)), ("haar2", haar2_basis(4))])
     state = online_state(method, gs, k=3, s=2, horizon=20, seed=13)
     online_round(state, rng.standard_normal(16), gs)
     before = copy.deepcopy(state)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite and nonnegative"):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="y_t is too large"):
         online_round(state, np.full(16, 1e160), gs)
     assert pickle.dumps(state) == pickle.dumps(before)
     online_round(state, rng.standard_normal(16), gs)
@@ -479,4 +520,4 @@ def test_online_round_rejects_nonfinite_data(method, bad):
     assert np.array_equal(ledger.expert_choice_gains, kept.expert_choice_gains)
     assert np.array_equal(state.bank.log_weights, before.bank.log_weights)
     assert np.array_equal(state.bank.cumulative_gains, before.bank.cumulative_gains)
-    assert [e.next_choice for e in state.experts] == [e.next_choice for e in before.experts]
+    assert state.bank.choices == before.bank.choices

@@ -12,10 +12,13 @@ the family.  Every family is searched by one step object (``family_step``)
 built from the supports, padded into a (T, m) atom array with the removal
 cost of each position: ``values`` gives every atom's best gain in closed
 form, ``replacement`` the winner's replacement.  Per-point families are
-priced from category tallies (``point_categories``); for average sparsity
-the replacement is a budgeted exchange problem, solved exactly in
-O(T log T) by ``solve_exchange``.  ``best_replacement`` takes supports
-as lists, pads them once and runs the same step for one atom.
+priced from category tallies (``point_categories``).  For average sparsity
+the replacement is a budgeted exchange problem; the step takes its moves
+from sorted arrays in closed form (``exchange_sets``), with the points
+that ``solve_exchange``, the exact O(T log T) heap greedy kept as its
+oracle, would pick.  ``best_replacement`` takes supports as lists, pads
+them once and runs the same step for one atom.  ``padded_check`` tests
+block and average feasibility on the padded arrays themselves.
 """
 
 from __future__ import annotations
@@ -82,6 +85,25 @@ class BlockSparsity:
 
     blocks: tuple[tuple[int, ...], ...]
     caps: tuple[int, ...]
+
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """The points block by block (``order``), each point's block (``block_of``) and ``columns``.
+
+        ``columns[j]`` pairs the blocks at least j + 1 points long (a slice
+        when that is every block) with their j-th points, so that adding
+        the columns in turn sums each block in the order it lists its points.
+        """
+        lengths = np.array([len(block) for block in self.blocks], dtype=int)
+        order = np.fromiter(itertools.chain.from_iterable(self.blocks), dtype=int, count=lengths.sum())
+        block_of = np.empty(len(order), dtype=int)
+        block_of[order] = np.repeat(np.arange(len(lengths)), lengths)
+        starts = np.cumsum(lengths) - lengths
+        columns = []
+        for j in range(lengths.max(initial=0)):
+            blocks = np.flatnonzero(lengths > j)
+            columns.append((slice(None) if len(blocks) == len(lengths) else blocks, order[starts[blocks] + j]))
+        return order, block_of, columns
 
     def __post_init__(self):
         if len(self.blocks) != len(self.caps):
@@ -297,6 +319,88 @@ def solve_exchange(instance: ExchangeInstance) -> tuple[set, set, float]:
     return chosen_add, chosen_remove, value
 
 
+def _ranked(points: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The ascending ``points`` ordered by ``key[points]`` ascending, ties to the lower point."""
+    return points[np.argsort(key[points], kind="stable")]
+
+
+def exchange_sets(gains: np.ndarray, costs: np.ndarray, tight: np.ndarray, slack: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sets A and B that :func:`solve_exchange` chooses, as (T,) masks, from sorted arrays.
+
+    ``gains`` (nonnegative), ``costs`` and the mask ``tight`` are (T,), the
+    instance of :class:`ExchangeInstance`.  A tight point whose pair gains
+    (g > c) always ends in B, and its addition then competes with the
+    plain ones, its removal paying for one addition.  So with those pairs
+    removed up front, additions go by gain descending over the other
+    points and the pairs: the first slack + |pairs| are free, and the i-th
+    after them is paid by the i-th cheapest of the other removals and is
+    taken while its gain beats that cost; nothing is taken at a marginal
+    <= 0.  That fixes B, |A| and every addition above the lowest gain
+    taken.  Among the points of that gain the heap greedy's order
+    decides, and :func:`_last_level` replays it when a pair is among them.
+    """
+    pairs = tight & (gains > costs)
+    ranked = _ranked(np.flatnonzero(~tight | pairs), -gains)
+    removals = _ranked(np.flatnonzero(np.isfinite(costs) & ~pairs), costs)
+    free = slack + int(np.count_nonzero(pairs))
+    top = gains[ranked]
+    count = int(np.count_nonzero(top > 0.0))
+    if count > free:
+        span = min(len(ranked) - free, len(removals))
+        count = free + int(np.count_nonzero(top[free : free + span] > costs[removals[:span]]))
+    added = np.zeros(len(gains), dtype=bool)
+    added[ranked[:count]] = True
+    removed = pairs.copy()
+    removed[removals[: max(0, count - free)]] = True
+    if 0 < count < len(ranked) and top[count] == top[count - 1]:
+        level = ranked[top == top[count - 1]]
+        if pairs[level].any():
+            added[level] = False
+            added[_last_level(gains, costs, tight, slack, pairs, level)] = True
+    return added, removed
+
+
+def _last_level(gains, costs, tight, slack: int, pairs, level: np.ndarray) -> list[int]:
+    """The points of ``level`` that :func:`solve_exchange` adds, when their gain v is the lowest it adds.
+
+    ``level`` holds every point (ascending) that is not tight or is a
+    pair, at gain v.  The greedy pops additions from a heap by gain, then
+    point, and spends removals by cost, then point.  A pair's point whose
+    removal comes up while additions of at least its gain are left is
+    spent as a removal and joins the heap, so the addition its removal
+    pays for comes first, whatever their point order.  At gain v the plain
+    points, and the pairs spent before the first addition of gain v, are
+    in the heap from the start; a pair spent during those additions joins
+    after the one it paid for; a pair never spent stays a pair, in A.
+    """
+    v = gains[level[0]]
+    plain = level[~pairs[level]]
+    # Plain additions of a higher gain; the first ``slack`` of all additions are free.
+    above = int(np.count_nonzero(~tight & (gains > v)))
+    paid_above, free = max(0, above - slack), min(max(0, slack - above), len(plain))
+    # Removals in the greedy's order; a pair of a higher gain is never spent from the first addition of gain v on.
+    order = _ranked(np.flatnonzero(np.isfinite(costs)), costs)
+    order = order[~(pairs[order] & (gains[order] > v))]
+    joins = pairs & (gains == v)
+    before, during = order[:paid_above], order[paid_above:]
+    heap = [*plain[free:].tolist(), *before[joins[before]].tolist()]
+    # Additions of gain v go on while the heap holds one and its removal
+    # costs less than v (a pair's always does).
+    arrive = joins[during]
+    left = len(heap) - np.arange(len(during)) + np.cumsum(arrive) - arrive
+    stop = (left <= 0) | (~pairs[during] & (costs[during] >= v))
+    paid = int(np.argmax(stop)) if stop.any() else len(during)
+    heapq.heapify(heap)
+    taken = plain[:free].tolist()
+    for i in range(paid):
+        taken.append(heapq.heappop(heap))
+        if arrive[i]:
+            heapq.heappush(heap, int(during[i]))
+    unspent = joins.copy()
+    unspent[order[: paid_above + paid]] = False
+    return taken + np.flatnonzero(unspent).tolist()
+
+
 @dataclass(frozen=True)
 class PointCategories:
     """A per-point family as category data.
@@ -445,11 +549,8 @@ class PointStep:
         no (n, T) array besides ``add_gains``; each row is summed on its
         own, so the chunking does not change a bit.
         """
-        n, t_count = add_gains.shape
-        out = np.empty(n)
-        rows = stack_rows(t_count)
-        for start in range(0, n, rows):
-            block = slice(start, start + rows)
+        out = np.empty(len(add_gains))
+        for block in _row_chunks(add_gains):
             gains = self.costs(block)  # overwritten
             np.maximum(np.subtract(add_gains[block], gains, out=gains), 0.0, out=gains).sum(axis=1, out=out[block])
         return out
@@ -471,49 +572,68 @@ class AverageStep:
     """Average sparsity's exchange data, shared by every candidate atom of a step.
 
     Built from padded supports as :func:`family_step` takes them.
-    ``position`` (T,) is each support's cheapest removal and ``costs`` its
-    cost, as :meth:`PointCategories.tally` gives them for one uncapped
-    category holding every atom; ``tight`` marks the supports at their cap
-    and ``slack`` is the room left under the global cap.
+    ``position`` (T,) is each support's cheapest removal (ties to the
+    lowest atom; -1 if the support is empty) and ``costs`` its cost (inf
+    if empty); ``tight`` marks the supports at their cap and ``slack`` is
+    the room left under the global cap.
     """
 
     def __init__(self, constraint: AverageSparsity, index: np.ndarray, costs: np.ndarray, num_atoms: int):
-        points = np.arange(len(index))
-        whole = PointCategories(np.zeros((1, num_atoms), dtype=int), np.full((1, 1), math.inf), np.zeros_like(points))
-        sizes, self.costs, self.position = (column[:, 0] for column in whole.tally(points, index, costs))
+        held = index >= 0
+        sizes = np.count_nonzero(held, axis=1)
+        costs = np.where(held, costs, math.inf)
+        self.costs = costs.min(axis=1)
+        # Among the cheapest entries of a support, the lowest atom; atoms are below n.
+        ties = np.where(held & (costs == self.costs[:, None]), index, num_atoms)
+        self.position = np.where(sizes > 0, np.argmin(ties, axis=1), -1)
         self.index = index
         self.tight = sizes == np.asarray(constraint.s_t)
         self.slack = constraint.s_prime - int(sizes.sum())
 
     def values(self, add_gains: np.ndarray) -> np.ndarray:
-        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``."""
+        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``.
+
+        Atoms are priced ``stack_rows(T)`` rows at a time, as in
+        :meth:`PointStep.values`; every sort, sum and maximum runs along a
+        row, the sums in point order, so the chunking does not change a bit.
+        """
+        out = np.empty(len(add_gains))
+        for block in _row_chunks(add_gains):
+            out[block] = self._values(add_gains[block])
+        return out
+
+    def _values(self, add_gains: np.ndarray) -> np.ndarray:
         # An exchange solution splits into pairs at tight points (an addition
         # and its own point's removal, worth g - c), plain additions at the
         # other points and extra removals; only the last two meet the budget
         # |additions| <= |removals| + slack.  A tight point spent as an extra
         # removal gives up its pair, so its effective cost is c + max(0, g - c).
         g = np.maximum(add_gains, 0.0)
-        pairs = np.maximum(g[:, self.tight] - self.costs[self.tight], 0.0)
+        pairs = np.maximum(g.T[self.tight] - self.costs[self.tight, None], 0.0)  # (tight points, atoms)
         effective = np.repeat(self.costs[None, :], g.shape[0], axis=0)
-        effective[:, self.tight] += pairs
+        effective[:, self.tight] += pairs.T
         # Best total of a additions and cheapest total of r removals, a, r >= 0.
-        adds = _prefix_sums(-np.sort(-g[:, ~self.tight], axis=1))
+        adds = _prefix_sums(np.sort(g[:, ~self.tight], axis=1)[:, ::-1])
         removals = _prefix_sums(np.sort(effective, axis=1))
         needed = np.maximum(np.arange(adds.shape[1]) - self.slack, 0)
-        return pairs.sum(axis=1) + (adds - removals[:, needed]).max(axis=1)
+        # Each atom's pairs added point by point, whatever the chunk's row count.
+        totals = np.zeros((len(pairs) + 1, g.shape[0]))
+        np.cumsum(pairs, axis=0, out=totals[1:])
+        return totals[-1] + (adds - removals[:, needed]).max(axis=1)
 
     def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
-        """``atom``'s best replacement, from one exchange solve: (points, removed, add, gain).
+        """``atom``'s best replacement: (points, removed, add, gain).
 
         ``points`` ascend; point ``points[i]`` gives up support position
-        ``removed[i]`` (none if -1) and takes the atom if ``add[i]``.
+        ``removed[i]`` (none if -1) and takes the atom if ``add[i]``.  The
+        points and the gain are those :func:`solve_exchange` gives for the
+        step's exchange instance, taken from :func:`exchange_sets`.
         """
         g = np.where((self.index == atom).any(axis=1), 0.0, np.maximum(add_gains, 0.0))
-        tight = frozenset(np.flatnonzero(self.tight).tolist())
-        added, removed, value = solve_exchange(ExchangeInstance(g, self.costs, tight, self.slack))
-        points = np.array(sorted(added | removed), dtype=int)
-        removes = np.isin(points, list(removed))
-        return points, np.where(removes, self.position[points], -1), np.isin(points, list(added)), value
+        added, removed = exchange_sets(g, self.costs, self.tight, self.slack)
+        points = np.flatnonzero(added | removed)
+        gain = float(np.sum(g[added])) - float(np.sum(self.costs[removed]))
+        return points, np.where(removed[points], self.position[points], -1), added[points], gain
 
 
 class BlockStep:
@@ -523,39 +643,39 @@ class BlockStep:
     ``member`` (B, n) marks the atoms each block's supports use and
     ``union`` (B, n) holds what dropping each from every support of the
     block costs (inf for the other atoms); ``full`` (B,) marks the unions
-    at their cap.
+    at their cap.  Every per-block sum adds its points' terms one by one in
+    block order, as the constraint lists the points.
     """
 
     def __init__(self, constraint: BlockSparsity, index: np.ndarray, costs: np.ndarray, num_atoms: int):
-        lengths = [len(block) for block in constraint.blocks]
+        count = len(constraint.blocks)
         self.index = index
-        self.order = np.fromiter(itertools.chain.from_iterable(constraint.blocks), dtype=int, count=sum(lengths))
-        self.block_of = np.empty(len(index), dtype=int)
-        self.block_of[self.order] = np.repeat(np.arange(len(lengths)), lengths)
-        # (block, atom) pairs point by point in block order, so each atom's
-        # costs are summed in that order.
+        self.order, self.block_of, self.columns = constraint.layout
+        # (block, atom) pairs point by point in block order; bincount adds
+        # each pair's costs in that order.
         rows, cols = np.nonzero(index[self.order] >= 0)
-        pairs = self.block_of[self.order[rows]], index[self.order[rows], cols]
-        union = np.zeros((len(lengths), num_atoms))
-        np.add.at(union, pairs, costs[self.order[rows], cols])
-        self.member = np.zeros(union.shape, dtype=bool)
-        self.member[pairs] = True
+        pairs = self.block_of[self.order[rows]] * num_atoms + index[self.order[rows], cols]
+        union = np.bincount(pairs, costs[self.order[rows], cols], count * num_atoms).reshape(count, num_atoms)
+        self.member = np.bincount(pairs, minlength=count * num_atoms).reshape(count, num_atoms) > 0
         self.union = np.where(self.member, union, math.inf)
         self.full = self.member.sum(axis=1) >= np.asarray(constraint.caps)
 
     def _block_sums(self, rows: np.ndarray) -> np.ndarray:
-        """Per-block sums (B, ...) of the per-point ``rows`` (T, ...), added point by point in block order."""
-        sums = np.zeros((len(self.full), *rows.shape[1:]))
-        np.add.at(sums, self.block_of[self.order], rows[self.order])
+        """Per-block sums (..., B) of the per-point ``rows`` (..., T), added point by point in block order."""
+        if rows.ndim == 1:
+            return np.bincount(self.block_of[self.order], rows[self.order], len(self.full))
+        sums = np.zeros((*rows.shape[:-1], len(self.full)))
+        for blocks, points in self.columns:
+            sums[..., blocks] += rows.take(points, axis=-1)
         return sums
 
     def values(self, add_gains: np.ndarray) -> np.ndarray:
         """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``."""
-        base = self._block_sums(np.maximum(add_gains, 0.0).T)
+        base = self._block_sums(np.maximum(add_gains, 0.0))  # (n, B)
         # A full union takes the candidate only in place of its cheapest atom.
-        cheapest = self.union.min(axis=1, keepdims=True)
-        value = np.where(self.member | ~self.full[:, None], base, np.maximum(base - cheapest, 0.0))
-        return _prefix_sums(value.T)[:, -1]  # blocks added in order
+        cheapest = self.union.min(axis=1)
+        value = np.where(self.member.T | ~self.full, base, np.maximum(base - cheapest, 0.0))
+        return _prefix_sums(value)[:, -1]  # blocks added in order
 
     def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
         """``atom``'s best replacement, as :meth:`AverageStep.replacement` gives it.
@@ -607,6 +727,13 @@ def _padded(supports: Sequence[Sequence[int]], removal_costs: Sequence) -> tuple
     return index, costs
 
 
+def _row_chunks(add_gains: np.ndarray):
+    """Slices of ``stack_rows(T)`` atom rows that cover the (n, T) ``add_gains``."""
+    n, t_count = add_gains.shape
+    rows = stack_rows(t_count)
+    return (slice(start, start + rows) for start in range(0, n, rows))
+
+
 def _prefix_sums(rows: np.ndarray) -> np.ndarray:
     """Row-wise sums of the first 0, 1, ..., m entries of each (., m) row."""
     sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
@@ -618,6 +745,41 @@ def require_feasible(constraint: SparsityConstraint, supports: Sequence) -> None
     """Raise InfeasibleState unless the support tuple belongs to the family."""
     if not is_feasible(constraint, supports):
         raise InfeasibleState("supports violate the sparsity constraint")
+
+
+def padded_check(constraint: SparsityConstraint, num_atoms: int):
+    """The test ``check(index, size) -> bool`` of padded supports against a block or average family.
+
+    ``index`` (T, m) holds each support's atoms, -1 padding the shorter
+    ones, atoms below ``num_atoms``, and ``size`` (T,) their counts.  It
+    agrees with :func:`is_feasible` on the supports the arrays pad, but
+    reads the arrays alone: average sparsity checks the sizes against the
+    per-point caps and their sum against the global cap; block sparsity
+    counts the distinct atoms of each block.  It shares no code with the
+    step objects, so it checks what they produce.
+    """
+    if isinstance(constraint, AverageSparsity):
+        caps = np.asarray(constraint.s_t, dtype=int)
+
+        def check(index, size):
+            return len(size) == len(caps) and bool((size <= caps).all()) and int(size.sum()) <= constraint.s_prime
+
+        return check
+    if not isinstance(constraint, BlockSparsity):
+        raise TypeError(f"{type(constraint).__name__} is not a block or average family")
+    caps = np.asarray(constraint.caps, dtype=int)
+    block_of = np.empty(num_points(constraint), dtype=int)
+    for b, block in enumerate(constraint.blocks):
+        block_of[list(block)] = b
+
+    def check(index, size):
+        if len(index) != len(block_of):
+            return False
+        used = np.zeros((len(caps), num_atoms + 1), dtype=bool)  # pads (-1) mark the last column
+        used[block_of[:, None], index] = True
+        return bool((np.count_nonzero(used[:, :-1], axis=1) <= caps).all())
+
+    return check
 
 
 def best_replacement(

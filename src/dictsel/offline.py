@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import IndividualSparsity, PartitionMatroid, PointStep, family_step, num_points, point_categories
-from .constraints import require_feasible
+from .constraints import IndividualSparsity, PartitionMatroid, PointStep, family_step, num_points, padded_check
+from .constraints import point_categories
 from .data_io import data_matrix
-from .errors import UnsupportedConstraint
+from .errors import InfeasibleState, UnsupportedConstraint
 from .linalg import GramFit, atom_matrix, gram_fit, gram_gains, gram_update
 from .linalg import require_finite_atoms, resolve_smoothness, size_chunks
 
@@ -218,10 +218,12 @@ class _Coupled:
 
     def __init__(self, constraint, t_count: int, num_atoms: int):
         self.constraint, self.num_atoms = constraint, num_atoms
+        self.feasible = padded_check(constraint, num_atoms)
 
     def refresh(self, state: SelectionState, points: np.ndarray) -> None:
-        """Check the supports against the family; a coupled family may bind at any point."""
-        require_feasible(self.constraint, state.supports)
+        """Check all supports against the family, on the padded arrays; a coupled family may bind at any point."""
+        if not self.feasible(state.fit.index, state.fit.size):
+            raise InfeasibleState("supports violate the sparsity constraint")
 
     def step(self, fit: GramFit, scale: float):
         """The step data of the current supports, removals costing ``scale`` w_j^2."""

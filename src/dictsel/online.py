@@ -286,7 +286,9 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
     if y.shape != a.shape[:1]:
         raise DimensionMismatch(f"y_t has shape {y.shape} but the atoms have {a.shape[0]} rows")
     aty = a.T @ y
-    if not math.isfinite(aty @ aty):
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming y_t
+        energy = aty @ aty
+    if not math.isfinite(energy):
         raise ValueError("y_t is too large: ||A^T y_t||^2 is not finite")
     played = list(state.bank.choices)
     fit = _RoundFit(state.gram, aty)

@@ -13,7 +13,9 @@ coupled families' replacements are searched one atom at a time over
 support lists (``block_search_reference``, and
 ``average_search_reference`` through ``solve_exchange``), as the
 reference for the padded-array tables and moves of
-``constraints.coupled_step``.
+``constraints.family_step``; ``average_move_reference`` is the average
+step's move as one ``solve_exchange`` gives it, and ``block_sums_reference``
+adds per-point terms block by block in a Python loop, in block order.
 """
 
 from __future__ import annotations
@@ -165,6 +167,25 @@ def average_search_reference(constraint, supports, atom, add_gains, removal_cost
     added, removed, value = solve_exchange(ExchangeInstance(g, costs, tight, slack))
     per_t = [(t, supports[t][positions[t]] if t in removed else None, t in added) for t in sorted(added | removed)]
     return Replacement(atom, per_t, value)
+
+
+def average_move_reference(step, atom, add_gains):
+    """An ``AverageStep``'s move for ``atom`` from one ``solve_exchange``: (points, removed, add, gain)."""
+    g = np.where((step.index == atom).any(axis=1), 0.0, np.maximum(add_gains, 0.0))
+    tight = frozenset(np.flatnonzero(step.tight).tolist())
+    added, removed, value = solve_exchange(ExchangeInstance(g, step.costs, tight, step.slack))
+    points = np.array(sorted(added | removed), dtype=int)
+    removes = np.isin(points, list(removed))
+    return points, np.where(removes, step.position[points], -1), np.isin(points, list(added)), value
+
+
+def block_sums_reference(blocks, rows: np.ndarray) -> np.ndarray:
+    """Per-block sums (..., B) of the per-point ``rows`` (..., T), each started at 0.0 and added point by point in block order."""
+    sums = np.zeros((*rows.shape[:-1], len(blocks)))
+    for b, block in enumerate(blocks):
+        for t in block:
+            sums[..., b] = sums[..., b] + rows[..., t]
+    return sums
 
 
 def dictionary_optimum(atom_matrix, data, constraint, k, support_options):

@@ -22,7 +22,8 @@ from dictsel import constraints
 from dictsel.constraints import _padded, cheapest_removal, family_step, point_categories
 from dictsel.errors import InfeasibleState
 
-from oracles import average_search_reference, best_replacement_oracle, block_search_reference, exchange_optimum
+from oracles import average_move_reference, average_search_reference, best_replacement_oracle
+from oracles import block_search_reference, block_sums_reference, exchange_optimum
 
 N_ATOMS = 12
 
@@ -506,3 +507,168 @@ def test_coupled_step_values_match_per_atom_search(seed, family, slack, ties):
             assert is_feasible(constraint, apply_replacement(supports, rep))
         assert abs(values[atom] - expected) <= 1e-12, (atom, values[atom], expected)
         assert abs(rep.gain - expected) <= 1e-12
+
+
+def average_tie_instance(rng, gains, slack, tight):
+    """Padded supports, removal costs and (n, T) add gains of an average family, built for ties.
+
+    ``gains``: "equal" (one value everywhere), "zero", "pair" (every tight
+    point's gain equals its cheapest removal) or "grid" (gains and costs
+    on a grid of 4 values).  ``slack``: "none" or "wide" (at least T).
+    ``tight``: "all", "none" or "some" of the supports at their cap.
+    Caps of 0 make empty tight supports and empty supports below their
+    cap occur, both with infinite removal cost.
+    """
+    t_count = int(rng.integers(1, 9))
+    at_cap = {"all": np.ones(t_count, bool), "none": np.zeros(t_count, bool)}.get(tight, rng.random(t_count) < 0.5)
+    caps = rng.integers(0 if tight != "none" else 1, 4, size=t_count)
+    sizes = np.where(at_cap, caps, [int(rng.integers(0, cap)) if cap else 0 for cap in caps])
+    index = np.full((t_count, max(1, int(sizes.max()))), -1)
+    for t, size in enumerate(sizes):
+        index[t, :size] = rng.choice(N_ATOMS, size=size, replace=False)
+    grid = np.array([0.0, 0.25, 0.5, 0.75])
+    costs = rng.choice(grid[1:] if gains == "equal" else grid, size=index.shape)
+    if gains == "equal":
+        costs[:] = costs[0, 0]
+    add = rng.choice(grid, size=(N_ATOMS, t_count))
+    if gains == "equal":
+        add[:] = rng.choice(grid[1:])
+    elif gains == "zero":
+        add[:] = 0.0
+    elif gains == "pair":
+        cheapest = np.where(index >= 0, costs, math.inf).min(axis=1)
+        add[:, at_cap & (sizes > 0)] = cheapest[at_cap & (sizes > 0)]
+    for t in range(t_count):
+        add[index[t, : sizes[t]], t] = 0.0
+    spare = 0 if slack == "none" else t_count + int(rng.integers(0, 3))
+    constraint = AverageSparsity(tuple(caps.tolist()), int(sizes.sum()) + spare)
+    return constraint, index, costs, add
+
+
+@pytest.mark.parametrize("tight", ["all", "none", "some"])
+@pytest.mark.parametrize("slack", ["none", "wide"])
+@pytest.mark.parametrize("gains", ["equal", "zero", "pair", "grid"])
+def test_average_move_is_the_exchange_solution_bitwise(monkeypatch, gains, slack, tight):
+    # The closed-form move against one solve_exchange, on instances made of
+    # ties: the same points, removed positions, additions and gain, bit for
+    # bit.  Ties at the lowest gain taken go through the heap-order replay.
+    replays = []
+    last_level = constraints._last_level
+    monkeypatch.setattr(constraints, "_last_level", lambda *args: replays.append(1) or last_level(*args))
+    rng = np.random.default_rng([73, len(gains), len(slack), len(tight)])
+    for _ in range(60):
+        constraint, index, costs, add = average_tie_instance(rng, gains, slack, tight)
+        step = family_step(constraint, index, costs, N_ATOMS)
+        for atom in range(N_ATOMS):
+            got = step.replacement(atom, add[atom])
+            expected = average_move_reference(step, atom, add[atom])
+            for a, b in zip(got[:3], expected[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (atom, got, expected)
+            assert got[3] == expected[3] and type(got[3]) is float
+    if (gains, slack, tight) == ("grid", "none", "some"):
+        assert replays
+
+
+def test_exchange_sets_match_solve_exchange_on_ties():
+    # Gains and costs on a coarse grid tie often, also at the lowest gain
+    # taken, where a pair's point spent as a removal joins the heap late.
+    rng = np.random.default_rng(74)
+    for _ in range(3000):
+        t_count = int(rng.integers(1, 13))
+        gains = rng.integers(0, 3, size=t_count) * 0.25
+        costs = np.where(rng.random(t_count) < 0.2, math.inf, rng.integers(0, 3, size=t_count) * 0.25)
+        tight = rng.random(t_count) < rng.random()
+        slack = int(rng.integers(0, t_count + 2))
+        added, removed, _ = solve_exchange(ExchangeInstance(gains, costs, frozenset(np.flatnonzero(tight).tolist()), slack))
+        got = constraints.exchange_sets(gains, costs, tight, slack)
+        assert (set(np.flatnonzero(got[0]).tolist()), set(np.flatnonzero(got[1]).tolist())) == (added, removed)
+
+
+@pytest.mark.parametrize("rows", [1, 16, None, 128], ids=["rows1", "rows16", "default", "rowsN"])
+def test_average_step_values_do_not_depend_on_row_chunks(monkeypatch, rows):
+    # As for PointStep: every chunking gives the one-block values bit for bit.
+    rng = np.random.default_rng(62)
+    n, t_count = 128, 150
+    caps = rng.integers(1, 6, size=t_count)
+    index = np.full((t_count, 5), -1)
+    for t, cap in enumerate(caps):
+        size = int(rng.integers(0, cap + 1))
+        index[t, :size] = rng.choice(n, size=size, replace=False)
+    constraint = AverageSparsity(tuple(caps.tolist()), int((index >= 0).sum()) + 7)
+    removal = rng.choice([0.25, 0.5, 0.75], size=index.shape)  # ties are common
+    add = np.round(rng.uniform(0.0, 1.0, size=(n, t_count)), 1)
+    step = family_step(constraint, index, removal, n)
+    expected = step._values(add)
+    if rows is not None:
+        monkeypatch.setattr(constraints, "stack_rows", lambda t_count: rows)
+    got = step.values(add)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def scrambled_blocks(rng, t_count):
+    """A random partition of 0..T-1 into uneven blocks, each listing its points in no order."""
+    points = rng.permutation(t_count).tolist()
+    cuts = sorted(rng.choice(np.arange(1, t_count), size=int(rng.integers(0, t_count)), replace=False).tolist())
+    return tuple(tuple(points[a:b]) for a, b in zip([0, *cuts], [*cuts, t_count]))
+
+
+def test_block_step_sums_in_block_order_bitwise():
+    # Terms spanning 1e-8 to 1e8 change bits under any other order of
+    # addition; the union costs and both block sums must add each block's
+    # points one by one, in the order the block lists them.
+    rng = np.random.default_rng(75)
+    n = 6
+    for _ in range(200):
+        t_count = int(rng.integers(1, 16))
+        blocks = scrambled_blocks(rng, t_count)
+        index = np.full((t_count, 4), -1)
+        for t in range(t_count):
+            size = int(rng.integers(0, 5))
+            index[t, :size] = rng.choice(n, size=size, replace=False)  # few atoms: shared within blocks
+        costs = 10.0 ** rng.uniform(-8, 8, size=index.shape)
+        step = family_step(BlockSparsity(blocks, (n,) * len(blocks)), index, costs, n)
+        union = np.zeros((len(blocks), n))
+        for b, block in enumerate(blocks):
+            for t in block:
+                for atom, cost in zip(index[t], costs[t]):
+                    if atom >= 0:
+                        union[b, atom] = union[b, atom] + cost
+        assert np.array_equal(step.union, np.where(step.member, union, math.inf))
+        assert np.array_equal(step.member, union > 0.0)
+        for rows in (10.0 ** rng.uniform(-8, 8, size=t_count), 10.0 ** rng.uniform(-8, 8, size=(n, t_count))):
+            assert np.array_equal(step._block_sums(rows), block_sums_reference(blocks, rows))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["average", "block"]), feasible=st.booleans())
+def test_padded_check_agrees_with_is_feasible(seed, family, feasible):
+    # Supports drawn from a few atoms, so several points of a block share
+    # one; some supports are empty.  Blocks list their points in no order.
+    # With ``feasible`` the caps are raised until the supports fit.
+    rng = np.random.default_rng(seed)
+    t_count = int(rng.integers(1, 9))
+    atoms = rng.choice(N_ATOMS, size=int(rng.integers(1, 6)), replace=False)
+    supports = [
+        rng.choice(atoms, size=int(rng.integers(0, len(atoms) + 1)), replace=False).tolist() if rng.random() < 0.7 else []
+        for _ in range(t_count)
+    ]
+    sizes = [len(z) for z in supports]
+    if family == "average":
+        caps = rng.integers(0, 4, size=t_count)
+        total = int(rng.integers(0, 2 * t_count + 1))
+        if feasible:
+            caps, total = np.maximum(caps, sizes), max(total, sum(sizes))
+        constraint = AverageSparsity(tuple(caps.tolist()), total)
+    else:
+        blocks = scrambled_blocks(rng, t_count)
+        caps = rng.integers(0, 4, size=len(blocks))
+        if feasible:
+            caps = np.maximum(caps, [len(set().union(*(supports[t] for t in block))) for block in blocks])
+        constraint = BlockSparsity(blocks, tuple(caps.tolist()))
+    assert not feasible or is_feasible(constraint, supports)
+    index, _ = _padded(supports, [np.zeros(size) for size in sizes])
+    check = constraints.padded_check(constraint, N_ATOMS)
+    assert check(index, np.array(sizes)) == is_feasible(constraint, supports)
+    # A tuple of another length is never feasible.
+    assert not check(index[1:], np.array(sizes[1:]))
+    assert not check(np.vstack([index, index[:1]]), np.array(sizes + sizes[:1]))

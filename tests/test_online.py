@@ -487,6 +487,18 @@ def test_round_whose_gains_overflow_changes_nothing(method):
     assert not np.array_equal(state.bank.log_weights, before.bank.log_weights)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_round_whose_gains_overflow_names_y_t_under_warnings_as_errors(method):
+    # No np.errstate here: the suite turns warnings into errors, so an
+    # overflow warning from the check itself would escape in place of the
+    # ValueError that names y_t.
+    gs = assemble([("dct2", dct2_basis(4)), ("haar2", haar2_basis(4))])
+    state = online_state(method, gs, k=3, s=2, horizon=20, seed=13)
+    with pytest.raises(ValueError, match="y_t is too large"):
+        online_round(state, np.full(16, 1e160), gs)
+    assert state.rounds == 0
+
+
 def test_online_round_rejects_data_of_another_dimension():
     gs = dct2_basis(4)
     state = online_state("online_replacement_omp", gs, k=3, s=2, horizon=5, seed=11)

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -491,13 +491,9 @@ class ExperimentResult:
         return result
 
     def to_csv(self) -> str:
-        header = "trial,method,k,objective,train_residual_variance,test_residual_variance,seconds"
-        lines = [header]
+        lines = [",".join(f.name for f in fields(TrialRow))]
         for r in self.rows:
-            lines.append(
-                f"{r.trial},{r.method},{r.k},{r.objective!r},"
-                f"{r.train_residual_variance!r},{r.test_residual_variance!r},{r.seconds!r}"
-            )
+            lines.append(",".join(v if isinstance(v, str) else repr(v) for v in astuple(r)))
         return "\n".join(lines) + "\n"
 
 
@@ -724,10 +720,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except DictselError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except OSError as exc:
+    except (DictselError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -14,11 +14,12 @@ cost of each position: ``values`` gives every atom's best gain in closed
 form, ``replacement`` the winner's replacement.  Per-point families are
 priced from category tallies (``point_categories``).  For average sparsity
 the replacement is a budgeted exchange problem; the step takes its moves
-from sorted arrays in closed form (``exchange_sets``), with the points
-that ``solve_exchange``, the exact O(T log T) heap greedy kept as its
-oracle, would pick.  ``best_replacement`` takes supports as lists, pads
-them once and runs the same step for one atom.  ``padded_check`` tests
-block and average feasibility on the padded arrays themselves.
+from sorted arrays in closed form (``exchange_sets``), the points that
+``solve_exchange``, the exact O(T log T) heap greedy, picks; a tie at the
+lowest gain taken that holds a tight point's pair goes to that greedy.
+``best_replacement`` takes supports as lists, pads them once and runs the
+same step for one atom.  ``padded_check`` tests block and average
+feasibility on the padded arrays themselves.
 """
 
 from __future__ import annotations
@@ -337,7 +338,7 @@ def exchange_sets(gains: np.ndarray, costs: np.ndarray, tight: np.ndarray, slack
     taken while its gain beats that cost; nothing is taken at a marginal
     <= 0.  That fixes B, |A| and every addition above the lowest gain
     taken.  Among the points of that gain the heap greedy's order
-    decides, and :func:`_last_level` replays it when a pair is among them.
+    decides: A comes from :func:`solve_exchange` when a pair is among them.
     """
     pairs = tight & (gains > costs)
     ranked = _ranked(np.flatnonzero(~tight | pairs), -gains)
@@ -349,56 +350,15 @@ def exchange_sets(gains: np.ndarray, costs: np.ndarray, tight: np.ndarray, slack
         span = min(len(ranked) - free, len(removals))
         count = free + int(np.count_nonzero(top[free : free + span] > costs[removals[:span]]))
     added = np.zeros(len(gains), dtype=bool)
-    added[ranked[:count]] = True
+    if 0 < count < len(ranked) and top[count] == top[count - 1] and pairs[ranked[top == top[count - 1]]].any():
+        # A pair spent as a removal joins the additions after the one it paid for.
+        chosen, _, _ = solve_exchange(ExchangeInstance(gains, costs, frozenset(np.flatnonzero(tight).tolist()), slack))
+        added[list(chosen)] = True
+    else:
+        added[ranked[:count]] = True
     removed = pairs.copy()
     removed[removals[: max(0, count - free)]] = True
-    if 0 < count < len(ranked) and top[count] == top[count - 1]:
-        level = ranked[top == top[count - 1]]
-        if pairs[level].any():
-            added[level] = False
-            added[_last_level(gains, costs, tight, slack, pairs, level)] = True
     return added, removed
-
-
-def _last_level(gains, costs, tight, slack: int, pairs, level: np.ndarray) -> list[int]:
-    """The points of ``level`` that :func:`solve_exchange` adds, when their gain v is the lowest it adds.
-
-    ``level`` holds every point (ascending) that is not tight or is a
-    pair, at gain v.  The greedy pops additions from a heap by gain, then
-    point, and spends removals by cost, then point.  A pair's point whose
-    removal comes up while additions of at least its gain are left is
-    spent as a removal and joins the heap, so the addition its removal
-    pays for comes first, whatever their point order.  At gain v the plain
-    points, and the pairs spent before the first addition of gain v, are
-    in the heap from the start; a pair spent during those additions joins
-    after the one it paid for; a pair never spent stays a pair, in A.
-    """
-    v = gains[level[0]]
-    plain = level[~pairs[level]]
-    # Plain additions of a higher gain; the first ``slack`` of all additions are free.
-    above = int(np.count_nonzero(~tight & (gains > v)))
-    paid_above, free = max(0, above - slack), min(max(0, slack - above), len(plain))
-    # Removals in the greedy's order; a pair of a higher gain is never spent from the first addition of gain v on.
-    order = _ranked(np.flatnonzero(np.isfinite(costs)), costs)
-    order = order[~(pairs[order] & (gains[order] > v))]
-    joins = pairs & (gains == v)
-    before, during = order[:paid_above], order[paid_above:]
-    heap = [*plain[free:].tolist(), *before[joins[before]].tolist()]
-    # Additions of gain v go on while the heap holds one and its removal
-    # costs less than v (a pair's always does).
-    arrive = joins[during]
-    left = len(heap) - np.arange(len(during)) + np.cumsum(arrive) - arrive
-    stop = (left <= 0) | (~pairs[during] & (costs[during] >= v))
-    paid = int(np.argmax(stop)) if stop.any() else len(during)
-    heapq.heapify(heap)
-    taken = plain[:free].tolist()
-    for i in range(paid):
-        taken.append(heapq.heappop(heap))
-        if arrive[i]:
-            heapq.heappush(heap, int(during[i]))
-    unspent = joins.copy()
-    unspent[order[: paid_above + paid]] = False
-    return taken + np.flatnonzero(unspent).tolist()
 
 
 @dataclass(frozen=True)

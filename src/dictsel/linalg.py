@@ -104,14 +104,12 @@ class SupportFactorization:
         """Solve R x = Q^T y, given Q^T y; the array is overwritten."""
         if not (np.isfinite(self.r).all() and np.isfinite(qty).all()):
             raise ValueError("array must not contain infs or NaNs")
-        # Imported here so that only this reference path loads scipy.
-        from scipy.linalg.lapack import dtrtrs
-
-        # R^T is a lower-triangular Fortran view of the C-ordered R: this is
-        # the LAPACK call scipy's solve_triangular makes, minus its wrapper.
-        x, info = dtrtrs(self.r.T, qty, lower=1, trans=1, overwrite_b=1)
-        if info:
-            raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+        r, x = self.r, qty
+        if not r.diagonal().all():
+            raise np.linalg.LinAlgError("triangular solve failed: R has a zero diagonal entry")
+        # Row-form back substitution, bit for bit scipy's solve_triangular.
+        for i in range(self.m - 1, -1, -1):
+            x[i] = (x[i] - r[i, i + 1 :] @ x[i + 1 :]) / r[i, i]
         return x
 
     def residual(self, y: np.ndarray) -> np.ndarray:

@@ -551,10 +551,10 @@ def average_tie_instance(rng, gains, slack, tight):
 def test_average_move_is_the_exchange_solution_bitwise(monkeypatch, gains, slack, tight):
     # The closed-form move against one solve_exchange, on instances made of
     # ties: the same points, removed positions, additions and gain, bit for
-    # bit.  Ties at the lowest gain taken go through the heap-order replay.
+    # bit.  A tie at the lowest gain taken that holds a pair goes to the
+    # fallback's solve_exchange call (the oracle calls its own import).
     replays = []
-    last_level = constraints._last_level
-    monkeypatch.setattr(constraints, "_last_level", lambda *args: replays.append(1) or last_level(*args))
+    monkeypatch.setattr(constraints, "solve_exchange", lambda *args: replays.append(1) or solve_exchange(*args))
     rng = np.random.default_rng([73, len(gains), len(slack), len(tight)])
     for _ in range(60):
         constraint, index, costs, add = average_tie_instance(rng, gains, slack, tight)
@@ -567,6 +567,30 @@ def test_average_move_is_the_exchange_solution_bitwise(monkeypatch, gains, slack
             assert got[3] == expected[3] and type(got[3]) is float
     if (gains, slack, tight) == ("grid", "none", "some"):
         assert replays
+
+
+def counted_exchange_sets(monkeypatch, gains, costs, tight, slack):
+    """``exchange_sets`` on the instance, the (A, B) that ``solve_exchange`` gives, and the fallback's calls."""
+    calls = []
+    monkeypatch.setattr(constraints, "solve_exchange", lambda *args: calls.append(1) or solve_exchange(*args))
+    got = constraints.exchange_sets(np.array(gains), np.array(costs), np.array(tight), slack)
+    added, removed, _ = solve_exchange(ExchangeInstance(gains, costs, frozenset(np.flatnonzero(tight).tolist()), slack))
+    return (set(np.flatnonzero(got[0]).tolist()), set(np.flatnonzero(got[1]).tolist())), (added, removed), len(calls)
+
+
+def test_tied_lowest_level_with_a_pair_goes_to_one_solve_exchange(monkeypatch):
+    # Slack 0: the pair at point 0 (gain 2, cost 1) pays for one addition of
+    # gain 2, tied with the plain points 1 and 2.  The heap greedy spends 0
+    # as the removal for point 1, where gain order alone would add 0 itself.
+    got, expected, calls = counted_exchange_sets(monkeypatch, [2.0, 2.0, 2.0], [1.0, math.inf, math.inf], [True, False, False], 0)
+    assert got == expected == ({1}, {0}) and calls == 1
+
+
+def test_tied_lowest_level_without_a_pair_stays_in_closed_form(monkeypatch):
+    # Points 0 and 1 tie at gain 2; one is free, the other would be paid by
+    # the tight point 2 at cost 3, which is no pair (gain 1 <= 3).
+    got, expected, calls = counted_exchange_sets(monkeypatch, [2.0, 2.0, 1.0], [math.inf, math.inf, 3.0], [False, False, True], 1)
+    assert got == expected == ({0}, set()) and calls == 0
 
 
 def test_exchange_sets_match_solve_exchange_on_ties():

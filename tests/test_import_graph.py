@@ -1,9 +1,10 @@
-"""scipy stays off the import path of everything but the QR reference solve.
+"""No path of the package loads scipy.
 
 The selectors, online rounds, OMP evaluation and the CLI run in Gram form
-on numpy alone; only ``SupportFactorization.solve`` (behind ``ls_solve``)
-imports scipy's LAPACK wrapper, where it is called.  The check runs in a
-fresh interpreter because the test session itself loads scipy.
+on numpy alone, and the thin-QR reference solve (``ls_solve``,
+``SupportFactorization.solve``) back-substitutes in numpy; scipy is a
+test dependency only.  The check runs in a fresh interpreter because the
+test session itself loads scipy.
 """
 
 import subprocess
@@ -47,7 +48,7 @@ SCRIPT = textwrap.dedent(
     normal = np.linalg.solve(a[:, support].T @ a[:, support], a[:, support].T @ y)
     assert np.abs(w[support] - normal).max() <= 1e-10, (w[support], normal)
     assert not np.delete(w, support).any()
-    assert "scipy" in sys.modules
+    assert "scipy" not in sys.modules, "scipy loaded by ls_solve"
     """
 )
 

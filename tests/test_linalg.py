@@ -334,6 +334,14 @@ def test_solve_rejects_nonfinite_data(bad):
         fact.solve(y)
 
 
+def test_solve_rejects_a_zero_diagonal():
+    # A singular R, as LAPACK's dtrtrs reports it (info > 0).
+    r = np.triu(np.ones((3, 3)))
+    r[1, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        SupportFactorization((0, 1, 2), np.eye(3), r).solve(np.ones(3))
+
+
 def assert_fit_matches_dense(fit, a, y, tol=1e-8):
     """Coefficients, gradients and f of every point against ls_solve on its support."""
     for t in range(y.shape[1]):

@@ -49,6 +49,9 @@ OFFLINE_METHODS = (
     "replacement_omp",
     "replacement_omp_decay",
 )
+FAMILIES = ("individual", "average", "block", "partition_matroid")
+# Exact gains do not decompose across coupled points; modular greedy knows per-point caps only.
+_EXCLUDED_FAMILIES = {"replacement_greedy": ("block", "average"), "modular_greedy": FAMILIES[1:]}
 
 
 def residual_variance(dictionary, data, s: int) -> float:
@@ -284,8 +287,8 @@ class ExperimentConfig:
         for i, method in enumerate(methods):
             where = f"methods[{i}]"
             name = _choice(_check(method, where, dict), "name", where, OFFLINE_METHODS)
-            if name == "replacement_greedy" and family in ("block", "average"):
-                raise ParseError(f"{where}.name: replacement_greedy supports per-point families only, not {family}")
+            if family in _EXCLUDED_FAMILIES.get(name, ()):
+                raise ParseError(f"{where}.name: {name} cannot run under the {family} family")
             _field(method, "s", where, low=0, high=cap if name == "modular_greedy" else None, default=None)
             _field(method, "smoothness", where, float, default=None)
         return ExperimentConfig(
@@ -370,7 +373,7 @@ def build_dataset(cfg: dict, ground_set, seed, planted=None, where: str = "datas
 
 def build_constraint(cfg: dict, t_count: int, num_atoms: int):
     """The sparsity family of a constraint config over ``t_count`` points and ``num_atoms`` atoms."""
-    family = _choice(cfg, "family", "constraint", ("individual", "average", "block", "partition_matroid"))
+    family = _choice(cfg, "family", "constraint", FAMILIES)
     if family == "individual":
         return IndividualSparsity(_field(cfg, "s", "constraint", low=0))
     if family == "average":
@@ -419,10 +422,7 @@ def run_selector(method: dict, data, ground_set, constraint):
     k = method["k"]
     start = time.perf_counter()
     if name == "modular_greedy":
-        s = method.get("s")
-        if s is None:
-            s = constraint.s if isinstance(constraint, IndividualSparsity) else 1
-        state = modular_greedy(data, ground_set, k, s)
+        state = modular_greedy(data, ground_set, k, constraint.s if method.get("s") is None else method["s"])
     elif name == "replacement_greedy":
         state = replacement_greedy(data, ground_set, constraint, k)
     else:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientPatches, ParseError, SchemaVersionMismatch
-from .linalg import atom_matrix
+from .linalg import atom_matrix, stack_points
 
 _MAGIC = b"DMAT"
 _VERSION = 1
@@ -62,7 +62,10 @@ def synth_dataset(ground_set, num_points, k_planted, s, seed, planted=None) -> D
     Picks ``k_planted`` atoms uniformly without replacement (or uses the
     given ``planted`` indices), then draws each point as ``s`` planted
     atoms with standard-normal weights.  Provenance records the planted
-    indices so recovery can be scored later.
+    indices so recovery can be scored later.  The draws are made point by
+    point (support, then weights), which fixes the random stream; the
+    products are batched, one per block of points, and give the same bits
+    as one product per point.
     """
     a = atom_matrix(ground_set)
     n = a.shape[1]
@@ -76,10 +79,17 @@ def synth_dataset(ground_set, num_points, k_planted, s, seed, planted=None) -> D
         if len(planted) != k_planted:
             raise ValueError("planted indices disagree with k_planted")
     y = np.zeros((a.shape[0], num_points))
+    supports = np.empty((num_points, s), dtype=int)
+    weights = np.empty((num_points, s))
     for t in range(num_points):
-        if s:
-            support = rng.choice(planted, size=s, replace=False)
-            y[:, t] = a[:, support] @ rng.standard_normal(s)
+        supports[t] = rng.choice(planted, size=s, replace=False)
+        weights[t] = rng.standard_normal(s)
+    # Blocks of at most STACK floats of gathered atoms, which malloc serves
+    # from its heap without moving its mmap threshold.
+    step = stack_points(max(a.shape[0] * s, 1))
+    for start in range(0, num_points, step):
+        block = slice(start, start + step)
+        y[:, block] = np.matmul(a[:, supports[block]].transpose(1, 0, 2), weights[block, :, None])[:, :, 0].T
     provenance = {
         "kind": "synthetic",
         "seed": _seed_repr(seed),
@@ -104,23 +114,21 @@ def extract_patches(image, num_patches, side=8, seed=0) -> Dataset:
     if img.ndim != 2 or min(img.shape) < side:
         raise ValueError(f"image must be 2D with both sides >= {side}")
     rows, cols = img.shape[0] // side, img.shape[1] // side
-    tiles = []
-    for i in range(rows):
-        for j in range(cols):
-            tile = img[i * side : (i + 1) * side, j * side : (j + 1) * side]
-            if tile.var() >= _VARIANCE_FLOOR:
-                tiles.append(tile.reshape(-1))
-    if len(tiles) < num_patches:
+    grid = img[: rows * side, : cols * side].reshape(rows, side, cols, side)
+    tiles = grid.transpose(0, 2, 1, 3).reshape(rows * cols, side * side)
+    # The summation order of ``np.var`` on one tile's view: the mean sums the
+    # tile row by row, the squared deviations as one row-major vector.
+    means = grid.sum(axis=(1, 3)).reshape(-1, 1) / (side * side)
+    usable = np.flatnonzero(np.square(tiles - means).sum(axis=1) / (side * side) >= _VARIANCE_FLOOR)
+    if len(usable) < num_patches:
         raise InsufficientPatches(
-            f"{len(tiles)} usable tiles available, {num_patches} requested"
+            f"{len(usable)} usable tiles available, {num_patches} requested"
         )
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(tiles), size=num_patches, replace=False)
-    y = np.empty((side * side, num_patches))
-    for t, idx in enumerate(chosen):
-        patch = tiles[idx]
-        patch = patch - patch.mean()
-        y[:, t] = patch / patch.std()
+    chosen = usable[rng.choice(len(usable), size=num_patches, replace=False)]
+    patches = tiles[chosen]
+    patches -= patches.mean(axis=1, keepdims=True)
+    y = np.ascontiguousarray((patches / patches.std(axis=1, keepdims=True)).T)
     provenance = {"kind": "patches", "seed": _seed_repr(seed), "side": int(side)}
     return Dataset(y, provenance, normalized=True)
 

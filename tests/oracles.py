@@ -16,6 +16,9 @@ reference for the padded-array tables and moves of
 ``constraints.family_step``; ``average_move_reference`` is the average
 step's move as one ``solve_exchange`` gives it, and ``block_sums_reference``
 adds per-point terms block by block in a Python loop, in block order.
+``synth_dataset_reference`` and ``extract_patches_reference`` build the
+data matrices point by point and tile by tile, as the reference for the
+batched products and array filters of ``data_io``.
 """
 
 from __future__ import annotations
@@ -186,6 +189,40 @@ def block_sums_reference(blocks, rows: np.ndarray) -> np.ndarray:
         for t in block:
             sums[..., b] = sums[..., b] + rows[..., t]
     return sums
+
+
+def synth_dataset_reference(ground_set, num_points, k_planted, s, seed, planted=None):
+    """``data_io.synth_dataset`` point by point: (matrix, provenance), one d x s product per point."""
+    a = atom_matrix(ground_set)
+    rng = np.random.default_rng(seed)
+    if planted is None:
+        planted = np.sort(rng.choice(a.shape[1], size=k_planted, replace=False))
+    else:
+        planted = np.asarray(sorted(int(j) for j in planted))
+    y = np.zeros((a.shape[0], num_points))
+    for t in range(num_points):
+        if s:
+            support = rng.choice(planted, size=s, replace=False)
+            y[:, t] = a[:, support] @ rng.standard_normal(s)
+    seed_repr = [int(x) for x in seed] if isinstance(seed, (list, tuple)) else int(seed)
+    return y, {"kind": "synthetic", "seed": seed_repr, "planted": [int(j) for j in planted], "s": int(s)}
+
+
+def extract_patches_reference(image, num_patches, side, seed) -> np.ndarray:
+    """``data_io.extract_patches``'s matrix tile by tile: the variance filter and the normalization per patch."""
+    img = np.asarray(image, dtype=float)
+    tiles = []
+    for i in range(img.shape[0] // side):
+        for j in range(img.shape[1] // side):
+            tile = img[i * side : (i + 1) * side, j * side : (j + 1) * side]
+            if tile.var() >= 1e-8:
+                tiles.append(tile.reshape(-1))
+    chosen = np.random.default_rng(seed).choice(len(tiles), size=num_patches, replace=False)
+    y = np.empty((side * side, num_patches))
+    for t, idx in enumerate(chosen):
+        patch = tiles[idx] - tiles[idx].mean()
+        y[:, t] = patch / patch.std()
+    return y
 
 
 def dictionary_optimum(atom_matrix, data, constraint, k, support_options):

@@ -308,6 +308,8 @@ def test_malformed_smoothness_is_a_config_error(tmp_path, capsys, command, value
 
 BLOCK_HALVES = {"family": "block", "blocks": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]], "caps": [2, 2]}
 MATROID = {"family": "partition_matroid"}
+# Methods that run under every family, unlike base_config's modular greedy.
+ROMP_ONLY = {"methods": [{"name": "replacement_omp", "k": 4}]}
 
 
 def online_section(**fields):
@@ -344,31 +346,32 @@ def online_section(**fields):
             {
                 "train": {"kind": "synthetic", "T": 6, "k_planted": 4, "s": 2},
                 "constraint": {**MATROID, "rules": [[[[0, 1], 1]]] * 4},
+                **ROMP_ONLY,
             },
             "constraint.rules: 1 or T = 6 rules",
             id="matroid-rule-count",
         ),
         pytest.param(
             "select",
-            {"constraint": {**MATROID, "rules": [[[[0, 99], 1]]]}},
+            {"constraint": {**MATROID, "rules": [[[[0, 99], 1]]]}, **ROMP_ONLY},
             "constraint.rules[0][0][0][1]",
             id="matroid-atom-above-n",
         ),
         pytest.param(
             "select",
-            {"constraint": {**MATROID, "rules": [[[[0, 1], 1], [[1, 2], 1]]]}},
+            {"constraint": {**MATROID, "rules": [[[[0, 1], 1], [[1, 2], 1]]]}, **ROMP_ONLY},
             "constraint.rules: rule 0",
             id="matroid-overlap",
         ),
         pytest.param(
             "select",
-            {"constraint": {"family": "average", "s_t": [1.5] + [2] * 9, "s_prime": 10}},
+            {"constraint": {"family": "average", "s_t": [1.5] + [2] * 9, "s_prime": 10}, **ROMP_ONLY},
             "constraint.s_t[0]",
             id="average-float-cap",
         ),
         pytest.param(
             "select",
-            {"constraint": {**BLOCK_HALVES, "caps": [2]}},
+            {"constraint": {**BLOCK_HALVES, "caps": [2]}, **ROMP_ONLY},
             "constraint.caps",
             id="block-cap-count",
         ),
@@ -403,6 +406,31 @@ def test_modular_greedy_above_an_individual_cap_is_a_config_error(tmp_path, caps
     flags = ("--method", "replacement_omp") if command == "select" else ()
     code, _, err = run_cli(tmp_path, capsys, command, base_config(methods=methods), *flags)
     assert_config_error(code, err, "methods[1].s")
+    assert ran == []
+
+
+@pytest.mark.parametrize("command", ["select", "bench"])
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        {"family": "block", "blocks": [[0, 1], [2, 3]], "caps": [1, 1]},
+        {"family": "average", "s_t": 1, "s_prime": 4},
+        {**MATROID, "rules": [[[[0, 1], 1]]]},
+    ],
+    ids=["block", "average", "matroid"],
+)
+def test_modular_greedy_under_a_family_other_than_caps_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, constraint
+):
+    # Modular greedy codes every point with its own s atoms and would ignore the family.
+    ran = []
+    monkeypatch.setattr(cli, "run_selector", lambda method, *args: ran.append(method))
+    methods = [{"name": "replacement_omp", "k": 4}, {"name": "modular_greedy", "k": 4, "s": 1}]
+    flags = ("--method", "replacement_omp") if command == "select" else ()
+    doc = {**base_config(methods=methods), "constraint": constraint}
+    doc["train"]["T"] = 4
+    code, _, err = run_cli(tmp_path, capsys, command, doc, *flags)
+    assert_config_error(code, err, "methods[1].name")
     assert ran == []
 
 

@@ -19,6 +19,8 @@ from dictsel.data_io import (
 )
 from dictsel.errors import InsufficientPatches, ParseError, SchemaVersionMismatch
 
+from oracles import extract_patches_reference, synth_dataset_reference
+
 
 def test_synth_zero_sparsity_gives_zeros():
     ds = synth_dataset(dct2_basis(4), 5, k_planted=3, s=0, seed=0)
@@ -49,6 +51,39 @@ def test_synth_planted_override():
     gs = assemble([("dct2", dct2_basis(4))])
     ds = synth_dataset(gs, 4, 3, 2, seed=1, planted=[2, 5, 9])
     assert ds.provenance["planted"] == [2, 5, 9]
+
+
+GROUND_SETS = {
+    "dct4": assemble([("dct2", dct2_basis(4))]),
+    "dct_haar8": assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))]),
+}
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 5, 8])
+@pytest.mark.parametrize("basis", sorted(GROUND_SETS))
+def test_synth_matches_the_per_point_products_bitwise(basis, s):
+    # 300 points span several product blocks at every s > 1 (one at DCT 4x4, s = 1).
+    gs = GROUND_SETS[basis]
+    for num_points in (0, 1, 7, 300):
+        for seed in (5, [5, 1, 2]):
+            for planted in (None, [0, 3, 4, 6, 9, 11, 12, 13, 14, 15]):
+                ds = synth_dataset(gs, num_points, 10, s, seed, planted=planted)
+                matrix, provenance = synth_dataset_reference(gs, num_points, 10, s, seed, planted=planted)
+                assert ds.matrix.dtype == np.float64 and ds.matrix.flags.c_contiguous
+                assert ds.matrix.shape == matrix.shape and ds.matrix.tobytes() == matrix.tobytes()
+                assert ds.provenance == provenance
+
+
+@pytest.mark.parametrize("side", [3, 5, 8, 16])
+def test_extract_patches_matches_the_per_tile_loop_bitwise(side):
+    # A constant corner holds tiles the variance filter drops, whole or in part.
+    image = np.random.default_rng(6).uniform(0, 255, size=(96, 128))
+    image[:32, :40] = 7.0
+    num_patches = 40 if side == 16 else 100
+    ds = extract_patches(image, num_patches, side=side, seed=8)
+    expected = extract_patches_reference(image, num_patches, side, 8)
+    assert ds.matrix.flags.c_contiguous
+    assert ds.matrix.shape == expected.shape and ds.matrix.tobytes() == expected.tobytes()
 
 
 def test_extract_patches_rejects_constant_image():

@@ -17,7 +17,7 @@ from dictsel import (
     synth_dataset,
 )
 from dictsel import linalg
-from dictsel.constraints import IndividualSparsity
+from dictsel.constraints import AverageSparsity, BlockSparsity, IndividualSparsity
 from dictsel.errors import DimensionMismatch, InvalidGroundSet, RankDeficient, TooLarge
 from dictsel.encoders import omp_codes, utility, utility_gradient
 from dictsel.offline import SelectorConfig, replacement_greedy, replacement_omp
@@ -533,12 +533,19 @@ def chunked_outputs():
     y, test = points(150), points(900)
     fit, residual_sq = omp_codes(a[:, planted[:10].tolist() + [0, 64] + list(range(100, 108))], test, 4)
     out = {"omp": (fit.index, fit.size, fit.coeffs, residual_sq)}
+    # Average and block sparsity leave mixed support sizes, so that one
+    # gram_update call holds several size groups.
+    blocks = BlockSparsity(tuple(tuple(range(b, b + 10)) for b in range(0, 150, 10)), (5,) * 15)
     for name, select in (
         ("romp", lambda: replacement_omp(y, a, IndividualSparsity(3), SelectorConfig(k=12))),
         ("greedy", lambda: replacement_greedy(y, a, IndividualSparsity(3), 12)),
+        ("romp_average", lambda: replacement_omp(y, a, AverageSparsity.uniform(150, 4, 300), SelectorConfig(k=12))),
+        ("romp_block", lambda: replacement_omp(y, a, blocks, SelectorConfig(k=12))),
     ):
         state = select()
-        out[name] = (state.atoms, state.fit.index, state.fit.coeffs, state.objective_history)
+        fit = state.fit
+        out[name] = (state.atoms, fit.index, fit.coeffs, fit.size, fit.gradients, fit.f_values, fit.rank_skips,
+                     state.objective_history)
     return out
 
 

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,8 @@ OFFLINE_METHODS = (
 FAMILIES = ("individual", "average", "block", "partition_matroid")
 # Exact gains do not decompose across coupled points; modular greedy knows per-point caps only.
 _EXCLUDED_FAMILIES = {"replacement_greedy": ("block", "average"), "modular_greedy": FAMILIES[1:]}
+# Families whose caps set the evaluation sparsity, so a replacement selector has no use for methods[i].s.
+_CAPPED_FAMILIES = ("individual", "average")
 
 
 def residual_variance(dictionary, data, s: int) -> float:
@@ -276,8 +278,11 @@ class ExperimentConfig:
     seed: int = 0
 
     @staticmethod
-    def from_dict(doc: dict) -> "ExperimentConfig":
-        """The checked sections of a config; each method's ``k`` is checked by ``_checked_ground_set``."""
+    def from_dict(doc: dict, seed: int | None = None) -> "ExperimentConfig":
+        """The checked sections of a config, its seed overridden by ``seed`` if given.
+
+        Each method's ``k`` is checked by ``_checked_ground_set``.
+        """
         sections = {key: _field(doc, key, kind=dict) for key in ("ground_set", "train", "constraint")}
         methods = _field(doc, "methods", kind=list)
         if not methods:
@@ -289,28 +294,23 @@ class ExperimentConfig:
             name = _choice(_check(method, where, dict), "name", where, OFFLINE_METHODS)
             if family in _EXCLUDED_FAMILIES.get(name, ()):
                 raise ParseError(f"{where}.name: {name} cannot run under the {family} family")
-            _field(method, "s", where, low=0, high=cap if name == "modular_greedy" else None, default=None)
+            s = _field(method, "s", where, low=0, high=cap if name == "modular_greedy" else None, default=None)
+            if s is not None and name != "modular_greedy" and family in _CAPPED_FAMILIES:
+                raise ParseError(f"{where}.s: unused by {name} under the {family} family, whose caps set the sparsity")
             _field(method, "smoothness", where, float, default=None)
         return ExperimentConfig(
             **sections,
             methods=methods,
             test=_field(doc, "test", kind=dict, default=None),
             trials=_field(doc, "trials", low=1, default=1),
-            seed=_seed(doc),
+            seed=_seed(doc, seed),
         )
 
     def to_dict(self) -> dict:
-        out = {
-            "ground_set": self.ground_set,
-            "train": self.train,
-            "constraint": self.constraint,
-            "methods": self.methods,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        if self.test is not None:
-            out["test"] = self.test
-        return out
+        """The sections as the config gives them, ``test`` last and only if set."""
+        out = asdict(self)
+        test = out.pop("test")
+        return out if test is None else {**out, "test": test}
 
 
 def _seed(doc: dict, override: int | None = None) -> int:
@@ -446,7 +446,7 @@ class TrialRow:
     seconds: float
 
     def to_dict(self):
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 @dataclass
@@ -589,10 +589,13 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _experiment_config(args) -> ExperimentConfig:
+    """The checked config of ``select`` and ``bench``, its seed overridden by ``--seed``."""
+    return ExperimentConfig.from_dict(_load_config_doc(args.config), args.seed)
+
+
 def _cmd_select(args) -> int:
-    doc = _load_config_doc(args.config)
-    config = ExperimentConfig.from_dict(doc)
-    config.seed = _seed(doc, args.seed)
+    config = _experiment_config(args)
     ground_set = _checked_ground_set(config)  # every method, before --method picks one
     methods = [m for m in config.methods if args.method in (None, m["name"])]
     if not methods:
@@ -608,9 +611,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    doc = _load_config_doc(args.config)
-    config = ExperimentConfig.from_dict(doc)
-    config.seed = _seed(doc, args.seed)
+    config = _experiment_config(args)
     result = run_experiment(config)
     if args.out:
         base = Path(args.out)

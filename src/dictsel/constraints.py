@@ -8,18 +8,21 @@ caps plus a global cap on the total support size).
 
 A *feasible replacement* for a candidate atom adds that atom to some
 supports and removes at most one atom from each support, staying inside
-the family.  Every family is searched by one step object (``family_step``)
-built from the supports, padded into a (T, m) atom array with the removal
-cost of each position: ``values`` gives every atom's best gain in closed
-form, ``replacement`` the winner's replacement.  Per-point families are
-priced from category tallies (``point_categories``).  For average sparsity
-the replacement is a budgeted exchange problem; the step takes its moves
-from sorted arrays in closed form (``exchange_sets``), the points that
-``solve_exchange``, the exact O(T log T) heap greedy, picks; a tie at the
-lowest gain taken that holds a tight point's pair goes to that greedy.
-``best_replacement`` takes supports as lists, pads them once and runs the
-same step for one atom.  ``padded_check`` tests block and average
-feasibility on the padded arrays themselves.
+the family.  ``family_state`` gives each family one object that keeps,
+checks and prices its supports, padded into a (T, m) atom array with the
+removal cost of each position: ``PointFamily`` (caps and matroids) keeps
+the category tallies of every support (``point_categories``) up to date
+at the points that change, ``AverageFamily`` checks the support sizes
+and ``BlockFamily`` the distinct atoms of each block.  Its ``step`` is
+the step object of every candidate: ``values`` gives every atom's best
+gain in closed form, ``replacement`` the winner's replacement.  For
+average sparsity the replacement is a budgeted exchange problem; the
+step takes its moves from sorted arrays in closed form
+(``exchange_sets``), the points that ``solve_exchange``, the exact
+O(T log T) heap greedy, picks; a tie at the lowest gain taken that holds
+a tight point's pair goes to that greedy.  ``best_replacement`` takes
+supports as lists, pads them once and runs the same family object for
+one atom.
 """
 
 from __future__ import annotations
@@ -423,11 +426,6 @@ class PointCategories:
         ties = np.where(held & (costs == cheapest[:, :, None]), supports[:, None, :], self.labels.shape[1])
         return counts, cheapest, np.where(counts > 0, np.argmin(ties, axis=2), -1)
 
-    def require_feasible(self, points, counts: np.ndarray) -> None:
-        """Raise InfeasibleState unless the :meth:`tally` counts of ``points`` are within their caps."""
-        if (counts > self.caps[self.rule[points]]).any():
-            raise InfeasibleState("supports violate the sparsity constraint")
-
     def options(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
         """Which atoms may join each support and which positions each may replace.
 
@@ -485,10 +483,10 @@ def cheapest_removal(costs: Sequence[float], support: Sequence[int], positions=N
 class PointStep:
     """A per-point family's option costs, shared by every candidate atom of a step.
 
-    Built from the :meth:`PointCategories.tally` of the supports ``index``
-    (padded as :func:`family_step` takes them), ``cheapest`` in the step's
-    scaled costs.  ``table`` (T, C) is what an atom of each category pays
-    to join each support: 0 while the category has room, else its cheapest
+    Built by :meth:`PointFamily.step` from the :meth:`PointCategories.tally`
+    of the padded supports ``index``, ``cheapest`` in the step's scaled
+    costs.  ``table`` (T, C) is what an atom of each category pays to
+    join each support: 0 while the category has room, else its cheapest
     removal (inf if it holds none); ``by_class`` (K, T) is the same per
     atom class.
     """
@@ -531,7 +529,7 @@ class PointStep:
 class AverageStep:
     """Average sparsity's exchange data, shared by every candidate atom of a step.
 
-    Built from padded supports as :func:`family_step` takes them.
+    Built by :meth:`AverageFamily.step` from the padded supports.
     ``position`` (T,) is each support's cheapest removal (ties to the
     lowest atom; -1 if the support is empty) and ``costs`` its cost (inf
     if empty); ``tight`` marks the supports at their cap and ``slack`` is
@@ -599,7 +597,7 @@ class AverageStep:
 class BlockStep:
     """Block sparsity's union data, shared by every candidate atom of a step.
 
-    Built from padded supports as :func:`family_step` takes them.
+    Built by :meth:`BlockFamily.step` from the padded supports.
     ``member`` (B, n) marks the atoms each block's supports use and
     ``union`` (B, n) holds what dropping each from every support of the
     block costs (inf for the other atoms); ``full`` (B,) marks the unions
@@ -661,22 +659,6 @@ class BlockStep:
         return points, removed, adds[points], float(gain[take].sum())
 
 
-def family_step(constraint: SparsityConstraint, index: np.ndarray, costs: np.ndarray, num_atoms: int):
-    """The :class:`PointStep`, :class:`AverageStep` or :class:`BlockStep` of one step's supports.
-
-    ``index`` (T, m) holds each support's atoms in order, -1 padding the
-    shorter ones, and ``costs`` (T, m) the scaled, nonnegative cost of
-    dropping each (entries at pads are ignored).  Atoms are below
-    ``num_atoms``.
-    """
-    if isinstance(constraint, AverageSparsity):
-        return AverageStep(constraint, index, costs, num_atoms)
-    if isinstance(constraint, BlockSparsity):
-        return BlockStep(constraint, index, costs, num_atoms)
-    cats = point_categories(constraint, len(index), num_atoms)
-    return PointStep(cats, index, *cats.tally(np.arange(len(index)), index, costs))
-
-
 def _padded(supports: Sequence[Sequence[int]], removal_costs: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Supports and their removal costs as (T, m) arrays, m >= 1, -1 and inf padding the shorter rows."""
     index = np.full((len(supports), max([1, *map(len, supports)])), -1)
@@ -701,45 +683,103 @@ def _prefix_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def require_feasible(constraint: SparsityConstraint, supports: Sequence) -> None:
-    """Raise InfeasibleState unless the support tuple belongs to the family."""
-    if not is_feasible(constraint, supports):
+def _require(feasible: bool) -> None:
+    if not feasible:
         raise InfeasibleState("supports violate the sparsity constraint")
 
 
-def padded_check(constraint: SparsityConstraint, num_atoms: int):
-    """The test ``check(index, size) -> bool`` of padded supports against a block or average family.
+def require_feasible(constraint: SparsityConstraint, supports: Sequence) -> None:
+    """Raise InfeasibleState unless the support tuple belongs to the family."""
+    _require(is_feasible(constraint, supports))
 
-    ``index`` (T, m) holds each support's atoms, -1 padding the shorter
-    ones, atoms below ``num_atoms``, and ``size`` (T,) their counts.  It
-    agrees with :func:`is_feasible` on the supports the arrays pad, but
-    reads the arrays alone: average sparsity checks the sizes against the
-    per-point caps and their sum against the global cap; block sparsity
-    counts the distinct atoms of each block.  It shares no code with the
-    step objects, so it checks what they produce.
+
+class PointFamily:
+    """A per-point family's category tables and the tally of every support.
+
+    ``counts``, ``cheapest`` and ``position`` are (T, C): per category of
+    each support, the atoms held, the cheapest unscaled removal and its
+    position (see :meth:`PointCategories.tally`).  They start as the tally
+    of empty supports; :meth:`refresh` tallies only the supports that
+    changed.
+    """
+
+    def __init__(self, cats: PointCategories):
+        shape = (len(cats.rule), cats.caps.shape[1])
+        self.cats = cats
+        self.counts = np.zeros(shape, dtype=int)
+        self.cheapest = np.full(shape, math.inf)
+        self.position = np.full(shape, -1)
+
+    def refresh(self, index, size, costs, points) -> None:
+        """Tally the supports of ``points`` again; InfeasibleState unless they are within their caps."""
+        m = int(size[points].max(initial=0))
+        tally = self.cats.tally(points, index[points, :m], costs(points, m))
+        self.counts[points], self.cheapest[points], self.position[points] = tally
+        _require(not (tally[0] > self.cats.caps[self.cats.rule[points]]).any())
+
+    def step(self, index, costs, scale: float) -> PointStep:
+        """The step data of the supports, removals costing ``scale`` times their tallied cost."""
+        return PointStep(self.cats, index, self.counts, scale * self.cheapest, self.position)
+
+
+class _CoupledFamily:
+    """A family that couples the points: checked on all supports, priced by a step built from all of them."""
+
+    step_type: type
+
+    def __init__(self, constraint, num_atoms: int, caps):
+        self.constraint, self.num_atoms, self.caps = constraint, num_atoms, np.asarray(caps, dtype=int)
+
+    def step(self, index, costs, scale: float):
+        """The step data of the supports, removals costing ``scale`` times ``costs``."""
+        return self.step_type(self.constraint, index, scale * costs(slice(None), index.shape[1]), self.num_atoms)
+
+
+class AverageFamily(_CoupledFamily):
+    """Average sparsity, priced by an :class:`AverageStep`."""
+
+    step_type = AverageStep
+
+    def refresh(self, index, size, costs, points) -> None:
+        """InfeasibleState unless each ``size`` is within its cap ``s_t`` and their sum within ``s_prime``."""
+        caps = self.caps
+        _require(len(size) == len(caps) and bool((size <= caps).all()) and int(size.sum()) <= self.constraint.s_prime)
+
+
+class BlockFamily(_CoupledFamily):
+    """Block sparsity, priced by a :class:`BlockStep`."""
+
+    step_type = BlockStep
+
+    def refresh(self, index, size, costs, points) -> None:
+        """InfeasibleState unless each block's supports use at most its cap of distinct atoms."""
+        block_of = self.constraint.layout[1]
+        _require(len(index) == len(block_of))
+        used = np.zeros((len(self.caps), self.num_atoms + 1), dtype=bool)  # pads (-1) mark the last column
+        used[block_of[:, None], index] = True
+        _require(bool((np.count_nonzero(used[:, :-1], axis=1) <= self.caps).all()))
+
+
+def family_state(constraint: SparsityConstraint, t_count: int, num_atoms: int):
+    """The :class:`PointFamily`, :class:`AverageFamily` or :class:`BlockFamily` of ``t_count`` supports.
+
+    Every family reads the supports in one padded form: ``index`` (T, m)
+    holds each support's atoms in order, -1 padding the shorter ones,
+    atoms below ``num_atoms``; ``size`` (T,) their counts; and the
+    accessor ``costs(rows, m)`` the unscaled, nonnegative cost of dropping
+    each of the first m atoms of the supports ``rows`` (an index array or
+    a slice).  ``refresh(index, size, costs, points)`` takes in the
+    supports of ``points``, the ones that changed, and raises
+    InfeasibleState unless the supports belong to the family; a coupled
+    family may bind anywhere, so it checks them all.
+    ``step(index, costs, scale)`` gives the step data of the supports,
+    removals costing ``scale`` times ``costs``.
     """
     if isinstance(constraint, AverageSparsity):
-        caps = np.asarray(constraint.s_t, dtype=int)
-
-        def check(index, size):
-            return len(size) == len(caps) and bool((size <= caps).all()) and int(size.sum()) <= constraint.s_prime
-
-        return check
-    if not isinstance(constraint, BlockSparsity):
-        raise TypeError(f"{type(constraint).__name__} is not a block or average family")
-    caps = np.asarray(constraint.caps, dtype=int)
-    block_of = np.empty(num_points(constraint), dtype=int)
-    for b, block in enumerate(constraint.blocks):
-        block_of[list(block)] = b
-
-    def check(index, size):
-        if len(index) != len(block_of):
-            return False
-        used = np.zeros((len(caps), num_atoms + 1), dtype=bool)  # pads (-1) mark the last column
-        used[block_of[:, None], index] = True
-        return bool((np.count_nonzero(used[:, :-1], axis=1) <= caps).all())
-
-    return check
+        return AverageFamily(constraint, num_atoms, constraint.s_t)
+    if isinstance(constraint, BlockSparsity):
+        return BlockFamily(constraint, num_atoms, constraint.caps)
+    return PointFamily(point_categories(constraint, t_count, num_atoms))
 
 
 def best_replacement(
@@ -759,9 +799,15 @@ def best_replacement(
     InfeasibleState unless they are feasible.  Nonpositive additions are
     declined, so the gain is never negative and feasibility is kept.
     """
-    require_feasible(constraint, supports)
-    index, costs = _padded(supports, removal_costs)
-    step = family_step(constraint, index, costs, 1 + max(atom, int(index.max())))
+    _require(num_points(constraint) in (None, len(supports)))  # the family's refresh checks the rest
+    index, padded = _padded(supports, removal_costs)
+
+    def costs(rows, m):
+        return padded[rows, :m]
+
+    family = family_state(constraint, len(index), 1 + max(atom, int(index.max())))
+    family.refresh(index, np.count_nonzero(index >= 0, axis=1), costs, np.arange(len(index)))
+    step = family.step(index, costs, 1.0)
     points, removed, add, gain = step.replacement(atom, np.asarray(add_gains, dtype=float))
     per_t = [
         (t, None if r < 0 else int(index[t, r]), a) for t, r, a in zip(points.tolist(), removed.tolist(), add.tolist())

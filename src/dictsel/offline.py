@@ -11,23 +11,25 @@ Three selectors over a common selection state:
 * ``replacement_omp`` replaces the exact differences with gradient-based
   proxy gains weighted by a smoothness parameter, which makes the
   per-step search a linear-objective problem and extends to block and
-  average sparsity.  Every family prices a step through one step object
-  (``constraints.family_step``): all atoms' gains at once, then the
-  winner's replacement.  The ``decay`` variant divides the smoothness
-  parameter by sqrt(i) at iteration i so that late iterations keep
-  making progress.
+  average sparsity.  Every family prices a step through its step object:
+  all atoms' gains at once, then the winner's replacement.  The
+  ``decay`` variant divides the smoothness parameter by sqrt(i) at
+  iteration i so that late iterations keep making progress.
 
 Every selector keeps all supports in one batched Gram state
 (:class:`~dictsel.linalg.GramFit`) and edits it through the kernels of
 ``linalg``.  The replacement selectors share one loop, ``_select``, and
-differ only in their gain rule; the greedy gain tables and the per-point
-category tallies are refreshed only at the points the last replacement
-touched.  All selectors return a :class:`SelectionState` whose supports
-are feasible after every iteration (else InfeasibleState).  The
-objective never decreases: a replacement that would lower it by more
-than rounding, as proxy gains with a smoothness parameter below the
-restricted smoothness can (``decay`` reaches such values), is undone and
-counted in ``rollbacks``, and the step takes the fallback add instead.
+differ only in their gain rule.  The loop keeps the constraint's one
+family object (``constraints.family_state``), which checks the supports
+after every step and prices them; the greedy gain tables and the
+per-point category tallies are refreshed only at the points the last
+replacement touched.  All selectors return a :class:`SelectionState`
+whose supports are feasible after every iteration (else
+InfeasibleState).  The objective never decreases: a replacement that
+would lower it by more than rounding, as proxy gains with a smoothness
+parameter below the restricted smoothness can (``decay`` reaches such
+values), is undone and counted in ``rollbacks``, and the step takes the
+fallback add instead.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import IndividualSparsity, PartitionMatroid, PointStep, family_step, num_points, padded_check
-from .constraints import point_categories
+from .constraints import IndividualSparsity, PartitionMatroid, PointFamily, family_state, num_points
 from .data_io import data_matrix
-from .errors import InfeasibleState, UnsupportedConstraint
+from .errors import UnsupportedConstraint
 from .linalg import GramFit, atom_matrix, gram_fit, gram_gains, gram_update
 from .linalg import require_finite_atoms, resolve_smoothness, size_chunks
 
@@ -119,6 +120,10 @@ class SelectionState:
     def objective(self) -> float:
         return float(self.fit.f_values.sum())
 
+    def removal_costs(self, rows, m: int) -> np.ndarray:
+        """The unscaled cost w_j^2 of dropping each of the first m atoms of the supports ``rows``."""
+        return self.fit.coeffs[rows, :m] ** 2
+
 
 def _new_state(a: np.ndarray, y: np.ndarray, width: int, trace: bool) -> SelectionState:
     fit = gram_fit(require_finite_atoms(a), y, width)
@@ -185,56 +190,11 @@ def _winner(table: np.ndarray, atoms: list[int]) -> int | None:
     return winner if table[winner] > 0.0 else None
 
 
-class _PerPoint:
-    """A per-point family's category tables and the tally of every support.
-
-    ``counts``, ``cheapest`` and ``position`` are (T, C): per category of
-    each support, the atoms held and the cheapest removal by unscaled
-    w_j^2 and its position (see :meth:`PointCategories.tally`).  Only the
-    supports a step touched are tallied again.
-    """
-
-    def __init__(self, constraint, t_count: int, num_atoms: int):
-        self.cats = point_categories(constraint, t_count, num_atoms)
-        shape = (t_count, self.cats.caps.shape[1])
-        self.counts = np.zeros(shape, dtype=int)
-        self.cheapest = np.full(shape, math.inf)
-        self.position = np.full(shape, -1)
-
-    def refresh(self, state: SelectionState, points: np.ndarray) -> None:
-        """Tally the supports of ``points`` and check them against their caps."""
-        m = int(state.fit.size[points].max(initial=0))
-        tally = self.cats.tally(points, state.fit.index[points, :m], state.coeffs[points, :m] ** 2)
-        self.counts[points], self.cheapest[points], self.position[points] = tally
-        self.cats.require_feasible(points, tally[0])
-
-    def step(self, fit: GramFit, scale: float) -> PointStep:
-        """The step data of the current supports, removals costing ``scale`` w_j^2."""
-        return PointStep(self.cats, fit.index, self.counts, scale * self.cheapest, self.position)
-
-
-class _Coupled:
-    """A block- or average-sparsity family, whose step data are built from all supports."""
-
-    def __init__(self, constraint, t_count: int, num_atoms: int):
-        self.constraint, self.num_atoms = constraint, num_atoms
-        self.feasible = padded_check(constraint, num_atoms)
-
-    def refresh(self, state: SelectionState, points: np.ndarray) -> None:
-        """Check all supports against the family, on the padded arrays; a coupled family may bind at any point."""
-        if not self.feasible(state.fit.index, state.fit.size):
-            raise InfeasibleState("supports violate the sparsity constraint")
-
-    def step(self, fit: GramFit, scale: float):
-        """The step data of the current supports, removals costing ``scale`` w_j^2."""
-        return family_step(self.constraint, fit.index, scale * fit.coeffs**2, self.num_atoms)
-
-
 def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
     """The k iterations of ``step(state, family, touched, i, scratch) -> _Move | None``.
 
-    ``family`` is the :class:`_PerPoint` or :class:`_Coupled` of the
-    constraint; ``touched`` are the points changed since the last step.
+    ``family`` is the constraint's :func:`~dictsel.constraints.family_state`;
+    ``touched`` are the points changed since the last step.
     ``scratch`` is one (n, T) float array that every iteration reuses, so
     that the squared gradients, the rollback snapshot and the fallback's
     gradient mass allocate no (n, T) array each step: the step may write
@@ -252,7 +212,7 @@ def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
     if points is not None and points != t_count:
         raise ValueError(f"the constraint is defined on {points} points, the data has {t_count}")
     state = _new_state(a, y, k, trace)
-    family = (_PerPoint if isinstance(constraint, _PER_POINT) else _Coupled)(constraint, t_count, n)
+    family = family_state(constraint, t_count, n)
     touched = np.arange(t_count)
     scratch = np.empty((n, t_count))
     for i in range(1, k + 1):
@@ -267,21 +227,20 @@ def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
             state.atoms.append(int(np.argmax(mass)))
             touched = touched[:0]
         state.objective_history.append(state.objective)
-        family.refresh(state, touched)  # only the touched supports changed
+        family.refresh(state.fit.index, state.fit.size, state.removal_costs, touched)  # only these changed
     return state
 
 
 def _romp_replacement(state: SelectionState, m_i: float, family, scratch: np.ndarray) -> _Move | None:
     """The replacement of largest proxy gain among unselected atoms.
 
-    The family's step data (:func:`~dictsel.constraints.family_step`),
-    built once per step, give every atom's gain in closed form and then
-    the winner's replacement.  The scaled squared gradients are built in
-    the (n, T) ``scratch``.
+    The family's step data, built once per step, give every atom's gain
+    in closed form and then the winner's replacement.  The scaled
+    squared gradients are built in the (n, T) ``scratch``.
     """
     scaled_g2 = _zeroed_grad_sq(state, scratch)
     scaled_g2 /= m_i
-    step = family.step(state.fit, m_i)
+    step = family.step(state.fit.index, state.removal_costs, m_i)
     winner = _winner(step.values(scaled_g2), state.atoms)
     if winner is None:
         return None
@@ -309,7 +268,7 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
     return _select(a, y, constraint, config.k, trace, step)
 
 
-def _greedy_tables(state: SelectionState, family: _PerPoint, best: np.ndarray, code: np.ndarray, points) -> None:
+def _greedy_tables(state: SelectionState, family: PointFamily, best: np.ndarray, code: np.ndarray, points) -> None:
     """Recompute the exact best gains and option codes of ``points`` in place.
 
     ``best`` and ``code`` are (n, T).  Option code 0 means leave the

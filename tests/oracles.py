@@ -12,8 +12,8 @@ gain kernels (``regain_expression``, ``swap_rows_expression``).  The
 coupled families' replacements are searched one atom at a time over
 support lists (``block_search_reference``, and
 ``average_search_reference`` through ``solve_exchange``), as the
-reference for the padded-array tables and moves of
-``constraints.family_step``; ``average_move_reference`` is the average
+reference for the padded-array tables and moves of the step objects of
+``constraints.family_state``; ``average_move_reference`` is the average
 step's move as one ``solve_exchange`` gives it, and ``block_sums_reference``
 adds per-point terms block by block in a Python loop, in block order.
 ``synth_dataset_reference`` and ``extract_patches_reference`` build the

@@ -411,6 +411,53 @@ def test_modular_greedy_above_an_individual_cap_is_a_config_error(tmp_path, caps
 
 @pytest.mark.parametrize("command", ["select", "bench"])
 @pytest.mark.parametrize(
+    "family, name",
+    [
+        ("individual", "replacement_omp"),
+        ("individual", "replacement_omp_decay"),
+        ("individual", "replacement_greedy"),
+        ("average", "replacement_omp"),
+        ("average", "replacement_omp_decay"),
+    ],
+)
+def test_replacement_method_s_under_caps_is_a_config_error(tmp_path, capsys, monkeypatch, command, family, name):
+    # Individual and average caps set the evaluation sparsity, so nothing
+    # would read a replacement selector's own s.
+    ran = []
+    monkeypatch.setattr(cli, "run_selector", lambda method, *args: ran.append(method))
+    methods = [{"name": "replacement_omp", "k": 4}, {"name": name, "k": 4, "s": 2}]
+    flags = ("--method", "replacement_omp") if command == "select" else ()
+    doc = base_config(methods=methods)
+    if family == "average":
+        doc["constraint"] = {"family": "average", "s_t": 2, "s_prime": 20}
+    code, _, err = run_cli(tmp_path, capsys, command, doc, *flags)
+    assert_config_error(code, err, "methods[1].s")
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "constraint, name",
+    [
+        (BLOCK_HALVES, "replacement_omp"),
+        ({**MATROID, "rules": [[[[0, 1, 2, 3, 4, 5, 6, 7], 2]]]}, "replacement_greedy"),
+        ({"family": "individual", "s": 2}, "modular_greedy"),
+    ],
+    ids=["block", "matroid", "modular-greedy"],
+)
+def test_method_s_is_read_under_block_and_matroid_families_and_by_modular_greedy(tmp_path, capsys, constraint, name):
+    # There methods[i].s is read: as the evaluation sparsity of the block
+    # and matroid families, as its own s by modular greedy.
+    rows = []
+    for s in (1, 2):
+        doc = {**base_config(trials=1, methods=[{"name": name, "k": 4, "s": s}]), "constraint": constraint}
+        code, out, err = run_cli(tmp_path, capsys, "select", doc)
+        assert code == 0, err
+        rows.append({**json.loads(out)["row"], "seconds": None})
+    assert rows[0] != rows[1]
+
+
+@pytest.mark.parametrize("command", ["select", "bench"])
+@pytest.mark.parametrize(
     "constraint",
     [
         {"family": "block", "blocks": [[0, 1], [2, 3]], "caps": [1, 1]},

@@ -19,13 +19,28 @@ from dictsel import (
     solve_exchange,
 )
 from dictsel import constraints
-from dictsel.constraints import _padded, cheapest_removal, family_step, point_categories
+from dictsel.constraints import _padded, cheapest_removal, family_state, point_categories
 from dictsel.errors import InfeasibleState
 
 from oracles import average_move_reference, average_search_reference, best_replacement_oracle
 from oracles import block_search_reference, block_sums_reference, exchange_optimum
 
 N_ATOMS = 12
+
+
+def padded_step(constraint, index, costs, num_atoms):
+    """The step of the padded supports ``index`` and their (T, m) removal ``costs``, as ``best_replacement`` builds it.
+
+    The family's state is refreshed at every point first, which raises
+    InfeasibleState unless the supports belong to the family.
+    """
+    family = family_state(constraint, len(index), num_atoms)
+
+    def removal(rows, m):
+        return costs[rows, :m]
+
+    family.refresh(index, np.count_nonzero(index >= 0, axis=1), removal, np.arange(len(index)))
+    return family.step(index, removal, 1.0)
 
 
 def test_empty_assignment_feasible_everywhere():
@@ -358,9 +373,8 @@ def test_category_tallies_price_the_point_options(family):
         for t, z in enumerate(supports):
             padded[t, : len(z)] = z
         removal = rng.choice([0.25, 0.5, 0.75], size=padded.shape)  # ties are common
-        step = family_step(constraint, padded, removal, N_ATOMS)
+        step = padded_step(constraint, padded, removal, N_ATOMS)  # checks the tallied counts against the caps
         costs, points = step.costs(), np.arange(t_count)
-        step.cats.require_feasible(points, step.counts)
         for t, z in enumerate(supports):
             addable, swappable = point_options(constraint, t, z, N_ATOMS)
             for atom in set(range(N_ATOMS)) - set(z):
@@ -397,7 +411,7 @@ def test_point_step_values_do_not_depend_on_row_chunks(monkeypatch, family, rows
         index[t, : len(support)] = support
     removal = rng.choice([0.25, 0.5, 0.75], size=index.shape)  # ties are common
     add = np.round(rng.uniform(0.0, 1.0, size=(n, t_count)), 1)
-    step = family_step(constraint, index, removal, n)
+    step = padded_step(constraint, index, removal, n)
     expected = np.maximum(add - step.costs(), 0.0).sum(axis=1)
     if rows is not None:
         monkeypatch.setattr(constraints, "stack_rows", lambda t_count: rows)
@@ -407,12 +421,17 @@ def test_point_step_values_do_not_depend_on_row_chunks(monkeypatch, family, rows
 
 
 def test_category_tallies_reject_supports_over_their_caps():
-    cats = point_categories(IndividualSparsity(1), 2, 5)
+    family = family_state(IndividualSparsity(1), 2, 5)
     supports = np.array([[3, -1], [0, 4]])
-    counts, _, _ = cats.tally(np.arange(2), supports, np.ones(supports.shape))
-    cats.require_feasible(np.array([0]), counts[:1])
+    sizes, costs = np.array([1, 2]), np.ones(supports.shape)
+
+    def removal(rows, m):
+        return costs[rows, :m]
+
+    family.refresh(supports, sizes, removal, np.array([0]))
+    assert family.counts[0].tolist() == [1, 0]
     with pytest.raises(InfeasibleState):
-        cats.require_feasible(np.arange(2), counts)
+        family.refresh(supports, sizes, removal, np.arange(2))
 
 
 def test_cheapest_removal_ties_go_to_lowest_atom():
@@ -488,7 +507,7 @@ def test_coupled_step_values_match_per_atom_search(seed, family, slack, ties):
     # per-point families against the exhaustive oracle.
     rng = np.random.default_rng(seed)
     constraint, supports, add, costs = family_instance(rng, family, slack, ties)
-    values = family_step(constraint, *_padded(supports, costs), N_ATOMS).values(add)
+    values = padded_step(constraint, *_padded(supports, costs), N_ATOMS).values(add)
     assert values.shape == (N_ATOMS,)
     for atom in range(N_ATOMS):
         rep = best_replacement(constraint, supports, atom, add[atom], costs)
@@ -558,7 +577,7 @@ def test_average_move_is_the_exchange_solution_bitwise(monkeypatch, gains, slack
     rng = np.random.default_rng([73, len(gains), len(slack), len(tight)])
     for _ in range(60):
         constraint, index, costs, add = average_tie_instance(rng, gains, slack, tight)
-        step = family_step(constraint, index, costs, N_ATOMS)
+        step = padded_step(constraint, index, costs, N_ATOMS)
         for atom in range(N_ATOMS):
             got = step.replacement(atom, add[atom])
             expected = average_move_reference(step, atom, add[atom])
@@ -621,7 +640,7 @@ def test_average_step_values_do_not_depend_on_row_chunks(monkeypatch, rows):
     constraint = AverageSparsity(tuple(caps.tolist()), int((index >= 0).sum()) + 7)
     removal = rng.choice([0.25, 0.5, 0.75], size=index.shape)  # ties are common
     add = np.round(rng.uniform(0.0, 1.0, size=(n, t_count)), 1)
-    step = family_step(constraint, index, removal, n)
+    step = padded_step(constraint, index, removal, n)
     expected = step._values(add)
     if rows is not None:
         monkeypatch.setattr(constraints, "stack_rows", lambda t_count: rows)
@@ -650,7 +669,7 @@ def test_block_step_sums_in_block_order_bitwise():
             size = int(rng.integers(0, 5))
             index[t, :size] = rng.choice(n, size=size, replace=False)  # few atoms: shared within blocks
         costs = 10.0 ** rng.uniform(-8, 8, size=index.shape)
-        step = family_step(BlockSparsity(blocks, (n,) * len(blocks)), index, costs, n)
+        step = padded_step(BlockSparsity(blocks, (n,) * len(blocks)), index, costs, n)
         union = np.zeros((len(blocks), n))
         for b, block in enumerate(blocks):
             for t in block:
@@ -663,9 +682,18 @@ def test_block_step_sums_in_block_order_bitwise():
             assert np.array_equal(step._block_sums(rows), block_sums_reference(blocks, rows))
 
 
+def refresh_accepts(family, index, sizes) -> bool:
+    """Whether ``family.refresh`` of every point takes the padded supports, rather than raising InfeasibleState."""
+    try:
+        family.refresh(index, sizes, lambda rows, m: np.zeros(index.shape)[rows, :m], np.arange(len(index)))
+    except InfeasibleState:
+        return False
+    return True
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["average", "block"]), feasible=st.booleans())
-def test_padded_check_agrees_with_is_feasible(seed, family, feasible):
+def test_family_refresh_agrees_with_is_feasible(seed, family, feasible):
     # Supports drawn from a few atoms, so several points of a block share
     # one; some supports are empty.  Blocks list their points in no order.
     # With ``feasible`` the caps are raised until the supports fit.
@@ -691,8 +719,8 @@ def test_padded_check_agrees_with_is_feasible(seed, family, feasible):
         constraint = BlockSparsity(blocks, tuple(caps.tolist()))
     assert not feasible or is_feasible(constraint, supports)
     index, _ = _padded(supports, [np.zeros(size) for size in sizes])
-    check = constraints.padded_check(constraint, N_ATOMS)
-    assert check(index, np.array(sizes)) == is_feasible(constraint, supports)
+    state = family_state(constraint, t_count, N_ATOMS)
+    assert refresh_accepts(state, index, np.array(sizes)) == is_feasible(constraint, supports)
     # A tuple of another length is never feasible.
-    assert not check(index[1:], np.array(sizes[1:]))
-    assert not check(np.vstack([index, index[:1]]), np.array(sizes + sizes[:1]))
+    assert not refresh_accepts(state, index[1:], np.array(sizes[1:]))
+    assert not refresh_accepts(state, np.vstack([index, index[:1]]), np.array(sizes + sizes[:1]))

@@ -1,10 +1,10 @@
 """No path of the package loads scipy.
 
-The selectors, online rounds, OMP evaluation and the CLI run in Gram form
-on numpy alone, and the thin-QR reference solve (``ls_solve``,
-``SupportFactorization.solve``) back-substitutes in numpy; scipy is a
-test dependency only.  The check runs in a fresh interpreter because the
-test session itself loads scipy.
+The selectors under every sparsity family, ``best_replacement``, online
+rounds, OMP evaluation and the CLI run in Gram form on numpy alone, and
+the thin-QR reference solve (``ls_solve``, ``SupportFactorization.solve``)
+back-substitutes in numpy; scipy is a test dependency only.  The check
+runs in a fresh interpreter because the test session itself loads scipy.
 """
 
 import subprocess
@@ -22,8 +22,9 @@ SCRIPT = textwrap.dedent(
 
     import dictsel
     import dictsel.cli
-    from dictsel import AverageSparsity, IndividualSparsity, SelectorConfig, assemble, dct2_basis, haar2_basis
-    from dictsel import ls_solve, modular_greedy, online_round, online_state, replacement_greedy, replacement_omp
+    from dictsel import AverageSparsity, BlockSparsity, IndividualSparsity, PartitionMatroid, SelectorConfig
+    from dictsel import assemble, best_replacement, dct2_basis, haar2_basis, ls_solve, modular_greedy
+    from dictsel import online_round, online_state, replacement_greedy, replacement_omp
     from dictsel.data_io import synth_dataset
     from dictsel.online import METHODS
 
@@ -32,6 +33,9 @@ SCRIPT = textwrap.dedent(
     caps = IndividualSparsity(2)
     romp = replacement_omp(data, gs, caps, SelectorConfig(k=6))
     replacement_omp(data, gs, AverageSparsity.uniform(12, 3, 24), SelectorConfig(k=6))
+    replacement_omp(data, gs, BlockSparsity((tuple(range(6)), tuple(range(6, 12))), (3, 3)), SelectorConfig(k=6))
+    replacement_omp(data, gs, PartitionMatroid.uniform(12, gs.n, 2), SelectorConfig(k=6))
+    best_replacement(AverageSparsity((2, 2), 3), [[0, 1], [2]], 3, np.array([0.5, 0.25]), [np.ones(2), np.ones(1)])
     replacement_greedy(data, gs, caps, 6)
     modular_greedy(data, gs, 6, 2)
     for method in METHODS:

@@ -24,7 +24,7 @@ from dictsel import (
     utility_gradient,
 )
 from dictsel import constraints, offline
-from dictsel.constraints import family_step, solve_exchange
+from dictsel.constraints import solve_exchange
 from dictsel.data_io import synth_dataset
 from dictsel.errors import InfeasibleState, UnsupportedConstraint
 from dictsel.offline import SelectorConfig, modular_greedy, replacement_greedy, replacement_omp
@@ -277,13 +277,31 @@ def support_lists(index, costs):
     return [row[:m].tolist() for row, m in zip(index, sizes)], [row[:m] for row, m in zip(costs, sizes)]
 
 
+def wrap_steps(monkeypatch, wrap):
+    """Pass every step that a selector's family object builds through ``wrap(step, constraint, index, costs)``.
+
+    ``costs`` are the step's scaled (T, m) removal costs.
+    """
+
+    def wrapped_state(constraint, t_count, num_atoms):
+        family = constraints.family_state(constraint, t_count, num_atoms)
+        step = family.step
+
+        def wrapped_step(index, costs, scale):
+            return wrap(step(index, costs, scale), constraint, index, scale * costs(slice(None), index.shape[1]))
+
+        family.step = wrapped_step
+        return family
+
+    monkeypatch.setattr(offline, "family_state", wrapped_state)
+
+
 @pytest.mark.parametrize("family", COUPLED)
 def test_romp_coupled_step_values_match_per_atom_search_at_every_step(monkeypatch, family):
     reference = average_search_reference if family == "average" else block_search_reference
     steps = []
 
-    def checked_step(constraint, index, costs, num_atoms):
-        step = family_step(constraint, index, costs, num_atoms)
+    def checked_step(step, constraint, index, costs):
         values = step.values
 
         def checked_values(add_gains):
@@ -298,7 +316,7 @@ def test_romp_coupled_step_values_match_per_atom_search_at_every_step(monkeypatc
         step.values = checked_values
         return step
 
-    monkeypatch.setattr(offline, "family_step", checked_step)
+    wrap_steps(monkeypatch, checked_step)
     for seed in range(3):
         a, y = coupled_data(seed)
         replacement_omp(y, a, COUPLED[family], SelectorConfig(k=8))
@@ -312,8 +330,7 @@ def test_coupled_romp_step_replaces_only_the_winner(monkeypatch, family):
     romp_step = offline._romp_replacement
     replaced, solves, winners = [], [], []
 
-    def counting_step(constraint, index, costs, num_atoms):
-        step = family_step(constraint, index, costs, num_atoms)
+    def counting_step(step, constraint, index, costs):
         replacement = step.replacement
 
         def counting_replacement(atom, add_gains):
@@ -336,7 +353,7 @@ def test_coupled_romp_step_replaces_only_the_winner(monkeypatch, family):
         winners.append(move)
         return move
 
-    monkeypatch.setattr(offline, "family_step", counting_step)
+    wrap_steps(monkeypatch, counting_step)
     monkeypatch.setattr(constraints, "solve_exchange", counting_solve)
     monkeypatch.setattr(offline, "_romp_replacement", checked_step)
     for seed in range(3):
@@ -352,12 +369,48 @@ def test_coupled_refresh_rejects_a_tampered_fit(family):
     a, y = coupled_data(0)
     constraint = COUPLED[family]
     state = replacement_omp(y, a, constraint, SelectorConfig(k=8))
-    coupled = offline._Coupled(constraint, y.shape[1], a.shape[1])
-    coupled.refresh(state, np.arange(0))
+    coupled = constraints.family_state(constraint, y.shape[1], a.shape[1])
+
+    def refresh():
+        coupled.refresh(state.fit.index, state.fit.size, state.removal_costs, np.arange(0))
+
+    refresh()
     state.fit.index[0, :4] = [28, 29, 30, 31]  # 4 atoms at point 0: over its cap 3 and block 0's cap 3
     state.fit.size[0] = 4
     with pytest.raises(InfeasibleState):
-        coupled.refresh(state, np.arange(0))
+        refresh()
+
+
+@pytest.mark.parametrize("family", ["caps", "matroid"])
+@pytest.mark.parametrize("selector", ["romp", "greedy"])
+def test_point_family_tallies_match_a_full_refresh_after_every_step(monkeypatch, selector, family):
+    # A step tallies again only the supports it touched; after every step
+    # the cached counts, cheapest removals and positions must equal a
+    # tally of every support from scratch.  M = 0.3 makes ROMP undo some
+    # replacements under the caps, steps that touch no point.
+    gs, y = rollback_data()
+    constraint = IndividualSparsity(5) if family == "caps" else PartitionMatroid(
+        (((frozenset(range(64)), 3), (frozenset(range(64, 128)), 3)),) * y.shape[1]
+    )
+    refresh, touched = constraints.PointFamily.refresh, []
+
+    def checked_refresh(self, index, size, costs, points):
+        refresh(self, index, size, costs, points)
+        fresh = constraints.PointFamily(self.cats)
+        refresh(fresh, index, size, costs, np.arange(len(index)))
+        for name in ("counts", "cheapest", "position"):
+            assert getattr(self, name).tobytes() == getattr(fresh, name).tobytes(), (len(touched), name)
+        touched.append(len(points))
+
+    monkeypatch.setattr(constraints.PointFamily, "refresh", checked_refresh)
+    if selector == "romp":
+        state = replacement_omp(y, gs, constraint, SelectorConfig(k=30, smoothness=0.3))
+    else:
+        state = replacement_greedy(y, gs, constraint, 30)
+    assert len(touched) == len(state.atoms) == 30
+    assert 0 < sum(touched) < 30 * y.shape[1]
+    if (selector, family) == ("romp", "caps"):
+        assert state.rollbacks >= 1 and 0 in touched
 
 
 PINNED_FAMILIES = {

@@ -74,8 +74,10 @@ def omp_codes(dictionary, y: np.ndarray, s: int) -> tuple[GramFit, np.ndarray]:
     y_sq = np.sum(y * y, axis=0)
     tried = np.zeros((num_atoms, t_count), dtype=bool)  # support atoms and skipped ones
     active = np.arange(t_count)
-    while True:
-        active = active[(fit.size[active] < s) & (tried[:, active].sum(axis=0) < num_atoms)]
+    # Each step every point still active tries one atom it had not tried, so
+    # after num_atoms steps none is left untried.
+    for _ in range(num_atoms):
+        active = active[fit.size[active] < s]
         if not active.size:
             break
         rnorm = np.sqrt(np.maximum(y_sq[active] - 2.0 * fit.f_values[active], 0.0))

@@ -13,8 +13,10 @@ A^T y once, and each slot edits a support of at most s atoms by bordering
 the inverse of G_ZZ (see :class:`_RoundFit`); the gains come from the
 kernels ``linalg.gram_gains`` runs on many points.  The k experts are
 the rows of one :class:`HedgeBank`, the run's only hedge state: it holds
-their weights, generators and next atoms and their shared learning-rate
-schedule, and a round feeds them all with one update (:func:`hedge_update`).
+their weights, generators, uniforms and next atoms and their shared
+learning-rate schedule, and a round feeds them all with one update
+(:func:`hedge_update`).  The bank draws each expert's uniforms
+``UNIFORM_ROWS`` rounds at a time, the same doubles as one draw per round.
 :class:`HedgeExpert` is a frozen view of one row.
 """
 
@@ -33,6 +35,9 @@ from .linalg import resolve_smoothness
 
 METHODS = ("online_modular", "online_replacement_greedy", "online_replacement_omp")
 
+# Rounds of uniforms a hedge bank draws from each expert's generator at once.
+UNIFORM_ROWS = 64
+
 
 def _eta(num_atoms: int, horizon: int) -> float:
     return math.sqrt(8.0 * math.log(num_atoms) / max(horizon, 1))
@@ -45,6 +50,14 @@ class HedgeBank:
     All experts are fed every round, so they share one round count and one
     eta = sqrt(8 ln n / horizon); without a horizon the bank restarts with a
     doubled guess 2**epoch whenever the guess is exhausted.
+
+    Column i of ``uniforms`` (UNIFORM_ROWS, num_experts) holds expert i's
+    next uniforms, ``next_row`` the row the next update reads.  An update
+    that finds the table used up refills it with ``rng.random(UNIFORM_ROWS)``
+    per expert, the same doubles as UNIFORM_ROWS calls of ``rng.random()``,
+    so the draws are those of one uniform per round; each generator's
+    state, though, runs up to UNIFORM_ROWS - 1 draws ahead of the rounds
+    played.
     """
 
     log_weights: np.ndarray
@@ -53,15 +66,21 @@ class HedgeBank:
     choices: list[int]
     horizon: int | None
     eta: float
+    uniforms: np.ndarray
     rounds: int = 0
     epoch: int = 0
+    next_row: int = UNIFORM_ROWS
 
     @classmethod
     def start(cls, num_atoms: int, rngs: list, horizon: int | None = None) -> "HedgeBank":
-        """One expert per generator, each with uniform weights and a first atom drawn from it."""
+        """One expert per generator, each with uniform weights and a first atom drawn from it.
+
+        The uniform table starts used up: the first update fills it.
+        """
         shape = (len(rngs), num_atoms)
         choices = [int(rng.integers(num_atoms)) for rng in rngs]
-        return cls(np.zeros(shape), np.zeros(shape), rngs, choices, horizon, _eta(num_atoms, horizon or 1))
+        uniforms = np.zeros((UNIFORM_ROWS, len(rngs)))
+        return cls(np.zeros(shape), np.zeros(shape), rngs, choices, horizon, _eta(num_atoms, horizon or 1), uniforms)
 
 
 @dataclass(frozen=True)
@@ -97,9 +116,12 @@ def hedge_update(bank: HedgeBank, gains, bound: float) -> list[int]:
     (ValueError otherwise, before any write).  Dividing them by ``bound``,
     the largest gain fed so far (1 while it is 0), keeps the exponent in
     [0, eta].  Expert i's next atom is the count of its cdf entries <= u, u
-    one uniform from its own generator: on a non-decreasing cdf, the
+    its next uniform in the bank's table (refilled from its own generator
+    once used up): on a non-decreasing cdf, the
     ``searchsorted(u, side="right")`` that ``Generator.choice(n, p=p)``
-    returns, without its validation of p.
+    returns, without its validation of p.  The cdf is built in one (k, n)
+    buffer, and the count is taken as the first entry > u: the cdf ends in
+    exactly 1 > u.
     """
     g = np.asarray(gains, dtype=float)
     if g.shape != bank.log_weights.shape:
@@ -114,11 +136,18 @@ def hedge_update(bank: HedgeBank, gains, bound: float) -> list[int]:
     bank.rounds += 1
     bank.cumulative_gains += g
     bank.log_weights += bank.eta * g / (bound if bound > 0.0 else 1.0)
-    w = np.exp(bank.log_weights - bank.log_weights.max(axis=1, keepdims=True))
-    cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf = np.subtract(bank.log_weights, bank.log_weights.max(axis=1, keepdims=True))
+    np.exp(cdf, out=cdf)
+    np.divide(cdf, cdf.sum(axis=1, keepdims=True), out=cdf)
+    np.cumsum(cdf, axis=1, out=cdf)
     cdf /= cdf[:, -1:]
-    u = np.array([rng.random() for rng in bank.rngs])
-    bank.choices = np.count_nonzero(cdf <= u[:, None], axis=1).tolist()
+    if bank.next_row == UNIFORM_ROWS:
+        for i, rng in enumerate(bank.rngs):
+            bank.uniforms[:, i] = rng.random(UNIFORM_ROWS)
+        bank.next_row = 0
+    u = bank.uniforms[bank.next_row]
+    bank.next_row += 1
+    bank.choices = np.argmax(cdf > u[:, None], axis=1).tolist()
     return list(bank.choices)
 
 
@@ -197,29 +226,31 @@ class _RoundFit:
         edits border the inverse; on the empty support d = G[b, b] and
         the inverse is 1 / d.
         """
-        z, inv, gz, g = self.z, self.inv, self.gz, self.gram
+        z, inv, g = self.z, self.inv, self.gram
         if pos is not None:
             keep = [j for j in range(len(z)) if j != pos]
             rows = inv.take(keep, 0)
             col = rows[:, pos]
             inv = rows.take(keep, 1) - col[:, None] * col / inv[pos, pos]
-            gz = gz.take(keep, 0)
             z = z[:pos] + z[pos + 1 :]
+        m = len(z)
+        grown_z = z + [b]
+        gz = g.take(grown_z, 0)  # G[Z + b, :]; its first m rows give G[Z, b]
         if z:
-            u = inv @ gz[:, b]
-        d = g[b, b] - gz[:, b] @ u if z else g[b, b]
+            gzb = gz[:m, b]
+            u = inv @ gzb
+        d = g[b, b] - gzb @ u if z else g[b, b]
         if d <= SPAN_RTOL * g[b, b]:
             return False
-        m = len(z)
         grown = np.empty((m + 1, m + 1))
         if z:
             grown[:m, :m] = inv + u[:, None] * u / d
             grown[:m, m] = grown[m, :m] = -u / d
         grown[m, m] = 1.0 / d
-        self.z = z + [b]
+        self.z = grown_z
         self.inv = grown
-        self.gz = np.concatenate([gz, g[b : b + 1]])
-        self.w = grown @ self.aty.take(self.z)
+        self.gz = gz
+        self.w = grown @ self.aty.take(grown_z)
         self.grad = self.aty - self.w @ self.gz
         return True
 
@@ -228,14 +259,19 @@ class _RoundFit:
         return 0.5 * float(self.w @ (self.aty.take(self.z) + self.grad.take(self.z)))
 
 
-def _romp_gains(fit: _RoundFit, room: bool, m_val: float) -> np.ndarray:
-    """Gradient-proxy gains: g_b^2 / M, less M times the cheapest squared coefficient once full."""
-    gains = np.square(fit.grad)
+def _romp_gains(fit: _RoundFit, squares: list[float] | None, m_val: float, out: np.ndarray) -> np.ndarray:
+    """Gradient-proxy gains g_b^2 / M, written into ``out``.
+
+    Once the support is full (``squares``, its squared coefficients, given)
+    they are less M times the cheapest square, floored at 0.
+    """
+    gains = np.square(fit.grad, out=out)
     gains[fit.z] = 0.0
     gains /= m_val
-    if not room:
-        gains -= m_val * float((fit.w**2).min())
-    return gains if room else np.maximum(gains, 0.0, out=gains)
+    if squares is None:
+        return gains
+    gains -= m_val * min(squares)
+    return np.maximum(gains, 0.0, out=gains)
 
 
 def _greedy_gains(fit: _RoundFit, room: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -300,20 +336,25 @@ def online_round(state: OnlineState, y_t: np.ndarray, ground_set):
         for atom in ranked[: state.s]:
             fit.replace(None, atom)
     else:
+        romp = state.method == "online_replacement_omp"
         gains = None  # the current support's gains, once computed
         for i, choice in enumerate(played):
             room = len(fit.z) < state.s
             if gains is None:
-                if state.method == "online_replacement_omp":
-                    gains = _romp_gains(fit, room, state.smoothness)
+                if romp:
+                    # Python x * x is numpy's w**2, bit for bit.
+                    squares = None if room else [x * x for x in fit.w.tolist()]
+                    gains = _romp_gains(fit, squares, state.smoothness, feedback[i])
                 else:
                     gains, swaps = _greedy_gains(fit, room)
-            feedback[i] = gains
+                    feedback[i] = gains
+            else:
+                feedback[i] = gains
             if gains[choice] > 0.0:  # atoms of Z are fed 0
                 if room:
                     pos = None
-                elif state.method == "online_replacement_omp":
-                    pos = cheapest_removal((fit.w**2).tolist(), fit.z)
+                elif romp:
+                    pos = cheapest_removal(squares, fit.z)
                 else:
                     pos = int(swaps[:, choice].argmax())
                 if fit.replace(pos, choice):

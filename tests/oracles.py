@@ -19,6 +19,9 @@ adds per-point terms block by block in a Python loop, in block order.
 ``synth_dataset_reference`` and ``extract_patches_reference`` build the
 data matrices point by point and tile by tile, as the reference for the
 batched products and array filters of ``data_io``.
+``hedge_update_reference`` is the hedge update drawing one ``random()``
+per expert per round and counting cdf entries <= u, the reference for
+the bank's uniform table and first-entry draw.
 """
 
 from __future__ import annotations
@@ -327,6 +330,28 @@ def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.nda
     rows = swap_rows_expression(rinv @ qta, a.T @ r, w, gamma, 1.0 - np.sum(qta**2, axis=0))
     rows[:, list(state.columns)] = 0.0
     return rows
+
+
+def hedge_update_reference(bank, gains, bound: float) -> list[int]:
+    """``online.hedge_update`` drawing each expert's u with one ``random()`` call
+    on its generator per round, the atom the count of cdf entries <= u.
+
+    It neither reads nor writes the bank's uniform table.
+    """
+    g = np.asarray(gains, dtype=float)
+    if bank.horizon is None and bank.rounds == 2**bank.epoch:
+        bank.epoch += 1
+        bank.eta = math.sqrt(8.0 * math.log(g.shape[1]) / 2**bank.epoch)
+        bank.log_weights[:] = 0.0
+    bank.rounds += 1
+    bank.cumulative_gains += g
+    bank.log_weights += bank.eta * g / (bound if bound > 0.0 else 1.0)
+    w = np.exp(bank.log_weights - bank.log_weights.max(axis=1, keepdims=True))
+    cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in bank.rngs])
+    bank.choices = np.count_nonzero(cdf <= u[:, None], axis=1).tolist()
+    return list(bank.choices)
 
 
 def online_round_reference(state, y_t, ground_set):

@@ -9,6 +9,7 @@ from dictsel import assemble, dct2_basis, haar2_basis, ls_solve, utility, utilit
 from dictsel.errors import DimensionMismatch
 from dictsel.online import (
     METHODS,
+    UNIFORM_ROWS,
     HedgeBank,
     HedgeExpert,
     alpha_regret,
@@ -19,7 +20,7 @@ from dictsel.online import (
 )
 
 from conftest import random_unit_atoms
-from oracles import f_value, online_round_reference
+from oracles import f_value, hedge_update_reference, online_round_reference
 
 
 def make_bank(n=8, horizon=100, seed=0):
@@ -95,16 +96,20 @@ def test_hedge_doubling_trick_runs():
 
 @pytest.mark.parametrize("horizon", [1000, None])
 def test_hedge_draw_matches_generator_choice(horizon):
+    # The bank draws its uniforms UNIFORM_ROWS rounds ahead, so a clone of
+    # its generator plays in lockstep instead: integers(n) as the bank's
+    # start, then one choice(n, p) per round.  1000 rounds take the table
+    # through 15 refills.
     n = 128
     bank = make_bank(n, horizon, seed=9)
-    clone = np.random.default_rng(0)  # its state is replaced before every draw
+    clone = np.random.default_rng(9)
+    assert bank.choices == [clone.integers(n)]
     gains_rng = np.random.default_rng(10)
     profile = gains_rng.exponential(size=n)
     bound = 1.0
     for _ in range(1000):
         gains = profile * gains_rng.random(n)
         bound = max(bound, float(gains.max()))
-        clone.bit_generator.state = bank.rngs[0].bit_generator.state
         (choice,) = hedge_update(bank, gains[None], bound)
         assert choice == clone.choice(n, p=probabilities(bank))
     assert probabilities(bank).max() > 0.5  # the draws were not all uniform
@@ -132,23 +137,16 @@ def test_hedge_update_matches_hedge_step_bitwise(horizon, n):
             assert (batched.eta, batched.rounds, batched.epoch) == (bank.eta, bank.rounds, bank.epoch)
 
 
-class FixedUniforms:
-    """Stands in for an expert's generator: ``random()`` returns the given values in turn."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
 def test_vector_draw_is_searchsorted_right_per_row():
     # Log-weights far enough apart that weights underflow to 0 and leave
     # flat runs in the cdf; each u is drawn, 0, just below 1, or exactly a
-    # cdf value.  Zero gains leave the log-weights as set.
+    # cdf value, and written into the row of the bank's uniform table that
+    # the update reads (one update first fills the table, and the 60 trials
+    # fit in it).  Zero gains leave the log-weights as set.
     rng = np.random.default_rng(25)
     k, n = 6, 40
     bank = HedgeBank.start(n, [np.random.default_rng(i) for i in range(k)], 100)
+    hedge_update(bank, np.zeros((k, n)), 1.0)
     spread = np.array([1.0, 30.0, 300.0, 800.0, 1.0, 0.0])[:, None]
     flat_rows = 0
     for trial in range(60):
@@ -158,9 +156,13 @@ def test_vector_draw_is_searchsorted_right_per_row():
         cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1)
         cdf /= cdf[:, -1:]
         flat_rows += int((np.diff(cdf, axis=1) == 0.0).any(axis=1).sum())
+        # A uniform is below 1, and the cdf ends in 1: an entry of 1 is
+        # replaced by the row's largest entry below 1.
         on_cdf = cdf[np.arange(k), rng.integers(0, n, k)]
+        on_cdf = np.where(on_cdf < 1.0, on_cdf, np.where(cdf < 1.0, cdf, 0.0).max(axis=1))
         u = [rng.random(k), on_cdf, np.zeros(k), np.full(k, np.nextafter(1.0, 0.0))][trial % 4]
-        bank.rngs = [FixedUniforms([x]) for x in u]
+        assert bank.next_row == trial + 1 < UNIFORM_ROWS
+        bank.uniforms[bank.next_row] = u
         draws = hedge_update(bank, np.zeros((k, n)), 1.0)
         assert draws == [int(row.searchsorted(x, side="right")) for row, x in zip(cdf, u)]
         assert draws == bank.choices
@@ -171,15 +173,88 @@ def test_rejected_hedge_update_changes_nothing():
     # After one round without a horizon the next update restarts the bank;
     # gains of another shape (one row, which would broadcast to every
     # expert, or one row too few) and bad gains are found before that or
-    # any other write.
-    bank = HedgeBank.start(8, [np.random.default_rng(i) for i in range(3)], None)
-    hedge_update(bank, np.ones((3, 8)), 1.0)
-    before = pickle.dumps(bank)
+    # any other write.  The uniform table is then mid-way, and keeps its
+    # rows and its next row; a fresh bank's used-up table is not refilled,
+    # so its generators keep their states.
     rejected = [(np.arange(8.0), "shape"), (np.ones((2, 8)), "shape"), (np.full((3, 8), np.inf), "finite")]
-    for gains, message in rejected:
-        with pytest.raises(ValueError, match=message):
-            hedge_update(bank, gains, 1.0)
-        assert pickle.dumps(bank) == before
+    for played in (1, 0):
+        bank = HedgeBank.start(8, [np.random.default_rng(i) for i in range(3)], None)
+        for _ in range(played):
+            hedge_update(bank, np.ones((3, 8)), 1.0)
+        assert bank.next_row == (1 if played else UNIFORM_ROWS)
+        before = pickle.dumps(bank)
+        table, states = bank.uniforms.copy(), [rng.bit_generator.state for rng in bank.rngs]
+        for gains, message in rejected:
+            with pytest.raises(ValueError, match=message):
+                hedge_update(bank, gains, 1.0)
+            assert pickle.dumps(bank) == before
+            assert np.array_equal(bank.uniforms, table) and bank.next_row == (1 if played else UNIFORM_ROWS)
+            assert [rng.bit_generator.state for rng in bank.rngs] == states
+
+
+def gain_stream(k, n, rounds, seed):
+    """``rounds`` (gains, bound) pairs for a bank of k experts over n atoms, the bound the running maximum."""
+    rng = np.random.default_rng(seed)
+    bound, stream = 1.0, []
+    for _ in range(rounds):
+        gains = rng.exponential(size=(k, n)) * (rng.random((k, 1)) < 0.9)
+        bound = max(bound, float(gains.max()))
+        stream.append((gains, bound))
+    return stream
+
+
+def assert_banks_equal(a, b):
+    assert a.choices == b.choices
+    assert np.array_equal(a.log_weights, b.log_weights)
+    assert np.array_equal(a.cumulative_gains, b.cumulative_gains)
+    assert (a.eta, a.rounds, a.epoch) == (b.eta, b.rounds, b.epoch)
+
+
+@pytest.mark.parametrize("horizon", [40, None])
+def test_uniform_table_matches_one_draw_per_round(horizon):
+    # 200 rounds of a 5-expert bank against the update that calls random()
+    # once per expert per round: the table is filled at round 0 and refilled
+    # at rounds 64, 128 and 192, and without a horizon the bank restarts 8
+    # times.  A deep copy taken mid-table plays the last 100 rounds alike.
+    k, n = 5, 37
+    bank = HedgeBank.start(n, [np.random.default_rng([30, i]) for i in range(k)], horizon)
+    reference = HedgeBank.start(n, [np.random.default_rng([30, i]) for i in range(k)], horizon)
+    assert_banks_equal(bank, reference)
+    stream = gain_stream(k, n, 200, seed=31)
+    for t, (gains, bound) in enumerate(stream):
+        if t == 100:
+            copied = copy.deepcopy(bank)
+            assert 0 < copied.next_row < UNIFORM_ROWS
+        assert hedge_update(bank, gains, bound) == hedge_update_reference(reference, gains, bound)
+        assert_banks_equal(bank, reference)
+    for gains, bound in stream[100:]:
+        hedge_update(copied, gains, bound)
+    assert_banks_equal(copied, bank)
+    assert reference.epoch == (0 if horizon else 8)
+
+
+class CountingGenerator:
+    """Stands in for an expert's generator and counts its ``random`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def random(self, *args):
+        self.calls += 1
+        return self.rng.random(*args)
+
+
+@pytest.mark.parametrize("rounds", [1, 64, 65, 200])
+def test_uniform_table_calls_each_generator_once_per_table(rounds):
+    k, n = 3, 16
+    proxies = [CountingGenerator(np.random.default_rng(i)) for i in range(k)]
+    bank = HedgeBank.start(n, proxies, 50)
+    for gains, bound in gain_stream(k, n, rounds, seed=33):
+        hedge_update(bank, gains, bound)
+    assert all(proxy.calls <= math.ceil(rounds / UNIFORM_ROWS) for proxy in proxies)
 
 
 def test_first_round_uses_pure_additions():

@@ -62,11 +62,13 @@ def residual_variance(dictionary, data, s: int) -> float:
     All points are encoded together by ``encoders.omp_codes`` with at most
     ``s`` atoms of ``dictionary`` each, and the squared residuals are
     averaged over all T*d coordinates.  An empty dictionary (or s = 0)
-    yields the mean squared data norm.  ValueError unless ``s`` is a
-    nonnegative integer; DimensionMismatch unless the data has as many
-    rows as the dictionary.
+    yields the mean squared data norm.  ValueError if ``s`` is not a
+    nonnegative integer or the data is empty (T = 0); DimensionMismatch
+    unless the data has as many rows as the dictionary.
     """
     y = data_io.data_matrix(data)
+    if not y.size:
+        raise ValueError("data must hold at least one point")
     _, residual_sq = omp_codes(dictionary, y, s)
     return float(residual_sq.sum()) / y.size
 
@@ -368,6 +370,8 @@ def build_dataset(cfg: dict, ground_set, seed, planted=None, where: str = "datas
     dataset = data_io.load_dataset(path)
     if not np.isfinite(dataset.matrix).all():
         raise ParseError(f"{where}.path: {path} holds NaN or inf values")
+    if not dataset.num_points:
+        raise ParseError(f"{where}.path: {path} holds no points")
     return dataset
 
 

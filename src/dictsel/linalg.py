@@ -4,7 +4,8 @@ Selectors and the OMP encoder keep every point's fit in one batched Gram
 state (:class:`GramFit`): G = A^T A and C = A^T Y computed once, padded
 (T, width) supports and coefficients, (n, T) gradients C - G[:, Z] w and
 the f values.  ``gram_update`` edits the supports of a set of points and
-refits them, one batched solve per support size.  With w the
+refits them: one batched solve per chunk of STACK // (m + 1) points of
+support size m, the gradients in ``stack_points(n)``-point slices.  With w the
 coefficients on Z, c = G_ZZ^-1 G[Z, :] and
 gamma_j = (G_ZZ^-1)_jj, the exact gains of all single additions and swaps
 follow in closed form (``gram_gains``):
@@ -329,18 +330,18 @@ def gram_fit(a: np.ndarray, y: np.ndarray, width: int) -> GramFit:
     )
 
 
-def size_chunks(sizes: np.ndarray, num_atoms: int):
+def size_chunks(sizes: np.ndarray, width):
     """Yield (m, idx): positions ``idx`` into ``sizes`` whose value is m.
 
-    A chunk holds at most ``stack_points(num_atoms)`` positions, so its
-    (P, m, num_atoms) temporaries stay within m * STACK floats.
+    A chunk holds at most ``stack_points(width(m))`` positions, so its
+    (P, width(m)) tables stay within STACK floats, its (P, m, n) ones within m * STACK at width n.
     """
     if not sizes.size:
         return
     low, high = int(sizes.min()), int(sizes.max())
-    step = stack_points(num_atoms)
     for m in range(low, high + 1):
         group = np.arange(len(sizes)) if low == high else np.flatnonzero(sizes == m)
+        step = stack_points(width(m))
         for start in range(0, len(group), step):
             yield m, group[start : start + step]
 
@@ -355,10 +356,13 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
     u = G_ZZ^-1 G[Z, b], is at most SPAN_RTOL * G[b, b].  Such adds are
     skipped and counted in ``fit.rank_skips``.
 
-    The points are grouped by support size after the removals, with one
-    batched solve G_ZZ [v, u] = [C[Z, t], G[Z, b]] per group.  The fit on
-    Z + b is then w_b = (C[b, t] - G[b, Z] v) / d and w_Z = v - u w_b, the
-    gradient C[:, t] - G[:, Z] w_Z - G[:, b] w_b.
+    The points are grouped by support size m after the removals, with one
+    batched solve G_ZZ [v, u] = [C[Z, t], G[Z, b]] per chunk of at most
+    STACK // (m + 1) points, so that its (P, m + 1) arrays stay within STACK
+    floats.  The fit on Z + b is then w_b = (C[b, t] - G[b, Z] v) / d and
+    w_Z = v - u w_b, the gradient C[:, t] - G[:, Z] w_Z - G[:, b] w_b, taken
+    in ``stack_points(n)``-point slices of a chunk: each slice's (P, m + 1, n)
+    gather of G[Z, :] stays within (m + 1) * STACK floats.
     """
     points = np.asarray(points, dtype=int)
     removed = np.asarray(removed, dtype=int)
@@ -373,7 +377,8 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
         fit.size[dropped] -= 1
     g, corr = fit.gram, fit.corr
     appended = np.zeros(len(points), dtype=bool)
-    for m, idx in size_chunks(fit.size[points], g.shape[0]):
+    step = stack_points(len(g))
+    for m, idx in size_chunks(fit.size[points], lambda m: m + 1):
         p, b = points[idx], atoms[idx]
         # Z + b, with atom 0 standing in for b (at weight 0) where nothing is added.
         z = np.concatenate([fit.index[p, :m], np.maximum(b, 0)[:, None]], axis=1)
@@ -389,16 +394,21 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
         grow = (b >= 0) & (dist > SPAN_RTOL * norm_sq)
         wb = np.divide(cz[:, m] - bv, dist, out=np.zeros(len(p)), where=grow)
         w = np.concatenate([v - u * wb[:, None], wb[:, None]], axis=1)
-        grad = corr[:, p] - (w[:, None, :] @ g.take(z, axis=0))[:, 0].T  # rows G[Z, :] = G[:, Z]^T
-        fit.gradients[:, p] = grad
-        # c.w - w.G w / 2 written as w.(c + (c - G w)) / 2: stationary in w.
-        fit.f_values[p] = 0.5 * (w * (cz + grad[z, np.arange(len(p))[:, None]])).sum(axis=1)
         fit.coeffs[p] = 0.0
         fit.coeffs[p, :m] = w[:, :m]
         fit.coeffs[p[grow], m] = wb[grow]
         fit.index[p[grow], m] = zb[grow]
         fit.size[p[grow]] += 1
         appended[idx] = grow
+        del gzb, gzz, vu, v, u, bv, bu, norm_sq, dist, wb  # before the slices' (P, m + 1, n) gathers
+        for start in range(0, len(p), step):
+            ps, zp, wp, cp = (x[start : start + step] for x in (p, z, w, cz)) if len(p) > step else (p, z, w, cz)
+            # G[:, Z] w from the rows G[Z, :] = G[:, Z]^T, whose gather is freed before corr[:, ps] is copied.
+            grad = (wp[:, None, :] @ g.take(zp, axis=0))[:, 0].T
+            grad = corr[:, ps] - grad
+            fit.gradients[:, ps] = grad
+            # c.w - w.G w / 2 written as w.(c + (c - G w)) / 2: stationary in w.
+            fit.f_values[ps] = 0.5 * (wp * (cp + grad[zp, np.arange(len(ps))[:, None]])).sum(axis=1)
     fit.rank_skips += int(np.count_nonzero((atoms >= 0) & ~appended))
     return appended
 

@@ -277,7 +277,7 @@ def _greedy_tables(state: SelectionState, family: PointFamily, best: np.ndarray,
     ``gram_gains``.
     """
     fit = state.fit
-    for m, idx in size_chunks(fit.size[points], fit.gram.shape[0]):
+    for m, idx in size_chunks(fit.size[points], lambda m: len(fit.gram)):
         chunk = points[idx]
         addable, swappable = family.cats.options(chunk, fit.index[chunk, :m])
         add, swap = gram_gains(fit, chunk)

@@ -21,7 +21,10 @@ data matrices point by point and tile by tile, as the reference for the
 batched products and array filters of ``data_io``.
 ``hedge_update_reference`` is the hedge update drawing one ``random()``
 per expert per round and counting cdf entries <= u, the reference for
-the bank's uniform table and first-entry draw.
+the bank's uniform table and first-entry draw.  ``gram_update_reference``
+refits each support-size group in ``stack_points(n)``-point chunks, every
+step of the refit in one chunk, the reference for ``linalg.gram_update``'s
+larger solve chunks.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from scipy.linalg.lapack import dtrtri
 
 from dictsel.constraints import ExchangeInstance, Replacement, cheapest_removal, solve_exchange
 from dictsel.errors import RankDeficient
-from dictsel.linalg import _DENOM_TOL, SupportFactorization, atom_matrix, empty_factorization
-from dictsel.linalg import factor_insert, factor_remove
+from dictsel.linalg import _DENOM_TOL, SPAN_RTOL, SupportFactorization, atom_matrix, empty_factorization
+from dictsel.linalg import factor_insert, factor_remove, stack_points
 from dictsel.online import hedge_update
 
 
@@ -330,6 +333,53 @@ def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.nda
     rows = swap_rows_expression(rinv @ qta, a.T @ r, w, gamma, 1.0 - np.sum(qta**2, axis=0))
     rows[:, list(state.columns)] = 0.0
     return rows
+
+
+def gram_update_reference(fit, points, removed, atoms) -> np.ndarray:
+    """``linalg.gram_update`` with every step of the refit in one ``stack_points(n)``-point chunk of a size group."""
+    points = np.asarray(points, dtype=int)
+    removed = np.asarray(removed, dtype=int)
+    atoms = np.asarray(atoms, dtype=int)
+    drop = removed >= 0
+    if drop.any():
+        dropped = points[drop]
+        rows = fit.index[dropped]
+        keep = np.arange(rows.shape[1]) != removed[drop, None]
+        fit.index[dropped, :-1] = rows[keep].reshape(len(rows), -1)
+        fit.index[dropped, -1] = -1
+        fit.size[dropped] -= 1
+    g, corr = fit.gram, fit.corr
+    appended = np.zeros(len(points), dtype=bool)
+    sizes, step = fit.size[points], stack_points(g.shape[0])
+    for m in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == m)
+        for start in range(0, len(group), step):
+            idx = group[start : start + step]
+            p, b = points[idx], atoms[idx]
+            z = np.concatenate([fit.index[p, :m], np.maximum(b, 0)[:, None]], axis=1)
+            zs, zb = z[:, :m], z[:, m]
+            gzb = g[zs, zb[:, None]]
+            cz = corr[z, p[:, None]]
+            gzz = g.take(zs[:, :, None] * len(g) + zs[:, None, :])
+            vu = np.linalg.solve(gzz, np.concatenate([cz[:, :m, None], gzb[:, :, None]], axis=2))
+            v, u = vu[..., 0], vu[..., 1]
+            bv, bu = np.einsum("pj,pjk->kp", gzb, vu)
+            norm_sq = g[zb, zb]
+            dist = norm_sq - bu
+            grow = (b >= 0) & (dist > SPAN_RTOL * norm_sq)
+            wb = np.divide(cz[:, m] - bv, dist, out=np.zeros(len(p)), where=grow)
+            w = np.concatenate([v - u * wb[:, None], wb[:, None]], axis=1)
+            grad = corr[:, p] - (w[:, None, :] @ g.take(z, axis=0))[:, 0].T
+            fit.gradients[:, p] = grad
+            fit.f_values[p] = 0.5 * (w * (cz + grad[z, np.arange(len(p))[:, None]])).sum(axis=1)
+            fit.coeffs[p] = 0.0
+            fit.coeffs[p, :m] = w[:, :m]
+            fit.coeffs[p[grow], m] = wb[grow]
+            fit.index[p[grow], m] = zb[grow]
+            fit.size[p[grow]] += 1
+            appended[idx] = grow
+    fit.rank_skips += int(np.count_nonzero((atoms >= 0) & ~appended))
+    return appended
 
 
 def hedge_update_reference(bank, gains, bound: float) -> list[int]:

@@ -51,6 +51,11 @@ def test_residual_variance_empty_dictionary():
     assert residual_variance(np.zeros((6, 0)), y, 0) == pytest.approx(expected)
 
 
+def test_residual_variance_of_no_points_is_a_value_error():
+    with pytest.raises(ValueError, match="at least one point"):
+        residual_variance(dct2_basis(4)[:, :3], np.zeros((16, 0)), 2)
+
+
 def test_planted_dictionary_beats_random():
     gs = dct2_basis(6)
     rng = np.random.default_rng(2)
@@ -249,6 +254,22 @@ def test_loaded_dataset_with_nonfinite_values_is_config_error(tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
         assert main(["bench", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["select", "bench"])
+@pytest.mark.parametrize("section", ["train", "test"])
+def test_loaded_dataset_with_no_points_is_config_error(tmp_path, capsys, monkeypatch, command, section):
+    ran = []
+    monkeypatch.setattr(cli, "run_selector", lambda method, *args: ran.append(method))
+    path = tmp_path / "empty.bin"
+    save_dataset(path, Dataset(np.zeros((16, 0)), {"kind": "hand"}))
+    with pytest.raises(ParseError, match="no points"):
+        build_dataset({"kind": "load", "path": str(path)}, None, 0, where=section)
+    doc = base_config()
+    doc[section] = {"kind": "load", "path": str(path)}
+    code, _, err = run_cli(tmp_path, capsys, command, doc)
+    assert_config_error(code, err, f"{section}.path")
+    assert ran == []
 
 
 def test_block_caps_must_cover_every_point(tmp_path):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from dictsel import (
@@ -24,7 +26,8 @@ from dictsel.offline import SelectorConfig, replacement_greedy, replacement_omp
 from dictsel.linalg import SupportFactorization, gram_fit, gram_gains, gram_matrix, gram_update
 
 from conftest import random_unit_atoms
-from oracles import addition_gains, lstsq_fit, regain_expression, swap_gains, swap_rows_expression
+from oracles import addition_gains, gram_update_reference, lstsq_fit, regain_expression, swap_gains
+from oracles import swap_rows_expression
 
 
 def factorization_defects(fact, atoms):
@@ -388,6 +391,38 @@ def test_gram_update_matches_dense_least_squares():
         assert_fit_matches_dense(fit, a, y)
 
 
+@pytest.mark.parametrize("stack", [1, 3 * 128, None])
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), t_count=st.integers(0, 40), width=st.integers(1, 12))
+def test_gram_update_matches_its_reference_bytewise(stack, seed, t_count, width):
+    # At STACK = 3 * 128 a solve chunk of up to STACK // (m + 1) points spans
+    # several 3-point gradient slices; at 1 every chunk and slice holds one
+    # point.  Edits mix removals, adds and adds of the duplicate DC atoms 0
+    # and 64, which the span test refuses once the other one is held.
+    a = dct_haar()
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((64, t_count)) * rng.uniform(0.1, 10.0, size=t_count)
+    fits = [gram_fit(a, y, width), gram_fit(a, y, width)]
+    with pytest.MonkeyPatch.context() as patch:
+        if stack is not None:
+            patch.setattr(linalg, "STACK", stack)
+        for _ in range(int(rng.integers(1, 3 * width + 2))):
+            points = rng.permutation(t_count)[: rng.integers(0, t_count + 1)]
+            size = fits[0].size[points]
+            # A full support drops an atom: its width has no room for the refit's Z + b.
+            drop = (size == width) | (size > 0) & (rng.random(len(points)) < 0.3)
+            removed = np.where(drop, rng.integers(0, np.maximum(size, 1)), -1)
+            draw = rng.random(len(points))
+            atoms = np.where(draw < 0.3, rng.choice([0, 64], len(points)), rng.integers(0, 128, len(points)))
+            atoms[draw > 0.9] = -1
+            got = gram_update(fits[0], points, removed, atoms)
+            expected = gram_update_reference(fits[1], points, removed, atoms)
+            assert got.tobytes() == expected.tobytes()
+            for name in ("index", "size", "coeffs", "gradients", "f_values", "rank_skips"):
+                got, expected = (np.asarray(getattr(fit, name)).tobytes() for fit in fits)
+                assert got == expected, name
+
+
 @pytest.mark.parametrize("delta, skipped", [(1e-9, True), (1e-6, False), (1e-3, False)])
 def test_gram_update_with_nearly_dependent_twin(delta, skipped):
     # Atom 128 is a twin of atom 0 with inner product 1 - delta, so its
@@ -516,6 +551,31 @@ def test_gram_gains_peak_memory_is_four_swap_tables():
     assert peak <= 4 * swap.nbytes
 
 
+def test_gram_update_peak_memory_is_three_gradient_slices():
+    # Adding a 12th atom to 2,000 points: a solve chunk holds STACK // 12 =
+    # 682 points, so its G_ZZ and that gather's flat index stay within
+    # 11 * STACK floats each, and the gradient refresh gathers G[Z, :] for
+    # 64 points at a time, 12 * STACK floats.  Solving the whole size group
+    # at once held 5.7 such slices here, growing with T.
+    a = dct_haar()
+    rng = np.random.default_rng(25)
+    t_count, width = 2000, 12
+    y = rng.standard_normal((64, t_count))
+    atoms = np.argsort(rng.random((t_count, 63)), axis=1)[:, :width] + 1  # orthonormal DCT atoms
+    fit = gram_fit(a, y, width)
+    everyone, none = np.arange(t_count), np.full(t_count, -1)
+    for j in range(width - 1):
+        gram_update(fit, everyone, none, atoms[:, j])
+    tracemalloc.start()
+    try:
+        added = gram_update(fit, everyone, none, atoms[:, -1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert added.all() and (fit.size == width).all()
+    assert peak <= 3 * width * linalg.STACK * 8
+
+
 def chunked_outputs():
     """OMP codes and selector runs whose batched kernels span several default chunks."""
     rng = np.random.default_rng(41)
@@ -549,10 +609,12 @@ def chunked_outputs():
     return out
 
 
-@pytest.mark.parametrize("stack", [1, 10**9])
+@pytest.mark.parametrize("stack", [1, 512, 10**9])
 def test_results_do_not_depend_on_chunk_size(monkeypatch, stack):
     # By default the 128-atom selectors take 64 points per chunk and the
     # 20-atom OMP 409; one-point chunks and a single chunk must agree bitwise.
+    # At 512 gram_update solves a size group of up to 512 // (m + 1) points
+    # in one chunk and refreshes its gradients in 4-point slices.
     default = chunked_outputs()
     monkeypatch.setattr(linalg, "STACK", stack)
     for name, values in chunked_outputs().items():

@@ -385,11 +385,10 @@ class PointCategories:
     caps: np.ndarray
     rule: np.ndarray
 
-    def _held(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
-        """Rules (P,) and whether each support entry falls in each category (P, m, C; pads in none)."""
+    def _labels(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
+        """Rules (P,) and the category of each support entry (P, m; -1 for pads, which match no label)."""
         rule = self.rule[points]
-        held = np.where(supports >= 0, self.labels[rule[:, None], supports], -1)
-        return rule, held[:, :, None] == np.arange(self.caps.shape[1])
+        return rule, np.where(supports >= 0, self.labels[rule[:, None], supports], -1)
 
     @functools.cached_property
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -404,10 +403,6 @@ class PointCategories:
         atom_class[order] = np.cumsum(first) - 1
         return columns[:, first], atom_class
 
-    def per_class(self, rule, table: np.ndarray) -> np.ndarray:
-        """The (P, K) entries of a (P, C) per-category table at each atom class's category."""
-        return table[np.arange(len(rule))[:, None], self.classes[0][rule]]
-
     def tally(self, points, supports, removal_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per category of each support: the atoms held, the cheapest removal and its position.
 
@@ -416,7 +411,7 @@ class PointCategories:
         (ties to the lowest atom; -1 if none).
         """
         # (P, C, m), so that every reduction runs along the last, contiguous axis.
-        held = np.ascontiguousarray(self._held(points, supports)[1].transpose(0, 2, 1))
+        held = self._labels(points, supports)[1][:, None, :] == np.arange(self.caps.shape[1])[:, None]
         counts = np.count_nonzero(held, axis=2)
         if not supports.shape[1]:
             return counts, np.full(counts.shape, math.inf), np.full(counts.shape, -1)
@@ -435,23 +430,15 @@ class PointCategories:
         below its cap (uncategorized atoms always), else replace only an
         atom of its own category.
         """
-        rule, held = self._held(points, supports)
+        rule, label = self._labels(points, supports)
         outside = np.ones((len(rule), self.labels.shape[1]), dtype=bool)
         rows, cols = np.nonzero(supports >= 0)
         outside[rows, supports[rows, cols]] = False
-        addable = self.per_class(rule, held.sum(axis=1) < self.caps[rule])[:, self.classes[1]] & outside
-        same = np.take_along_axis(held, self.labels[rule][:, None, :], axis=2)
+        held = label[:, :, None] == np.arange(self.caps.shape[1])
+        room = (held.sum(axis=1) < self.caps[rule])[np.arange(len(rule))[:, None], self.classes[0][rule]]  # per class
+        addable = room[:, self.classes[1]] & outside
+        same = label[:, :, None] == self.labels[rule][:, None, :]  # entry j and atom b share a category
         return addable, same & (outside & ~addable)[:, None, :]
-
-    def swap_positions(self, points, counts: np.ndarray, position: np.ndarray, atom: int) -> np.ndarray:
-        """The support position each point gives up for ``atom``, from its :meth:`tally`.
-
-        -1 where the atom's category has room, else the category's
-        cheapest removal.
-        """
-        rule, rows = self.rule[points], np.arange(len(points))
-        label = self.labels[rule, atom]
-        return np.where(counts[rows, label] >= self.caps[rule, label], position[rows, label], -1)
 
 
 def point_categories(constraint: SparsityConstraint, t_count: int, num_atoms: int) -> PointCategories:
@@ -483,18 +470,18 @@ def cheapest_removal(costs: Sequence[float], support: Sequence[int], positions=N
 class PointStep:
     """A per-point family's option costs, shared by every candidate atom of a step.
 
-    Built by :meth:`PointFamily.step` from the :meth:`PointCategories.tally`
-    of the padded supports ``index``, ``cheapest`` in the step's scaled
-    costs.  ``table`` (T, C) is what an atom of each category pays to
-    join each support: 0 while the category has room, else its cheapest
-    removal (inf if it holds none); ``by_class`` (K, T) is the same per
-    atom class.
+    Built by :meth:`PointFamily.step` from the family's tally of the
+    padded supports ``index``, ``cheapest`` in the step's scaled costs.
+    ``by_class`` (K, T) is what an atom of each class pays to join each
+    support: 0 while its category has room, else the category's cheapest
+    removal (inf if it holds none).
     """
 
-    def __init__(self, cats: PointCategories, index: np.ndarray, counts, cheapest, position):
-        self.cats, self.index, self.counts, self.position = cats, index, counts, position
-        self.table = np.where(counts < cats.caps[cats.rule], 0.0, cheapest)
-        self.by_class = np.ascontiguousarray(cats.per_class(cats.rule, self.table).T)
+    def __init__(self, family: "PointFamily", index: np.ndarray, cheapest: np.ndarray):
+        self.cats, self.index, self.counts, self.position = family.cats, index, family.counts, family.position
+        self.caps, self.kinds = family.caps, family.kinds
+        table = np.where(self.counts < self.caps, 0.0, cheapest)  # (T, C), per category
+        self.by_class = np.ascontiguousarray(table[np.arange(len(table))[:, None], self.kinds].T)
 
     def costs(self, atoms=slice(None)) -> np.ndarray:
         """The (len(atoms), T) cost, in C order, of each atom's cheapest option at each support."""
@@ -509,8 +496,12 @@ class PointStep:
         """
         out = np.empty(len(add_gains))
         for block in _row_chunks(add_gains):
-            gains = self.costs(block)  # overwritten
-            np.maximum(np.subtract(add_gains[block], gains, out=gains), 0.0, out=gains).sum(axis=1, out=out[block])
+            if len(self.by_class) == 1:  # one atom class: its (T,) costs broadcast over the rows
+                gains = add_gains[block] - self.by_class[0]
+            else:
+                gains = self.costs(block)  # overwritten
+                np.subtract(add_gains[block], gains, out=gains)
+            np.maximum(gains, 0.0, out=gains).sum(axis=1, out=out[block])
         return out
 
     def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
@@ -519,10 +510,12 @@ class PointStep:
         Every point of positive gain takes the atom, in place of its
         category's cheapest removal when the category is full.
         """
-        cost = self.table[np.arange(len(self.table)), self.cats.labels[self.cats.rule, atom]]
-        gains = np.where((self.index == atom).any(axis=1), 0.0, add_gains) - cost
+        kind = self.cats.classes[1][atom]
+        gains = np.where((self.index == atom).any(axis=1), 0.0, add_gains) - self.by_class[kind]
         points = np.flatnonzero(gains > 0.0)
-        removed = self.cats.swap_positions(points, self.counts[points], self.position[points], atom)
+        label = self.kinds[points, kind]  # the atom's category at each point
+        full = self.counts[points, label] >= self.caps[points, label]
+        removed = np.where(full, self.position[points, label], -1)
         return points, removed, np.ones(len(points), dtype=bool), float(gains[points].sum())
 
 
@@ -700,12 +693,13 @@ class PointFamily:
     each support, the atoms held, the cheapest unscaled removal and its
     position (see :meth:`PointCategories.tally`).  They start as the tally
     of empty supports; :meth:`refresh` tallies only the supports that
-    changed.
+    changed.  ``caps`` (T, C) and ``kinds`` (T, K) are each support's
+    category caps and the category of each atom class under its rule.
     """
 
     def __init__(self, cats: PointCategories):
         shape = (len(cats.rule), cats.caps.shape[1])
-        self.cats = cats
+        self.cats, self.caps, self.kinds = cats, cats.caps[cats.rule], cats.classes[0][cats.rule]
         self.counts = np.zeros(shape, dtype=int)
         self.cheapest = np.full(shape, math.inf)
         self.position = np.full(shape, -1)
@@ -715,11 +709,11 @@ class PointFamily:
         m = int(size[points].max(initial=0))
         tally = self.cats.tally(points, index[points, :m], costs(points, m))
         self.counts[points], self.cheapest[points], self.position[points] = tally
-        _require(not (tally[0] > self.cats.caps[self.cats.rule[points]]).any())
+        _require(not (tally[0] > self.caps[points]).any())
 
     def step(self, index, costs, scale: float) -> PointStep:
         """The step data of the supports, removals costing ``scale`` times their tallied cost."""
-        return PointStep(self.cats, index, self.counts, scale * self.cheapest, self.position)
+        return PointStep(self, index, scale * self.cheapest)
 
 
 class _CoupledFamily:

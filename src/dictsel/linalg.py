@@ -266,11 +266,12 @@ def require_finite_atoms(a: np.ndarray) -> np.ndarray:
 class GramFit:
     """Least-squares fits of T points, each on its own support, in Gram form.
 
-    ``gram`` is G = A^T A and ``corr`` is C = A^T Y.  Point t's support is
-    ``index[t, :size[t]]`` in insertion order (-1 pads the rest), with
-    coefficients ``coeffs[t, :size[t]]`` (0 pads), gradient
-    ``gradients[:, t]`` = C[:, t] - G[:, Z] w and ``f_values[t]`` =
-    C[Z, t] . w - w^T G_ZZ w / 2.  At the least-squares w that is
+    ``gram`` is G = A^T A, read-only and shared with the other fits of
+    the same ground set (see :func:`gram_fit`), and ``corr`` is C = A^T Y.
+    Point t's support is ``index[t, :size[t]]`` in insertion order (-1
+    pads the rest), with coefficients ``coeffs[t, :size[t]]`` (0 pads),
+    gradient ``gradients[:, t]`` = C[:, t] - G[:, Z] w and ``f_values[t]``
+    = C[Z, t] . w - w^T G_ZZ w / 2.  At the least-squares w that is
     ||y_t||^2 / 2 - ||y_t - A_Z w||^2 / 2, and being stationary in w it
     takes coefficient error only at second order.  ``rank_skips`` counts
     the adds :func:`gram_update` refused.
@@ -310,17 +311,21 @@ class GramFit:
         self.f_values[points] = f_values
 
 
-def gram_fit(a: np.ndarray, y: np.ndarray, width: int) -> GramFit:
+def gram_fit(ground_set, y: np.ndarray, width: int) -> GramFit:
     """Empty supports, of at most ``width`` atoms, for the columns of ``y``.
 
-    Raises DimensionMismatch unless ``y`` has as many rows as ``a``.
+    ``ground_set`` is a GroundSet or a plain (d, n) atom array; G comes
+    from :func:`gram_matrix`, so it is the read-only array cached on a
+    GroundSet, shared by every fit of its atoms.  Raises
+    DimensionMismatch unless ``y`` has as many rows as the atoms.
     """
+    a = atom_matrix(ground_set)
     if y.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"data has {y.shape[0]} rows but the atoms have {a.shape[0]}")
     t_count = y.shape[1]
     corr = a.T @ y
     return GramFit(
-        a.T @ a,
+        gram_matrix(ground_set),
         corr,
         np.full((t_count, width), -1),
         np.zeros(t_count, dtype=int),
@@ -354,20 +359,28 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
     if negative) unless the atom depends on the remaining support Z: when
     its squared distance to the span, d = G[b, b] - G[b, Z] u with
     u = G_ZZ^-1 G[Z, b], is at most SPAN_RTOL * G[b, b].  Such adds are
-    skipped and counted in ``fit.rank_skips``.
+    skipped and counted in ``fit.rank_skips``.  Every support must have
+    room for one more atom after its removal, even where none is
+    appended: ValueError, before anything is written, if a point whose
+    support fills the fit's width drops nothing.
 
     The points are grouped by support size m after the removals, with one
     batched solve G_ZZ [v, u] = [C[Z, t], G[Z, b]] per chunk of at most
     STACK // (m + 1) points, so that its (P, m + 1) arrays stay within STACK
-    floats.  The fit on Z + b is then w_b = (C[b, t] - G[b, Z] v) / d and
-    w_Z = v - u w_b, the gradient C[:, t] - G[:, Z] w_Z - G[:, b] w_b, taken
-    in ``stack_points(n)``-point slices of a chunk: each slice's (P, m + 1, n)
-    gather of G[Z, :] stays within (m + 1) * STACK floats.
+    floats; G_ZZ, G[Z, b] and G[b, b] come from one (P, m + 1, m + 1)
+    gather of G[Z + b, Z + b].  The fit on Z + b is then
+    w_b = (C[b, t] - G[b, Z] v) / d and w_Z = v - u w_b, the gradient
+    C[:, t] - G[:, Z] w_Z - G[:, b] w_b, taken in ``stack_points(n)``-point
+    slices of a chunk: each slice's (P, m + 1, n) gather of G[Z, :] stays
+    within (m + 1) * STACK floats.
     """
     points = np.asarray(points, dtype=int)
     removed = np.asarray(removed, dtype=int)
     atoms = np.asarray(atoms, dtype=int)
     drop = removed >= 0
+    sizes = fit.size[points] - drop  # after the removals
+    if (sizes >= fit.index.shape[1]).any():
+        raise ValueError("a support that fills the fit's width must drop an atom before it is refit")
     if drop.any():
         dropped = points[drop]
         rows = fit.index[dropped]
@@ -378,29 +391,29 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
     g, corr = fit.gram, fit.corr
     appended = np.zeros(len(points), dtype=bool)
     step = stack_points(len(g))
-    for m, idx in size_chunks(fit.size[points], lambda m: m + 1):
+    for m, idx in size_chunks(sizes, lambda m: m + 1):
         p, b = points[idx], atoms[idx]
         # Z + b, with atom 0 standing in for b (at weight 0) where nothing is added.
         z = np.concatenate([fit.index[p, :m], np.maximum(b, 0)[:, None]], axis=1)
-        zs, zb = z[:, :m], z[:, m]
-        gzb = g[zs, zb[:, None]]
+        zb = z[:, m]
         cz = corr[z, p[:, None]]
-        gzz = g.take(zs[:, :, None] * len(g) + zs[:, None, :])  # G_ZZ, by one flat gather
-        vu = np.linalg.solve(gzz, np.concatenate([cz[:, :m, None], gzb[:, :, None]], axis=2))
+        gzz = g[z[:, :, None], z[:, None, :]]  # G[Z + b, Z + b]
+        rhs = np.empty((len(p), m, 2))
+        rhs[:, :, 0] = cz[:, :m]
+        rhs[:, :, 1] = gzz[:, :m, m]
+        vu = np.linalg.solve(gzz[:, :m, :m], rhs)
         v, u = vu[..., 0], vu[..., 1]
-        bv, bu = np.einsum("pj,pjk->kp", gzb, vu)  # G[b, Z] v and G[b, Z] u
-        norm_sq = g[zb, zb]
+        bv, bu = np.einsum("pj,pjk->kp", gzz[:, :m, m], vu)  # G[b, Z] v and G[b, Z] u
+        norm_sq = gzz[:, m, m]
         dist = norm_sq - bu
         grow = (b >= 0) & (dist > SPAN_RTOL * norm_sq)
         wb = np.divide(cz[:, m] - bv, dist, out=np.zeros(len(p)), where=grow)
         w = np.concatenate([v - u * wb[:, None], wb[:, None]], axis=1)
-        fit.coeffs[p] = 0.0
-        fit.coeffs[p, :m] = w[:, :m]
-        fit.coeffs[p[grow], m] = wb[grow]
-        fit.index[p[grow], m] = zb[grow]
-        fit.size[p[grow]] += 1
+        fit.coeffs[p, : m + 1] = w  # the columns past m are 0 already
+        fit.index[p, m] = np.where(grow, zb, -1)  # a pad column: the precondition leaves room
+        fit.size[p] += grow
         appended[idx] = grow
-        del gzb, gzz, vu, v, u, bv, bu, norm_sq, dist, wb  # before the slices' (P, m + 1, n) gathers
+        del gzz, rhs, vu, v, u, bv, bu, norm_sq, dist, wb  # before the slices' (P, m + 1, n) gathers
         for start in range(0, len(p), step):
             ps, zp, wp, cp = (x[start : start + step] for x in (p, z, w, cz)) if len(p) > step else (p, z, w, cz)
             # G[:, Z] w from the rows G[Z, :] = G[:, Z]^T, whose gather is freed before corr[:, ps] is copied.
@@ -409,7 +422,7 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
             fit.gradients[:, ps] = grad
             # c.w - w.G w / 2 written as w.(c + (c - G w)) / 2: stationary in w.
             fit.f_values[ps] = 0.5 * (wp * (cp + grad[zp, np.arange(len(ps))[:, None]])).sum(axis=1)
-    fit.rank_skips += int(np.count_nonzero((atoms >= 0) & ~appended))
+    fit.rank_skips += int(np.count_nonzero(atoms >= 0)) - int(np.count_nonzero(appended))
     return appended
 
 

@@ -125,8 +125,9 @@ class SelectionState:
         return self.fit.coeffs[rows, :m] ** 2
 
 
-def _new_state(a: np.ndarray, y: np.ndarray, width: int, trace: bool) -> SelectionState:
-    fit = gram_fit(require_finite_atoms(a), y, width)
+def _new_state(ground_set, y: np.ndarray, width: int, trace: bool) -> SelectionState:
+    require_finite_atoms(atom_matrix(ground_set))
+    fit = gram_fit(ground_set, y, width)
     return SelectionState([], fit, np.sum(y * y, axis=0), trace=[] if trace else None)
 
 
@@ -170,14 +171,14 @@ def _apply(state: SelectionState, move: _Move, iteration: int, scratch: np.ndarr
     return True
 
 
-def _zeroed_grad_sq(state: SelectionState, out: np.ndarray) -> np.ndarray:
-    """Squared gradient entries, written into the (n, T) ``out``, with the current supports zeroed exactly.
+def _zeroed_grad_sq(state: SelectionState, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared gradient entries, written into the (n, T) ``out``, with the supports ``index`` zeroed exactly.
 
+    ``index`` holds at least the first max(size) columns of the fit's.
     Entries on a solved support vanish mathematically; zeroing removes the
     floating-point dust so no-op additions never carry positive gain.
     """
     g2 = np.square(state.gradients, out=out)
-    index = state.fit.index
     held = index >= 0
     g2[index[held], np.nonzero(held)[0]] = 0.0
     return g2
@@ -190,7 +191,7 @@ def _winner(table: np.ndarray, atoms: list[int]) -> int | None:
     return winner if table[winner] > 0.0 else None
 
 
-def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
+def _select(ground_set, y, constraint, k: int, trace: bool, step) -> SelectionState:
     """The k iterations of ``step(state, family, touched, i, scratch) -> _Move | None``.
 
     ``family`` is the constraint's :func:`~dictsel.constraints.family_state`;
@@ -205,13 +206,13 @@ def _select(a, y, constraint, k: int, trace: bool, step) -> SelectionState:
     any support, so the dictionary reaches k atoms.  Raises ValueError
     unless 1 <= k <= n and the family is defined on the data's T points.
     """
-    n, t_count = a.shape[1], y.shape[1]
+    n, t_count = atom_matrix(ground_set).shape[1], y.shape[1]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     points = num_points(constraint)
     if points is not None and points != t_count:
         raise ValueError(f"the constraint is defined on {points} points, the data has {t_count}")
-    state = _new_state(a, y, k, trace)
+    state = _new_state(ground_set, y, k, trace)
     family = family_state(constraint, t_count, n)
     touched = np.arange(t_count)
     scratch = np.empty((n, t_count))
@@ -238,9 +239,11 @@ def _romp_replacement(state: SelectionState, m_i: float, family, scratch: np.nda
     in closed form and then the winner's replacement.  The scaled
     squared gradients are built in the (n, T) ``scratch``.
     """
-    scaled_g2 = _zeroed_grad_sq(state, scratch)
+    # The columns that hold an atom; the coupled steps take at least one.
+    index = state.fit.index[:, : max(int(state.fit.size.max(initial=0)), 1)]
+    scaled_g2 = _zeroed_grad_sq(state, index, scratch)
     scaled_g2 /= m_i
-    step = family.step(state.fit.index, state.removal_costs, m_i)
+    step = family.step(index, state.removal_costs, m_i)
     winner = _winner(step.values(scaled_g2), state.atoms)
     if winner is None:
         return None
@@ -258,14 +261,13 @@ def replacement_omp(data, ground_set, constraint, config: SelectorConfig, *, tra
     the largest squared gradient mass is added without touching any
     support, so the dictionary still reaches k atoms.
     """
-    a = atom_matrix(ground_set)
     y = data_matrix(data)
     base_m = resolve_smoothness(ground_set, config.smoothness)
 
     def step(state, family, touched, i, scratch):
         return _romp_replacement(state, base_m / math.sqrt(i) if config.decay else base_m, family, scratch)
 
-    return _select(a, y, constraint, config.k, trace, step)
+    return _select(ground_set, y, constraint, config.k, trace, step)
 
 
 def _greedy_tables(state: SelectionState, family: PointFamily, best: np.ndarray, code: np.ndarray, points) -> None:
@@ -312,10 +314,9 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
         raise UnsupportedConstraint(
             "exact replacement search supports per-point families only"
         )
-    a = atom_matrix(ground_set)
     y = data_matrix(data)
     # A point's gains change only when a replacement touches it.
-    best = np.zeros((a.shape[1], y.shape[1]))
+    best = np.zeros((atom_matrix(ground_set).shape[1], y.shape[1]))
     code = np.zeros(best.shape, dtype=np.int32)
 
     def step(state, family, touched, i, scratch):
@@ -327,7 +328,7 @@ def replacement_greedy(data, ground_set, constraint, k: int, *, trace=False) -> 
         points = np.flatnonzero(code[winner])
         return _Move(winner, points, code[winner, points] - 2, np.ones(len(points), dtype=bool))
 
-    return _select(a, y, constraint, k, trace, step)
+    return _select(ground_set, y, constraint, k, trace, step)
 
 
 def modular_greedy(data, ground_set, k: int, s: int) -> SelectionState:
@@ -361,7 +362,7 @@ def modular_greedy(data, ground_set, k: int, s: int) -> SelectionState:
             marginal[selected] = -np.inf
         selected.append(int(np.argmax(marginal)))
     take = min(s, len(selected))
-    state = _new_state(a, y, take, trace=False)
+    state = _new_state(ground_set, y, take, trace=False)
     state.atoms = selected
     # Each point's selected atoms by singleton utility, then by index.
     atoms = np.array(selected)

@@ -24,7 +24,10 @@ per expert per round and counting cdf entries <= u, the reference for
 the bank's uniform table and first-entry draw.  ``gram_update_reference``
 refits each support-size group in ``stack_points(n)``-point chunks, every
 step of the refit in one chunk, the reference for ``linalg.gram_update``'s
-larger solve chunks.
+larger solve chunks.  ``options_reference`` builds a per-point family's
+option masks with the swap mask gathered from the (P, m, C) category
+table, the reference for the label compare of
+``PointCategories.options``.
 """
 
 from __future__ import annotations
@@ -380,6 +383,25 @@ def gram_update_reference(fit, points, removed, atoms) -> np.ndarray:
             appended[idx] = grow
     fit.rank_skips += int(np.count_nonzero((atoms >= 0) & ~appended))
     return appended
+
+
+def options_reference(cats, points, supports) -> tuple[np.ndarray, np.ndarray]:
+    """``PointCategories.options`` with both masks gathered from the (P, m, C) table of held categories.
+
+    ``addable`` takes each atom's entry of the per-category room with
+    ``take_along_axis``, without the atom classes; ``swappable`` gathers
+    the held table at each atom's category.
+    """
+    rule = cats.rule[points]
+    label = np.where(supports >= 0, cats.labels[rule[:, None], supports], -1)
+    held = label[:, :, None] == np.arange(cats.caps.shape[1])  # pads (-1) in no category
+    outside = np.ones((len(rule), cats.labels.shape[1]), dtype=bool)
+    rows, cols = np.nonzero(supports >= 0)
+    outside[rows, supports[rows, cols]] = False
+    room = held.sum(axis=1) < cats.caps[rule]
+    addable = np.take_along_axis(room, cats.labels[rule], axis=1) & outside
+    same = np.take_along_axis(held, cats.labels[rule][:, None, :], axis=2)
+    return addable, same & (outside & ~addable)[:, None, :]
 
 
 def hedge_update_reference(bank, gains, bound: float) -> list[int]:

@@ -23,7 +23,7 @@ from dictsel.constraints import _padded, cheapest_removal, family_state, point_c
 from dictsel.errors import InfeasibleState
 
 from oracles import average_move_reference, average_search_reference, best_replacement_oracle
-from oracles import block_search_reference, block_sums_reference, exchange_optimum
+from oracles import block_search_reference, block_sums_reference, exchange_optimum, options_reference
 
 N_ATOMS = 12
 
@@ -353,6 +353,40 @@ def test_point_options_matroid_counts():
     ]
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["individual", "matroid"]))
+def test_point_options_match_their_gather_reference_bytewise(seed, family):
+    # Over the 128 DCT+Haar atoms, supports of widths 0 to k padded with -1
+    # often hold the DC twins 0 and 64.  Matroid points follow one of
+    # several rules, some of which leave atoms in no category.
+    rng = np.random.default_rng(seed)
+    n, t_count, k = 128, int(rng.integers(1, 10)), int(rng.integers(0, 6))
+    if family == "individual":
+        constraint = IndividualSparsity(int(rng.integers(0, 4)))
+    else:
+        rules = []
+        for _ in range(int(rng.integers(1, 4))):
+            cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(1, 4)), replace=False))
+            parts = np.split(rng.permutation(n), cuts)
+            if rng.random() < 0.5:
+                parts = parts[:-1]  # the last part's atoms fall in no category
+            rules.append(tuple((frozenset(part.tolist()), int(rng.integers(0, 4))) for part in parts))
+        constraint = PartitionMatroid(tuple(rules[int(rng.integers(len(rules)))] for _ in range(t_count)))
+    cats = point_categories(constraint, t_count, n)
+    pool = np.r_[0, 64, rng.choice(np.setdiff1d(np.arange(n), [0, 64]), 6, replace=False)]
+    supports = np.full((t_count, k), -1)
+    for t in range(t_count):
+        size = int(rng.integers(0, k + 1))
+        supports[t, :size] = rng.choice(pool, size=size, replace=False)
+    points = rng.permutation(t_count)[: int(rng.integers(0, t_count + 1))]
+    for chosen in (points, points[:0]):
+        got = cats.options(chosen, supports[chosen])
+        expected = options_reference(cats, chosen, supports[chosen])
+        for mask, reference in zip(got, expected):
+            assert mask.shape == reference.shape and mask.dtype == reference.dtype
+            assert mask.tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("family", ["individual", "matroid"])
 def test_category_tallies_price_the_point_options(family):
     # The step's option costs and swap positions, from the batched tallies,
@@ -374,16 +408,18 @@ def test_category_tallies_price_the_point_options(family):
             padded[t, : len(z)] = z
         removal = rng.choice([0.25, 0.5, 0.75], size=padded.shape)  # ties are common
         step = padded_step(constraint, padded, removal, N_ATOMS)  # checks the tallied counts against the caps
-        costs, points = step.costs(), np.arange(t_count)
+        costs = step.costs()
         for t, z in enumerate(supports):
             addable, swappable = point_options(constraint, t, z, N_ATOMS)
+            # A gain above every cost at support t alone: the replacement takes t whenever it has an option.
+            gains = np.where(np.arange(t_count) == t, 1.0, 0.0)
             for atom in set(range(N_ATOMS)) - set(z):
                 pos = cheapest_removal(removal[t, : len(z)], z, np.flatnonzero(swappable[:, atom]))
                 expected = 0.0 if addable[atom] else (math.inf if pos is None else removal[t, pos])
                 assert costs[atom, t] == expected
-                if addable[atom] or pos is not None:
-                    got = step.cats.swap_positions(points[[t]], step.counts[[t]], step.position[[t]], atom)[0]
-                    assert got == (-1 if addable[atom] else pos)
+                points, removed, _, _ = step.replacement(atom, gains)
+                assert points.tolist() == ([t] if addable[atom] or pos is not None else [])
+                assert removed.tolist() == ([-1] if addable[atom] else [] if pos is None else [pos])
 
 
 @pytest.mark.parametrize("rows", [1, 16, None, 128], ids=["rows1", "rows16", "default", "rowsN"])
@@ -418,6 +454,33 @@ def test_point_step_values_do_not_depend_on_row_chunks(monkeypatch, family, rows
     got = step.values(add)
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     assert (step.by_class.shape[0] == 1) == (family == "individual")
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["individual", "matroid", "average", "block"]),
+    empty=st.booleans(),
+)
+def test_steps_price_the_held_columns_as_the_full_width(seed, family, empty):
+    # ROMP prices a step on the first max(size) columns of the fit's k-wide
+    # index, at least one; the pad columns past them change no bit of any
+    # atom's value or replacement, also when every support is empty.
+    rng = np.random.default_rng(seed)
+    t_count = int(rng.integers(1, 9))
+    constraint = random_constraint(rng, family, t_count)
+    supports = [[] for _ in range(t_count)] if empty else random_supports(rng, constraint, t_count)
+    widest = max(1, *map(len, supports))
+    index = np.full((t_count, widest + int(rng.integers(0, 4))), -1)
+    for t, z in enumerate(supports):
+        index[t, : len(z)] = z
+    removal = np.where(index >= 0, rng.choice([0.25, 0.5, 0.75], size=index.shape), 0.0)  # ties are common
+    add = np.round(rng.uniform(0.0, 1.0, size=(N_ATOMS, t_count)), 1)  # held atoms too, which the steps must find
+    full, narrow = (padded_step(constraint, index[:, :width], removal, N_ATOMS) for width in (index.shape[1], widest))
+    assert narrow.values(add).tobytes() == full.values(add).tobytes()
+    for atom in range(N_ATOMS):
+        for got, expected in zip(narrow.replacement(atom, add[atom]), full.replacement(atom, add[atom])):
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_category_tallies_reject_supports_over_their_caps():

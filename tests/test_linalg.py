@@ -423,6 +423,20 @@ def test_gram_update_matches_its_reference_bytewise(stack, seed, t_count, width)
                 assert got == expected, name
 
 
+@pytest.mark.parametrize("atom", [-1, 5])
+def test_gram_update_refuses_a_full_support_that_drops_nothing(atom):
+    # A one-atom support in a fit of width 1 has no column for Z + b, even
+    # with nothing to append; the call raises before it writes anything.
+    a = dct_haar()
+    fit = gram_fit(a, np.random.default_rng(26).standard_normal((64, 1)), 1)
+    assert gram_update(fit, [0], [-1], [3]).all()
+    names = ("index", "size", "coeffs", "gradients", "f_values", "rank_skips")
+    before = [np.asarray(getattr(fit, name)).tobytes() for name in names]
+    with pytest.raises(ValueError, match="width"):
+        gram_update(fit, [0], [-1], [atom])
+    assert [np.asarray(getattr(fit, name)).tobytes() for name in names] == before
+
+
 @pytest.mark.parametrize("delta, skipped", [(1e-9, True), (1e-6, False), (1e-3, False)])
 def test_gram_update_with_nearly_dependent_twin(delta, skipped):
     # Atom 128 is a twin of atom 0 with inner product 1 - delta, so its
@@ -553,8 +567,8 @@ def test_gram_gains_peak_memory_is_four_swap_tables():
 
 def test_gram_update_peak_memory_is_three_gradient_slices():
     # Adding a 12th atom to 2,000 points: a solve chunk holds STACK // 12 =
-    # 682 points, so its G_ZZ and that gather's flat index stay within
-    # 11 * STACK floats each, and the gradient refresh gathers G[Z, :] for
+    # 682 points, so its one (P, 12, 12) gather of G[Z + b, Z + b] stays
+    # within 12 * STACK floats, and the gradient refresh gathers G[Z, :] for
     # 64 points at a time, 12 * STACK floats.  Solving the whole size group
     # at once held 5.7 such slices here, growing with T.
     a = dct_haar()

@@ -421,25 +421,6 @@ class PointCategories:
         ties = np.where(held & (costs == cheapest[:, :, None]), supports[:, None, :], self.labels.shape[1])
         return counts, cheapest, np.where(counts > 0, np.argmin(ties, axis=2), -1)
 
-    def options(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
-        """Which atoms may join each support and which positions each may replace.
-
-        Returns masks addable (P, n) and swappable (P, m, n).  Atoms of a
-        support get neither; an addable atom gets no swap, since the
-        objective is monotone.  An atom may be added while its category is
-        below its cap (uncategorized atoms always), else replace only an
-        atom of its own category.
-        """
-        rule, label = self._labels(points, supports)
-        outside = np.ones((len(rule), self.labels.shape[1]), dtype=bool)
-        rows, cols = np.nonzero(supports >= 0)
-        outside[rows, supports[rows, cols]] = False
-        held = label[:, :, None] == np.arange(self.caps.shape[1])
-        room = (held.sum(axis=1) < self.caps[rule])[np.arange(len(rule))[:, None], self.classes[0][rule]]  # per class
-        addable = room[:, self.classes[1]] & outside
-        same = label[:, :, None] == self.labels[rule][:, None, :]  # entry j and atom b share a category
-        return addable, same & (outside & ~addable)[:, None, :]
-
 
 def point_categories(constraint: SparsityConstraint, t_count: int, num_atoms: int) -> PointCategories:
     """The category tables of a per-point family over ``t_count`` points and ``num_atoms`` atoms."""
@@ -496,12 +477,8 @@ class PointStep:
         """
         out = np.empty(len(add_gains))
         for block in _row_chunks(add_gains):
-            if len(self.by_class) == 1:  # one atom class: its (T,) costs broadcast over the rows
-                gains = add_gains[block] - self.by_class[0]
-            else:
-                gains = self.costs(block)  # overwritten
-                np.subtract(add_gains[block], gains, out=gains)
-            np.maximum(gains, 0.0, out=gains).sum(axis=1, out=out[block])
+            gains = self.costs(block)  # overwritten
+            np.maximum(np.subtract(add_gains[block], gains, out=gains), 0.0, out=gains).sum(axis=1, out=out[block])
         return out
 
     def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
@@ -694,7 +671,8 @@ class PointFamily:
     position (see :meth:`PointCategories.tally`).  They start as the tally
     of empty supports; :meth:`refresh` tallies only the supports that
     changed.  ``caps`` (T, C) and ``kinds`` (T, K) are each support's
-    category caps and the category of each atom class under its rule.
+    category caps and the category of each atom class under its rule,
+    which :meth:`options` and the steps read.
     """
 
     def __init__(self, cats: PointCategories):
@@ -710,6 +688,25 @@ class PointFamily:
         tally = self.cats.tally(points, index[points, :m], costs(points, m))
         self.counts[points], self.cheapest[points], self.position[points] = tally
         _require(not (tally[0] > self.caps[points]).any())
+
+    def options(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
+        """Which atoms may join each support and which positions each may replace.
+
+        Returns masks addable (P, n) and swappable (P, m, n).  Atoms of a
+        support get neither; an addable atom gets no swap, since the
+        objective is monotone.  An atom may be added while its category is
+        below its cap (uncategorized atoms always), else replace only an
+        atom of its own category.
+        """
+        rule, label = self.cats._labels(points, supports)
+        outside = np.ones((len(rule), self.cats.labels.shape[1]), dtype=bool)
+        rows, cols = np.nonzero(supports >= 0)
+        outside[rows, supports[rows, cols]] = False
+        held = label[:, :, None] == np.arange(self.caps.shape[1])
+        room = held.sum(axis=1) < self.caps[points]
+        addable = room[np.arange(len(rule))[:, None], self.kinds[points]][:, self.cats.classes[1]] & outside
+        same = label[:, :, None] == self.cats.labels[rule][:, None, :]  # entry j and atom b share a category
+        return addable, same & (outside & ~addable)[:, None, :]
 
     def step(self, index, costs, scale: float) -> PointStep:
         """The step data of the supports, removals costing ``scale`` times their tallied cost."""

@@ -171,14 +171,14 @@ def _apply(state: SelectionState, move: _Move, iteration: int, scratch: np.ndarr
     return True
 
 
-def _zeroed_grad_sq(state: SelectionState, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Squared gradient entries, written into the (n, T) ``out``, with the supports ``index`` zeroed exactly.
+def _zeroed_grad_sq(state: SelectionState, out: np.ndarray) -> np.ndarray:
+    """Squared gradient entries, written into the (n, T) ``out``, with the current supports zeroed exactly.
 
-    ``index`` holds at least the first max(size) columns of the fit's.
     Entries on a solved support vanish mathematically; zeroing removes the
     floating-point dust so no-op additions never carry positive gain.
     """
     g2 = np.square(state.gradients, out=out)
+    index = state.fit.index
     held = index >= 0
     g2[index[held], np.nonzero(held)[0]] = 0.0
     return g2
@@ -239,11 +239,9 @@ def _romp_replacement(state: SelectionState, m_i: float, family, scratch: np.nda
     in closed form and then the winner's replacement.  The scaled
     squared gradients are built in the (n, T) ``scratch``.
     """
-    # The columns that hold an atom; the coupled steps take at least one.
-    index = state.fit.index[:, : max(int(state.fit.size.max(initial=0)), 1)]
-    scaled_g2 = _zeroed_grad_sq(state, index, scratch)
+    scaled_g2 = _zeroed_grad_sq(state, scratch)
     scaled_g2 /= m_i
-    step = family.step(index, state.removal_costs, m_i)
+    step = family.step(state.fit.index, state.removal_costs, m_i)
     winner = _winner(step.values(scaled_g2), state.atoms)
     if winner is None:
         return None
@@ -281,7 +279,7 @@ def _greedy_tables(state: SelectionState, family: PointFamily, best: np.ndarray,
     fit = state.fit
     for m, idx in size_chunks(fit.size[points], lambda m: len(fit.gram)):
         chunk = points[idx]
-        addable, swappable = family.cats.options(chunk, fit.index[chunk, :m])
+        addable, swappable = family.options(chunk, fit.index[chunk, :m])
         add, swap = gram_gains(fit, chunk)
         sel = addable & (add > 0.0)
         gain = np.where(sel, add, 0.0)

@@ -27,7 +27,7 @@ step of the refit in one chunk, the reference for ``linalg.gram_update``'s
 larger solve chunks.  ``options_reference`` builds a per-point family's
 option masks with the swap mask gathered from the (P, m, C) category
 table, the reference for the label compare of
-``PointCategories.options``.
+``PointFamily.options``.
 """
 
 from __future__ import annotations
@@ -386,7 +386,7 @@ def gram_update_reference(fit, points, removed, atoms) -> np.ndarray:
 
 
 def options_reference(cats, points, supports) -> tuple[np.ndarray, np.ndarray]:
-    """``PointCategories.options`` with both masks gathered from the (P, m, C) table of held categories.
+    """``PointFamily.options`` with both masks gathered from the (P, m, C) table of held categories.
 
     ``addable`` takes each atom's entry of the per-category room with
     ``take_along_axis``, without the atom classes; ``swappable`` gathers

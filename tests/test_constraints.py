@@ -19,7 +19,7 @@ from dictsel import (
     solve_exchange,
 )
 from dictsel import constraints
-from dictsel.constraints import _padded, cheapest_removal, family_state, point_categories
+from dictsel.constraints import _padded, cheapest_removal, family_state
 from dictsel.errors import InfeasibleState
 
 from oracles import average_move_reference, average_search_reference, best_replacement_oracle
@@ -312,9 +312,9 @@ def test_average_replacement_matches_spec_oracle():
 
 
 def point_options(constraint, t, support, num_atoms):
-    """:meth:`PointCategories.options` of support ``t`` alone: masks addable (n,) and swappable (m, n)."""
-    cats = point_categories(constraint, t + 1, num_atoms)
-    addable, swappable = cats.options(np.array([t]), np.array([list(support)], dtype=int))
+    """:meth:`PointFamily.options` of support ``t`` alone: masks addable (n,) and swappable (m, n)."""
+    family = family_state(constraint, t + 1, num_atoms)
+    addable, swappable = family.options(np.array([t]), np.array([list(support)], dtype=int))
     return addable[0], swappable[0]
 
 
@@ -372,7 +372,7 @@ def test_point_options_match_their_gather_reference_bytewise(seed, family):
                 parts = parts[:-1]  # the last part's atoms fall in no category
             rules.append(tuple((frozenset(part.tolist()), int(rng.integers(0, 4))) for part in parts))
         constraint = PartitionMatroid(tuple(rules[int(rng.integers(len(rules)))] for _ in range(t_count)))
-    cats = point_categories(constraint, t_count, n)
+    family = family_state(constraint, t_count, n)
     pool = np.r_[0, 64, rng.choice(np.setdiff1d(np.arange(n), [0, 64]), 6, replace=False)]
     supports = np.full((t_count, k), -1)
     for t in range(t_count):
@@ -380,8 +380,8 @@ def test_point_options_match_their_gather_reference_bytewise(seed, family):
         supports[t, :size] = rng.choice(pool, size=size, replace=False)
     points = rng.permutation(t_count)[: int(rng.integers(0, t_count + 1))]
     for chosen in (points, points[:0]):
-        got = cats.options(chosen, supports[chosen])
-        expected = options_reference(cats, chosen, supports[chosen])
+        got = family.options(chosen, supports[chosen])
+        expected = options_reference(family.cats, chosen, supports[chosen])
         for mask, reference in zip(got, expected):
             assert mask.shape == reference.shape and mask.dtype == reference.dtype
             assert mask.tobytes() == reference.tobytes()
@@ -463,9 +463,11 @@ def test_point_step_values_do_not_depend_on_row_chunks(monkeypatch, family, rows
     empty=st.booleans(),
 )
 def test_steps_price_the_held_columns_as_the_full_width(seed, family, empty):
-    # ROMP prices a step on the first max(size) columns of the fit's k-wide
-    # index, at least one; the pad columns past them change no bit of any
-    # atom's value or replacement, also when every support is empty.
+    # A step prices the supports alike whatever their padded width:
+    # best_replacement pads list supports to the widest (at least one
+    # column), ROMP passes the fit's k-wide index.  The pad columns past
+    # the widest support change no bit of any atom's value or replacement,
+    # also when every support is empty.
     rng = np.random.default_rng(seed)
     t_count = int(rng.integers(1, 9))
     constraint = random_constraint(rng, family, t_count)

@@ -10,10 +10,10 @@ A *feasible replacement* for a candidate atom adds that atom to some
 supports and removes at most one atom from each support, staying inside
 the family.  ``family_state`` gives each family one object that keeps,
 checks and prices its supports, padded into a (T, m) atom array with the
-removal cost of each position: ``PointFamily`` (caps and matroids) keeps
-the category tallies of every support (``point_categories``) up to date
-at the points that change, ``AverageFamily`` checks the support sizes
-and ``BlockFamily`` the distinct atoms of each block.  Its ``step`` is
+removal cost of each position: ``PointFamily`` (caps and matroids) holds
+the category tables and keeps the category tallies of every support up
+to date at the points that change, ``AverageFamily`` checks the support
+sizes and ``BlockFamily`` the distinct atoms of each block.  Its ``step`` is
 the step object of every candidate: ``values`` gives every atom's best
 gain in closed form, ``replacement`` the winner's replacement.  For
 average sparsity the replacement is a budgeted exchange problem; the
@@ -69,6 +69,8 @@ class PartitionMatroid:
             for cat, cap in rule:
                 if cap < 0:
                     raise ValueError(f"rule {t}: negative cap")
+                if min(cat, default=0) < 0:
+                    raise ValueError(f"rule {t}: negative atom")
                 if seen & cat:
                     raise ValueError(f"rule {t}: categories must be disjoint")
                 seen |= cat
@@ -364,88 +366,24 @@ def exchange_sets(gains: np.ndarray, costs: np.ndarray, tight: np.ndarray, slack
     return added, removed
 
 
-@dataclass(frozen=True)
-class PointCategories:
-    """A per-point family as category data.
-
-    Point t follows rule ``rule[t]``: atom b falls in category
-    ``labels[rule[t], b]``, and support t may hold at most
-    ``caps[rule[t], c]`` atoms of category c.  The last category is
-    uncapped (inf) and holds the atoms no category names.  Individual caps
-    are one category of cap s; a partition matroid has its rules'
-    categories, one table row per distinct rule.  Atoms that fall in the
-    same category under every rule form one class (``classes``), so
-    per-atom tables are gathered from one row per class.
-
-    The methods take ``points`` (P,) and their supports as a (P, m) atom
-    array, -1 padding the shorter ones.
-    """
-
-    labels: np.ndarray
-    caps: np.ndarray
-    rule: np.ndarray
-
-    def _labels(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
-        """Rules (P,) and the category of each support entry (P, m; -1 for pads, which match no label)."""
-        rule = self.rule[points]
-        return rule, np.where(supports >= 0, self.labels[rule[:, None], supports], -1)
-
-    @functools.cached_property
-    def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The categories (R, K) of each atom class under every rule, and each atom's class (n,)."""
-        # Sorted by their label columns, the atoms of one class are adjacent;
-        # the zero key keeps the sort defined when there are no rules.
-        order = np.lexsort((*self.labels, np.zeros(self.labels.shape[1], dtype=int)))
-        columns = self.labels[:, order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
-        atom_class = np.empty_like(order)
-        atom_class[order] = np.cumsum(first) - 1
-        return columns[:, first], atom_class
-
-    def tally(self, points, supports, removal_costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per category of each support: the atoms held, the cheapest removal and its position.
-
-        Returns counts (P, C), the smallest ``removal_costs`` (P, m) entry
-        of the category (inf if it holds none) and that entry's position
-        (ties to the lowest atom; -1 if none).
-        """
-        # (P, C, m), so that every reduction runs along the last, contiguous axis.
-        held = self._labels(points, supports)[1][:, None, :] == np.arange(self.caps.shape[1])[:, None]
-        counts = np.count_nonzero(held, axis=2)
-        if not supports.shape[1]:
-            return counts, np.full(counts.shape, math.inf), np.full(counts.shape, -1)
-        costs = np.where(held, removal_costs[:, None, :], math.inf)
-        cheapest = costs.min(axis=2)
-        # Among the cheapest entries of a category, the lowest atom; atoms are below n.
-        ties = np.where(held & (costs == cheapest[:, :, None]), supports[:, None, :], self.labels.shape[1])
-        return counts, cheapest, np.where(counts > 0, np.argmin(ties, axis=2), -1)
-
-
-def point_categories(constraint: SparsityConstraint, t_count: int, num_atoms: int) -> PointCategories:
-    """The category tables of a per-point family over ``t_count`` points and ``num_atoms`` atoms."""
-    if isinstance(constraint, IndividualSparsity):
-        return PointCategories(
-            np.zeros((1, num_atoms), dtype=int), np.array([[constraint.s, math.inf]]), np.zeros(t_count, dtype=int)
-        )
-    if not isinstance(constraint, PartitionMatroid):
-        raise TypeError(f"{type(constraint).__name__} is not a per-point family")
-    distinct: dict = {}
-    rule = np.array([distinct.setdefault(r, len(distinct)) for r in constraint.rules[:t_count]], dtype=int)
-    width = 1 + max((len(r) for r in distinct), default=0)
-    labels = np.full((len(distinct), num_atoms), width - 1)
-    caps = np.full((len(distinct), width), math.inf)
-    for i, r in enumerate(distinct):
-        for c, (cat, cap) in enumerate(r):
-            labels[i, [j for j in cat if j < num_atoms]] = c
-            caps[i, c] = cap
-    return PointCategories(labels, caps, rule)
-
-
 def cheapest_removal(costs: Sequence[float], support: Sequence[int], positions=None) -> int | None:
     """Cheapest position among ``positions`` (default all), ties to the lowest atom; or None."""
     candidates = range(len(support)) if positions is None else positions
     return min(candidates, key=lambda j: (costs[j], support[j]), default=None)
+
+
+def _cheapest(held: np.ndarray, costs: np.ndarray, index: np.ndarray, num_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least ``held`` entry of ``costs`` along the last axis (inf if none) and its position (-1 if none).
+
+    Ties go to the lowest atom of ``index``, as :func:`cheapest_removal` breaks them.
+    """
+    if not held.shape[-1]:
+        return np.full(held.shape[:-1], math.inf), np.full(held.shape[:-1], -1)
+    costs = np.where(held, costs, math.inf)
+    cheapest = costs.min(axis=-1)
+    # Among the cheapest held entries, the lowest atom; atoms are below num_atoms.
+    ties = np.where(held & (costs == cheapest[..., None]), index, num_atoms)
+    return cheapest, np.where(held.any(axis=-1), np.argmin(ties, axis=-1), -1)
 
 
 class PointStep:
@@ -459,14 +397,13 @@ class PointStep:
     """
 
     def __init__(self, family: "PointFamily", index: np.ndarray, cheapest: np.ndarray):
-        self.cats, self.index, self.counts, self.position = family.cats, index, family.counts, family.position
-        self.caps, self.kinds = family.caps, family.kinds
-        table = np.where(self.counts < self.caps, 0.0, cheapest)  # (T, C), per category
-        self.by_class = np.ascontiguousarray(table[np.arange(len(table))[:, None], self.kinds].T)
+        self.family, self.index = family, index
+        table = np.where(family.counts < family.caps, 0.0, cheapest)  # (T, C), per category
+        self.by_class = np.ascontiguousarray(table[np.arange(len(table))[:, None], family.kinds].T)
 
     def costs(self, atoms=slice(None)) -> np.ndarray:
         """The (len(atoms), T) cost, in C order, of each atom's cheapest option at each support."""
-        return np.take(self.by_class, self.cats.classes[1][atoms], axis=0)
+        return np.take(self.by_class, self.family.atom_class[atoms], axis=0)
 
     def values(self, add_gains: np.ndarray) -> np.ndarray:
         """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``.
@@ -487,12 +424,13 @@ class PointStep:
         Every point of positive gain takes the atom, in place of its
         category's cheapest removal when the category is full.
         """
-        kind = self.cats.classes[1][atom]
+        family = self.family
+        kind = family.atom_class[atom]
         gains = np.where((self.index == atom).any(axis=1), 0.0, add_gains) - self.by_class[kind]
         points = np.flatnonzero(gains > 0.0)
-        label = self.kinds[points, kind]  # the atom's category at each point
-        full = self.counts[points, label] >= self.caps[points, label]
-        removed = np.where(full, self.position[points, label], -1)
+        label = family.kinds[points, kind]  # the atom's category at each point
+        full = family.counts[points, label] >= family.caps[points, label]
+        removed = np.where(full, family.position[points, label], -1)
         return points, removed, np.ones(len(points), dtype=bool), float(gains[points].sum())
 
 
@@ -507,13 +445,8 @@ class AverageStep:
     """
 
     def __init__(self, constraint: AverageSparsity, index: np.ndarray, costs: np.ndarray, num_atoms: int):
-        held = index >= 0
-        sizes = np.count_nonzero(held, axis=1)
-        costs = np.where(held, costs, math.inf)
-        self.costs = costs.min(axis=1)
-        # Among the cheapest entries of a support, the lowest atom; atoms are below n.
-        ties = np.where(held & (costs == self.costs[:, None]), index, num_atoms)
-        self.position = np.where(sizes > 0, np.argmin(ties, axis=1), -1)
+        sizes = np.count_nonzero(index >= 0, axis=1)
+        self.costs, self.position = _cheapest(index >= 0, costs, index, num_atoms)
         self.index = index
         self.tight = sizes == np.asarray(constraint.s_t)
         self.slack = constraint.s_prime - int(sizes.sum())
@@ -578,20 +511,18 @@ class BlockStep:
     def __init__(self, constraint: BlockSparsity, index: np.ndarray, costs: np.ndarray, num_atoms: int):
         count = len(constraint.blocks)
         self.index = index
-        self.order, self.block_of, self.columns = constraint.layout
+        order, self.block_of, self.columns = constraint.layout
         # (block, atom) pairs point by point in block order; bincount adds
         # each pair's costs in that order.
-        rows, cols = np.nonzero(index[self.order] >= 0)
-        pairs = self.block_of[self.order[rows]] * num_atoms + index[self.order[rows], cols]
-        union = np.bincount(pairs, costs[self.order[rows], cols], count * num_atoms).reshape(count, num_atoms)
+        rows, cols = np.nonzero(index[order] >= 0)
+        pairs = self.block_of[order[rows]] * num_atoms + index[order[rows], cols]
+        union = np.bincount(pairs, costs[order[rows], cols], count * num_atoms).reshape(count, num_atoms)
         self.member = np.bincount(pairs, minlength=count * num_atoms).reshape(count, num_atoms) > 0
         self.union = np.where(self.member, union, math.inf)
         self.full = self.member.sum(axis=1) >= np.asarray(constraint.caps)
 
     def _block_sums(self, rows: np.ndarray) -> np.ndarray:
         """Per-block sums (..., B) of the per-point ``rows`` (..., T), added point by point in block order."""
-        if rows.ndim == 1:
-            return np.bincount(self.block_of[self.order], rows[self.order], len(self.full))
         sums = np.zeros((*rows.shape[:-1], len(self.full)))
         for blocks, points in self.columns:
             sums[..., blocks] += rows.take(points, axis=-1)
@@ -666,28 +597,67 @@ def require_feasible(constraint: SparsityConstraint, supports: Sequence) -> None
 class PointFamily:
     """A per-point family's category tables and the tally of every support.
 
+    Point t follows rule ``rule[t]``: atom b falls in category
+    ``labels[rule[t], b]``, and support t may hold at most ``caps[t, c]``
+    atoms of category c.  The last category is uncapped (inf) and holds
+    the atoms no category names.  A partition matroid has its rules'
+    categories, one ``labels`` row per distinct rule; individual caps are
+    the one rule of one category of cap s.  Atoms that fall in the same
+    category under every rule form one class (``atom_class`` (n,)), and
+    ``kinds`` (T, K) is the category of each class at each point, so
+    per-atom tables are gathered from one row per class.
+
     ``counts``, ``cheapest`` and ``position`` are (T, C): per category of
-    each support, the atoms held, the cheapest unscaled removal and its
-    position (see :meth:`PointCategories.tally`).  They start as the tally
-    of empty supports; :meth:`refresh` tallies only the supports that
-    changed.  ``caps`` (T, C) and ``kinds`` (T, K) are each support's
-    category caps and the category of each atom class under its rule,
-    which :meth:`options` and the steps read.
+    each support, the atoms held, the cheapest unscaled removal (inf if it
+    holds none) and its position (ties to the lowest atom; -1 if none).
+    They start as the tally of empty supports; :meth:`refresh` tallies
+    only the supports that changed.
     """
 
-    def __init__(self, cats: PointCategories):
-        shape = (len(cats.rule), cats.caps.shape[1])
-        self.cats, self.caps, self.kinds = cats, cats.caps[cats.rule], cats.classes[0][cats.rule]
-        self.counts = np.zeros(shape, dtype=int)
-        self.cheapest = np.full(shape, math.inf)
-        self.position = np.full(shape, -1)
+    def __init__(self, constraint: SparsityConstraint, t_count: int, num_atoms: int):
+        if isinstance(constraint, IndividualSparsity):
+            rules = (((frozenset(range(num_atoms)), constraint.s),),) * t_count
+        elif isinstance(constraint, PartitionMatroid):
+            rules = constraint.rules[:t_count]
+        else:
+            raise TypeError(f"{type(constraint).__name__} is not a per-point family")
+        distinct: dict = {}
+        self.rule = np.array([distinct.setdefault(r, len(distinct)) for r in rules], dtype=int)
+        width = 1 + max((len(r) for r in distinct), default=0)
+        self.labels = np.full((len(distinct), num_atoms), width - 1)
+        caps = np.full((len(distinct), width), math.inf)
+        for i, r in enumerate(distinct):
+            for c, (cat, cap) in enumerate(r):
+                self.labels[i, [j for j in cat if j < num_atoms]] = c
+                caps[i, c] = cap
+        # Sorted by their label columns, the atoms of one class are adjacent;
+        # the zero key keeps the sort defined when there are no rules.
+        order = np.lexsort((*self.labels, np.zeros(num_atoms, dtype=int)))
+        columns = self.labels[:, order]
+        first = np.ones(num_atoms, dtype=bool)
+        first[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
+        self.atom_class = np.empty_like(order)
+        self.atom_class[order] = np.cumsum(first) - 1
+        self.caps, self.kinds = caps[self.rule], columns[:, first][self.rule]
+        self.counts = np.zeros(self.caps.shape, dtype=int)
+        self.cheapest = np.full(self.caps.shape, math.inf)
+        self.position = np.full(self.caps.shape, -1)
+
+    def _labels(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
+        """Rules (P,) and the category of each (P, m) support entry (-1 for pads, which match no label)."""
+        rule = self.rule[points]
+        return rule, np.where(supports >= 0, self.labels[rule[:, None], supports], -1)
 
     def refresh(self, index, size, costs, points) -> None:
         """Tally the supports of ``points`` again; InfeasibleState unless they are within their caps."""
         m = int(size[points].max(initial=0))
-        tally = self.cats.tally(points, index[points, :m], costs(points, m))
-        self.counts[points], self.cheapest[points], self.position[points] = tally
-        _require(not (tally[0] > self.caps[points]).any())
+        supports = index[points, :m]
+        # (P, C, m), so that every reduction runs along the last, contiguous axis.
+        held = self._labels(points, supports)[1][:, None, :] == np.arange(self.caps.shape[1])[:, None]
+        self.counts[points] = counts = np.count_nonzero(held, axis=2)
+        cheapest = _cheapest(held, costs(points, m)[:, None, :], supports[:, None, :], self.labels.shape[1])
+        self.cheapest[points], self.position[points] = cheapest
+        _require(not (counts > self.caps[points]).any())
 
     def options(self, points, supports) -> tuple[np.ndarray, np.ndarray]:
         """Which atoms may join each support and which positions each may replace.
@@ -698,14 +668,14 @@ class PointFamily:
         below its cap (uncategorized atoms always), else replace only an
         atom of its own category.
         """
-        rule, label = self.cats._labels(points, supports)
-        outside = np.ones((len(rule), self.cats.labels.shape[1]), dtype=bool)
+        rule, label = self._labels(points, supports)
+        outside = np.ones((len(rule), self.labels.shape[1]), dtype=bool)
         rows, cols = np.nonzero(supports >= 0)
         outside[rows, supports[rows, cols]] = False
         held = label[:, :, None] == np.arange(self.caps.shape[1])
         room = held.sum(axis=1) < self.caps[points]
-        addable = room[np.arange(len(rule))[:, None], self.kinds[points]][:, self.cats.classes[1]] & outside
-        same = label[:, :, None] == self.cats.labels[rule][:, None, :]  # entry j and atom b share a category
+        addable = room[np.arange(len(rule))[:, None], self.kinds[points]][:, self.atom_class] & outside
+        same = label[:, :, None] == self.labels[rule][:, None, :]  # entry j and atom b share a category
         return addable, same & (outside & ~addable)[:, None, :]
 
     def step(self, index, costs, scale: float) -> PointStep:
@@ -770,7 +740,7 @@ def family_state(constraint: SparsityConstraint, t_count: int, num_atoms: int):
         return AverageFamily(constraint, num_atoms, constraint.s_t)
     if isinstance(constraint, BlockSparsity):
         return BlockFamily(constraint, num_atoms, constraint.caps)
-    return PointFamily(point_categories(constraint, t_count, num_atoms))
+    return PointFamily(constraint, t_count, num_atoms)
 
 
 def best_replacement(
@@ -787,19 +757,28 @@ def best_replacement(
     cost of dropping the j-th atom of Z_t; entries for supports already
     holding the candidate must be zero.  ``supports`` are the current Z_t
     as ordered index sequences (the order fixes removal-cost positions);
-    InfeasibleState unless they are feasible.  Nonpositive additions are
-    declined, so the gain is never negative and feasibility is kept.
+    InfeasibleState unless they are feasible; ValueError unless
+    ``add_gains`` is one non-NaN gain per support, ``removal_costs`` one
+    cost per support atom and ``atom`` nonnegative.  Nonpositive additions
+    are declined, so the gain is never negative and feasibility is kept.
     """
+    add_gains = np.asarray(add_gains, dtype=float)
+    if add_gains.shape != (len(supports),) or np.isnan(add_gains).any():
+        raise ValueError("add_gains must hold one non-NaN gain per support")
+    if len(removal_costs) != len(supports) or any(len(c) != len(z) for c, z in zip(removal_costs, supports)):
+        raise ValueError("removal_costs must hold one cost per support atom")
+    if atom < 0:
+        raise ValueError("atom must be nonnegative")
     _require(num_points(constraint) in (None, len(supports)))  # the family's refresh checks the rest
     index, padded = _padded(supports, removal_costs)
 
     def costs(rows, m):
         return padded[rows, :m]
 
-    family = family_state(constraint, len(index), 1 + max(atom, int(index.max())))
+    family = family_state(constraint, len(index), 1 + max(atom, int(index.max(initial=-1))))
     family.refresh(index, np.count_nonzero(index >= 0, axis=1), costs, np.arange(len(index)))
     step = family.step(index, costs, 1.0)
-    points, removed, add, gain = step.replacement(atom, np.asarray(add_gains, dtype=float))
+    points, removed, add, gain = step.replacement(atom, add_gains)
     per_t = [
         (t, None if r < 0 else int(index[t, r]), a) for t, r, a in zip(points.tolist(), removed.tolist(), add.tolist())
     ]

@@ -7,7 +7,7 @@ Three selectors over a common selection state:
 * ``replacement_greedy`` adds one atom per step via the best feasible
   replacement measured by exact objective differences; per-point
   families only, whose options come from their category tables
-  (``constraints.PointCategories``).
+  (``constraints.PointFamily``).
 * ``replacement_omp`` replaces the exact differences with gradient-based
   proxy gains weighted by a smoothness parameter, which makes the
   per-step search a linear-objective problem and extends to block and

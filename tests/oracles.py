@@ -385,22 +385,22 @@ def gram_update_reference(fit, points, removed, atoms) -> np.ndarray:
     return appended
 
 
-def options_reference(cats, points, supports) -> tuple[np.ndarray, np.ndarray]:
+def options_reference(family, points, supports) -> tuple[np.ndarray, np.ndarray]:
     """``PointFamily.options`` with both masks gathered from the (P, m, C) table of held categories.
 
     ``addable`` takes each atom's entry of the per-category room with
     ``take_along_axis``, without the atom classes; ``swappable`` gathers
     the held table at each atom's category.
     """
-    rule = cats.rule[points]
-    label = np.where(supports >= 0, cats.labels[rule[:, None], supports], -1)
-    held = label[:, :, None] == np.arange(cats.caps.shape[1])  # pads (-1) in no category
-    outside = np.ones((len(rule), cats.labels.shape[1]), dtype=bool)
+    rule = family.rule[points]
+    label = np.where(supports >= 0, family.labels[rule[:, None], supports], -1)
+    held = label[:, :, None] == np.arange(family.caps.shape[1])  # pads (-1) in no category
+    outside = np.ones((len(rule), family.labels.shape[1]), dtype=bool)
     rows, cols = np.nonzero(supports >= 0)
     outside[rows, supports[rows, cols]] = False
-    room = held.sum(axis=1) < cats.caps[rule]
-    addable = np.take_along_axis(room, cats.labels[rule], axis=1) & outside
-    same = np.take_along_axis(held, cats.labels[rule][:, None, :], axis=2)
+    room = held.sum(axis=1) < family.caps[points]
+    addable = np.take_along_axis(room, family.labels[rule], axis=1) & outside
+    same = np.take_along_axis(held, family.labels[rule][:, None, :], axis=2)
     return addable, same & (outside & ~addable)[:, None, :]
 
 

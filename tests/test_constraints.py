@@ -188,6 +188,25 @@ def test_best_replacement_infeasible_state():
         best_replacement(IndividualSparsity(1), [[1, 2]], 5, np.zeros(1), [np.zeros(2)])
 
 
+@pytest.mark.parametrize("case", ["one_gain", "nan_gain", "negative_atom", "cost_length", "cost_count", "no_supports"])
+def test_best_replacement_checks_its_inputs(case):
+    # Malformed inputs raise ValueError before any family is built: a
+    # single gain is not broadcast to every support, a NaN gain is not
+    # skipped, atom -1 is not an atom.  No supports give the empty
+    # replacement under every family.
+    supports, atom, gains, costs = [[1], [2]], 5, [1.0, 1.0], [[0.5], [0.5]]
+    if case == "no_supports":
+        for constraint in (IndividualSparsity(2), PartitionMatroid(()), AverageSparsity((), 3), BlockSparsity((), ())):
+            rep = best_replacement(constraint, [], atom, np.zeros(0), [])
+            assert (rep.added_atom, rep.per_t, rep.gain) == (atom, [], 0.0)
+        return
+    gains = {"one_gain": [1.0], "nan_gain": [1.0, math.nan]}.get(case, gains)
+    atom = -1 if case == "negative_atom" else atom
+    costs = {"cost_length": [[0.5], [0.5, 0.5]], "cost_count": [[0.5]]}.get(case, costs)
+    with pytest.raises(ValueError):
+        best_replacement(IndividualSparsity(2), supports, atom, np.array(gains), [np.array(c) for c in costs])
+
+
 def test_best_replacement_romp_branch_structure():
     # Below-cap points take max(0, g); at-cap points take max(0, g - min cost).
     rng = np.random.default_rng(34)
@@ -381,7 +400,7 @@ def test_point_options_match_their_gather_reference_bytewise(seed, family):
     points = rng.permutation(t_count)[: int(rng.integers(0, t_count + 1))]
     for chosen in (points, points[:0]):
         got = family.options(chosen, supports[chosen])
-        expected = options_reference(family.cats, chosen, supports[chosen])
+        expected = options_reference(family, chosen, supports[chosen])
         for mask, reference in zip(got, expected):
             assert mask.shape == reference.shape and mask.dtype == reference.dtype
             assert mask.tobytes() == reference.tobytes()
@@ -508,6 +527,39 @@ def test_cheapest_removal_ties_go_to_lowest_atom():
 def test_matroid_rejects_overlapping_categories():
     with pytest.raises(ValueError):
         PartitionMatroid((((frozenset({0, 1}), 1), (frozenset({1, 2}), 1)),))
+
+
+def test_matroid_rejects_negative_atoms():
+    # Atom -1 would otherwise be read as atom n - 1 by the family's tables
+    # but as no atom by is_feasible.
+    with pytest.raises(ValueError):
+        PartitionMatroid((((frozenset({-1}), 0),),) * 2)
+
+
+def test_individual_caps_are_the_uniform_matroid_bytewise():
+    # Individual caps build the tables of the uniform matroid's one rule,
+    # and tally, price and replace alike.
+    rng = np.random.default_rng(72)
+    t_count, s = 9, 2
+    pair = (IndividualSparsity(s), PartitionMatroid.uniform(t_count, N_ATOMS, s))
+    names = ("rule", "labels", "caps", "kinds", "atom_class", "counts", "cheapest", "position")
+
+    def tables(family):
+        return [(a.shape, a.dtype, a.tobytes()) for a in (getattr(family, name) for name in names)]
+
+    assert tables(family_state(pair[0], t_count, N_ATOMS)) == tables(family_state(pair[1], t_count, N_ATOMS))
+    supports = random_supports(rng, pair[0], t_count)
+    index = np.full((t_count, s), -1)
+    for t, z in enumerate(supports):
+        index[t, : len(z)] = z
+    removal = rng.choice([0.25, 0.5, 0.75], size=index.shape)  # ties are common
+    add = np.round(rng.uniform(0.0, 1.0, size=(N_ATOMS, t_count)), 1)
+    steps = [padded_step(constraint, index, removal, N_ATOMS) for constraint in pair]  # one refresh each
+    assert tables(steps[0].family) == tables(steps[1].family)
+    assert steps[0].values(add).tobytes() == steps[1].values(add).tobytes()
+    for atom in range(N_ATOMS):
+        for got, expected in zip(steps[0].replacement(atom, add[atom]), steps[1].replacement(atom, add[atom])):
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_apply_replacement_keeps_untouched_points():

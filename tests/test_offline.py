@@ -396,7 +396,7 @@ def test_point_family_tallies_match_a_full_refresh_after_every_step(monkeypatch,
 
     def checked_refresh(self, index, size, costs, points):
         refresh(self, index, size, costs, points)
-        fresh = constraints.PointFamily(self.cats)
+        fresh = constraints.family_state(constraint, len(index), self.labels.shape[1])
         refresh(fresh, index, size, costs, np.arange(len(index)))
         for name in ("counts", "cheapest", "position"):
             assert getattr(self, name).tobytes() == getattr(fresh, name).tobytes(), (len(touched), name)

@@ -13,16 +13,16 @@ checks and prices its supports, padded into a (T, m) atom array with the
 removal cost of each position: ``PointFamily`` (caps and matroids) holds
 the category tables and keeps the category tallies of every support up
 to date at the points that change, ``AverageFamily`` checks the support
-sizes and ``BlockFamily`` the distinct atoms of each block.  Its ``step`` is
-the step object of every candidate: ``values`` gives every atom's best
-gain in closed form, ``replacement`` the winner's replacement.  For
-average sparsity the replacement is a budgeted exchange problem; the
-step takes its moves from sorted arrays in closed form
-(``exchange_sets``), the points that ``solve_exchange``, the exact
-O(T log T) heap greedy, picks; a tie at the lowest gain taken that holds
-a tight point's pair goes to that greedy.  ``best_replacement`` takes
-supports as lists, pads them once and runs the same family object for
-one atom.
+sizes and ``BlockFamily`` the distinct atoms of each block.  Its ``step``
+stores one step's tables on the family, shared by every candidate atom:
+``values`` then gives every atom's best gain in closed form,
+``replacement`` the winner's replacement.  For average sparsity the
+replacement is a budgeted exchange problem, whose moves come from sorted
+arrays in closed form (``exchange_sets``): the points that
+``solve_exchange``, the exact O(T log T) heap greedy, picks; a tie at
+the lowest gain taken that holds a tight point's pair goes to that
+greedy.  ``best_replacement`` takes supports as lists, pads them once and
+runs the same family object for one atom.
 """
 
 from __future__ import annotations
@@ -64,7 +64,10 @@ class PartitionMatroid:
     rules: tuple[tuple[tuple[frozenset, int], ...], ...]
 
     def __post_init__(self):
+        first: dict = {}
         for t, rule in enumerate(self.rules):
+            first.setdefault(rule, t)
+        for rule, t in first.items():  # each distinct rule once, named by the first point that uses it
             seen: set = set()
             for cat, cap in rule:
                 if cap < 0:
@@ -386,180 +389,6 @@ def _cheapest(held: np.ndarray, costs: np.ndarray, index: np.ndarray, num_atoms:
     return cheapest, np.where(held.any(axis=-1), np.argmin(ties, axis=-1), -1)
 
 
-class PointStep:
-    """A per-point family's option costs, shared by every candidate atom of a step.
-
-    Built by :meth:`PointFamily.step` from the family's tally of the
-    padded supports ``index``, ``cheapest`` in the step's scaled costs.
-    ``by_class`` (K, T) is what an atom of each class pays to join each
-    support: 0 while its category has room, else the category's cheapest
-    removal (inf if it holds none).
-    """
-
-    def __init__(self, family: "PointFamily", index: np.ndarray, cheapest: np.ndarray):
-        self.family, self.index = family, index
-        table = np.where(family.counts < family.caps, 0.0, cheapest)  # (T, C), per category
-        self.by_class = np.ascontiguousarray(table[np.arange(len(table))[:, None], family.kinds].T)
-
-    def costs(self, atoms=slice(None)) -> np.ndarray:
-        """The (len(atoms), T) cost, in C order, of each atom's cheapest option at each support."""
-        return np.take(self.by_class, self.family.atom_class[atoms], axis=0)
-
-    def values(self, add_gains: np.ndarray) -> np.ndarray:
-        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``.
-
-        Atoms are priced ``stack_rows(T)`` rows at a time, so a step holds
-        no (n, T) array besides ``add_gains``; each row is summed on its
-        own, so the chunking does not change a bit.
-        """
-        out = np.empty(len(add_gains))
-        for block in _row_chunks(add_gains):
-            gains = self.costs(block)  # overwritten
-            np.maximum(np.subtract(add_gains[block], gains, out=gains), 0.0, out=gains).sum(axis=1, out=out[block])
-        return out
-
-    def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
-        """``atom``'s best replacement, as :meth:`AverageStep.replacement` gives it.
-
-        Every point of positive gain takes the atom, in place of its
-        category's cheapest removal when the category is full.
-        """
-        family = self.family
-        kind = family.atom_class[atom]
-        gains = np.where((self.index == atom).any(axis=1), 0.0, add_gains) - self.by_class[kind]
-        points = np.flatnonzero(gains > 0.0)
-        label = family.kinds[points, kind]  # the atom's category at each point
-        full = family.counts[points, label] >= family.caps[points, label]
-        removed = np.where(full, family.position[points, label], -1)
-        return points, removed, np.ones(len(points), dtype=bool), float(gains[points].sum())
-
-
-class AverageStep:
-    """Average sparsity's exchange data, shared by every candidate atom of a step.
-
-    Built by :meth:`AverageFamily.step` from the padded supports.
-    ``position`` (T,) is each support's cheapest removal (ties to the
-    lowest atom; -1 if the support is empty) and ``costs`` its cost (inf
-    if empty); ``tight`` marks the supports at their cap and ``slack`` is
-    the room left under the global cap.
-    """
-
-    def __init__(self, constraint: AverageSparsity, index: np.ndarray, costs: np.ndarray, num_atoms: int):
-        sizes = np.count_nonzero(index >= 0, axis=1)
-        self.costs, self.position = _cheapest(index >= 0, costs, index, num_atoms)
-        self.index = index
-        self.tight = sizes == np.asarray(constraint.s_t)
-        self.slack = constraint.s_prime - int(sizes.sum())
-
-    def values(self, add_gains: np.ndarray) -> np.ndarray:
-        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``.
-
-        Atoms are priced ``stack_rows(T)`` rows at a time, as in
-        :meth:`PointStep.values`; every sort, sum and maximum runs along a
-        row, the sums in point order, so the chunking does not change a bit.
-        """
-        out = np.empty(len(add_gains))
-        for block in _row_chunks(add_gains):
-            out[block] = self._values(add_gains[block])
-        return out
-
-    def _values(self, add_gains: np.ndarray) -> np.ndarray:
-        # An exchange solution splits into pairs at tight points (an addition
-        # and its own point's removal, worth g - c), plain additions at the
-        # other points and extra removals; only the last two meet the budget
-        # |additions| <= |removals| + slack.  A tight point spent as an extra
-        # removal gives up its pair, so its effective cost is c + max(0, g - c).
-        g = np.maximum(add_gains, 0.0)
-        pairs = np.maximum(g.T[self.tight] - self.costs[self.tight, None], 0.0)  # (tight points, atoms)
-        effective = np.repeat(self.costs[None, :], g.shape[0], axis=0)
-        effective[:, self.tight] += pairs.T
-        # Best total of a additions and cheapest total of r removals, a, r >= 0.
-        adds = _prefix_sums(np.sort(g[:, ~self.tight], axis=1)[:, ::-1])
-        removals = _prefix_sums(np.sort(effective, axis=1))
-        needed = np.maximum(np.arange(adds.shape[1]) - self.slack, 0)
-        # Each atom's pairs added point by point, whatever the chunk's row count.
-        totals = np.zeros((len(pairs) + 1, g.shape[0]))
-        np.cumsum(pairs, axis=0, out=totals[1:])
-        return totals[-1] + (adds - removals[:, needed]).max(axis=1)
-
-    def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
-        """``atom``'s best replacement: (points, removed, add, gain).
-
-        ``points`` ascend; point ``points[i]`` gives up support position
-        ``removed[i]`` (none if -1) and takes the atom if ``add[i]``.  The
-        points and the gain are those :func:`solve_exchange` gives for the
-        step's exchange instance, taken from :func:`exchange_sets`.
-        """
-        g = np.where((self.index == atom).any(axis=1), 0.0, np.maximum(add_gains, 0.0))
-        added, removed = exchange_sets(g, self.costs, self.tight, self.slack)
-        points = np.flatnonzero(added | removed)
-        gain = float(np.sum(g[added])) - float(np.sum(self.costs[removed]))
-        return points, np.where(removed[points], self.position[points], -1), added[points], gain
-
-
-class BlockStep:
-    """Block sparsity's union data, shared by every candidate atom of a step.
-
-    Built by :meth:`BlockFamily.step` from the padded supports.
-    ``member`` (B, n) marks the atoms each block's supports use and
-    ``union`` (B, n) holds what dropping each from every support of the
-    block costs (inf for the other atoms); ``full`` (B,) marks the unions
-    at their cap.  Every per-block sum adds its points' terms one by one in
-    block order, as the constraint lists the points.
-    """
-
-    def __init__(self, constraint: BlockSparsity, index: np.ndarray, costs: np.ndarray, num_atoms: int):
-        count = len(constraint.blocks)
-        self.index = index
-        order, self.block_of, self.columns = constraint.layout
-        # (block, atom) pairs point by point in block order; bincount adds
-        # each pair's costs in that order.
-        rows, cols = np.nonzero(index[order] >= 0)
-        pairs = self.block_of[order[rows]] * num_atoms + index[order[rows], cols]
-        union = np.bincount(pairs, costs[order[rows], cols], count * num_atoms).reshape(count, num_atoms)
-        self.member = np.bincount(pairs, minlength=count * num_atoms).reshape(count, num_atoms) > 0
-        self.union = np.where(self.member, union, math.inf)
-        self.full = self.member.sum(axis=1) >= np.asarray(constraint.caps)
-
-    def _block_sums(self, rows: np.ndarray) -> np.ndarray:
-        """Per-block sums (..., B) of the per-point ``rows`` (..., T), added point by point in block order."""
-        sums = np.zeros((*rows.shape[:-1], len(self.full)))
-        for blocks, points in self.columns:
-            sums[..., blocks] += rows.take(points, axis=-1)
-        return sums
-
-    def values(self, add_gains: np.ndarray) -> np.ndarray:
-        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``."""
-        base = self._block_sums(np.maximum(add_gains, 0.0))  # (n, B)
-        # A full union takes the candidate only in place of its cheapest atom.
-        cheapest = self.union.min(axis=1)
-        value = np.where(self.member.T | ~self.full, base, np.maximum(base - cheapest, 0.0))
-        return _prefix_sums(value)[:, -1]  # blocks added in order
-
-    def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
-        """``atom``'s best replacement, as :meth:`AverageStep.replacement` gives it.
-
-        A block takes the atom at its points of positive gain.  A full
-        union that lacks the atom must also drop the union atom whose
-        removal leaves the most gain (the lowest on ties), and the block
-        joins only if that gain is positive.
-        """
-        g = np.where((self.index == atom).any(axis=1), 0.0, add_gains)
-        adds = g > 0.0
-        base = self._block_sums(np.where(adds, g, 0.0))
-        left = base[:, None] - self.union  # -inf for atoms outside the union
-        drop = np.argmax(left, axis=1)
-        lacking = self.full & ~self.member[:, atom]
-        gain = np.where(lacking, left[np.arange(len(drop)), drop], base)
-        take = gain > 0.0
-        dropped = np.where(take & lacking, drop, -1)[self.block_of]
-        hit = (self.index == dropped[:, None]) & (dropped >= 0)[:, None]
-        removes = hit.any(axis=1)
-        points = np.flatnonzero(take[self.block_of] & (adds | removes))
-        removed = np.where(removes, np.argmax(hit, axis=1), -1)[points]
-        return points, removed, adds[points], float(gain[take].sum())
-
-
 def _padded(supports: Sequence[Sequence[int]], removal_costs: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Supports and their removal costs as (T, m) arrays, m >= 1, -1 and inf padding the shorter rows."""
     index = np.full((len(supports), max([1, *map(len, supports)])), -1)
@@ -611,7 +440,9 @@ class PointFamily:
     each support, the atoms held, the cheapest unscaled removal (inf if it
     holds none) and its position (ties to the lowest atom; -1 if none).
     They start as the tally of empty supports; :meth:`refresh` tallies
-    only the supports that changed.
+    only the supports that changed.  :meth:`step` sets ``by_class`` (K, T),
+    what an atom of each class pays to join each support: 0 while its
+    category has room, else the category's cheapest removal (inf if none).
     """
 
     def __init__(self, constraint: SparsityConstraint, t_count: int, num_atoms: int):
@@ -678,39 +509,130 @@ class PointFamily:
         same = label[:, :, None] == self.labels[rule][:, None, :]  # entry j and atom b share a category
         return addable, same & (outside & ~addable)[:, None, :]
 
-    def step(self, index, costs, scale: float) -> PointStep:
-        """The step data of the supports, removals costing ``scale`` times their tallied cost."""
-        return PointStep(self, index, scale * self.cheapest)
+    def step(self, index, costs, scale: float) -> "PointFamily":
+        """Price the supports ``index``, removals costing ``scale`` times their tallied cost; returns the family."""
+        self.index = index
+        table = np.where(self.counts < self.caps, 0.0, scale * self.cheapest)  # (T, C), per category
+        self.by_class = np.ascontiguousarray(table[np.arange(len(table))[:, None], self.kinds].T)
+        return self
+
+    def costs(self, atoms=slice(None)) -> np.ndarray:
+        """The (len(atoms), T) cost, in C order, of each atom's cheapest option at each support."""
+        return np.take(self.by_class, self.atom_class[atoms], axis=0)
+
+    def values(self, add_gains: np.ndarray) -> np.ndarray:
+        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``.
+
+        Atoms are priced ``stack_rows(T)`` rows at a time, so a step holds
+        no (n, T) array besides ``add_gains``; each row is summed on its
+        own, so the chunking does not change a bit.
+        """
+        out = np.empty(len(add_gains))
+        for block in _row_chunks(add_gains):
+            gains = self.costs(block)  # overwritten
+            np.maximum(np.subtract(add_gains[block], gains, out=gains), 0.0, out=gains).sum(axis=1, out=out[block])
+        return out
+
+    def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
+        """``atom``'s best replacement, as :meth:`AverageFamily.replacement` gives it.
+
+        Every point of positive gain takes the atom, in place of its
+        category's cheapest removal when the category is full.
+        """
+        kind = self.atom_class[atom]
+        gains = np.where((self.index == atom).any(axis=1), 0.0, add_gains) - self.by_class[kind]
+        points = np.flatnonzero(gains > 0.0)
+        label = self.kinds[points, kind]  # the atom's category at each point
+        full = self.counts[points, label] >= self.caps[points, label]
+        removed = np.where(full, self.position[points, label], -1)
+        return points, removed, np.ones(len(points), dtype=bool), float(gains[points].sum())
 
 
-class _CoupledFamily:
-    """A family that couples the points: checked on all supports, priced by a step built from all of them."""
+class AverageFamily:
+    """Average sparsity: its caps, and the exchange data of the supports of the last :meth:`step`.
 
-    step_type: type
+    ``position`` (T,) is each support's cheapest removal (ties to the
+    lowest atom; -1 if the support is empty) and ``costs`` its cost (inf
+    if empty); ``tight`` marks the supports at their cap and ``slack`` is
+    the room left under the global cap.
+    """
 
-    def __init__(self, constraint, num_atoms: int, caps):
-        self.constraint, self.num_atoms, self.caps = constraint, num_atoms, np.asarray(caps, dtype=int)
-
-    def step(self, index, costs, scale: float):
-        """The step data of the supports, removals costing ``scale`` times ``costs``."""
-        return self.step_type(self.constraint, index, scale * costs(slice(None), index.shape[1]), self.num_atoms)
-
-
-class AverageFamily(_CoupledFamily):
-    """Average sparsity, priced by an :class:`AverageStep`."""
-
-    step_type = AverageStep
+    def __init__(self, constraint: AverageSparsity, num_atoms: int):
+        self.constraint, self.num_atoms, self.caps = constraint, num_atoms, np.asarray(constraint.s_t, dtype=int)
 
     def refresh(self, index, size, costs, points) -> None:
         """InfeasibleState unless each ``size`` is within its cap ``s_t`` and their sum within ``s_prime``."""
         caps = self.caps
         _require(len(size) == len(caps) and bool((size <= caps).all()) and int(size.sum()) <= self.constraint.s_prime)
 
+    def step(self, index, costs, scale: float) -> "AverageFamily":
+        """Price the supports ``index``, removals costing ``scale`` times ``costs``; returns the family."""
+        costs = scale * costs(slice(None), index.shape[1])
+        sizes = np.count_nonzero(index >= 0, axis=1)
+        self.costs, self.position = _cheapest(index >= 0, costs, index, self.num_atoms)
+        self.index = index
+        self.tight = sizes == self.caps
+        self.slack = self.constraint.s_prime - int(sizes.sum())
+        return self
 
-class BlockFamily(_CoupledFamily):
-    """Block sparsity, priced by a :class:`BlockStep`."""
+    def values(self, add_gains: np.ndarray) -> np.ndarray:
+        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``.
 
-    step_type = BlockStep
+        Atoms are priced ``stack_rows(T)`` rows at a time, as in
+        :meth:`PointFamily.values`; every sort, sum and maximum runs along a
+        row, the sums in point order, so the chunking does not change a bit.
+        """
+        out = np.empty(len(add_gains))
+        for block in _row_chunks(add_gains):
+            out[block] = self._values(add_gains[block])
+        return out
+
+    def _values(self, add_gains: np.ndarray) -> np.ndarray:
+        # An exchange solution splits into pairs at tight points (an addition
+        # and its own point's removal, worth g - c), plain additions at the
+        # other points and extra removals; only the last two meet the budget
+        # |additions| <= |removals| + slack.  A tight point spent as an extra
+        # removal gives up its pair, so its effective cost is c + max(0, g - c).
+        g = np.maximum(add_gains, 0.0)
+        pairs = np.maximum(g.T[self.tight] - self.costs[self.tight, None], 0.0)  # (tight points, atoms)
+        effective = np.repeat(self.costs[None, :], g.shape[0], axis=0)
+        effective[:, self.tight] += pairs.T
+        # Best total of a additions and cheapest total of r removals, a, r >= 0.
+        adds = _prefix_sums(np.sort(g[:, ~self.tight], axis=1)[:, ::-1])
+        removals = _prefix_sums(np.sort(effective, axis=1))
+        needed = np.maximum(np.arange(adds.shape[1]) - self.slack, 0)
+        # Each atom's pairs added point by point, whatever the chunk's row count.
+        totals = np.zeros((len(pairs) + 1, g.shape[0]))
+        np.cumsum(pairs, axis=0, out=totals[1:])
+        return totals[-1] + (adds - removals[:, needed]).max(axis=1)
+
+    def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
+        """``atom``'s best replacement: (points, removed, add, gain).
+
+        ``points`` ascend; point ``points[i]`` gives up support position
+        ``removed[i]`` (none if -1) and takes the atom if ``add[i]``.  The
+        points and the gain are those :func:`solve_exchange` gives for the
+        step's exchange instance, taken from :func:`exchange_sets`.
+        """
+        g = np.where((self.index == atom).any(axis=1), 0.0, np.maximum(add_gains, 0.0))
+        added, removed = exchange_sets(g, self.costs, self.tight, self.slack)
+        points = np.flatnonzero(added | removed)
+        gain = float(np.sum(g[added])) - float(np.sum(self.costs[removed]))
+        return points, np.where(removed[points], self.position[points], -1), added[points], gain
+
+
+class BlockFamily:
+    """Block sparsity: its caps, and the union data of the supports of the last :meth:`step`.
+
+    ``member`` (B, n) marks the atoms each block's supports use and
+    ``union`` (B, n) holds what dropping each from every support of the
+    block costs (inf for the other atoms); ``full`` (B,) marks the unions
+    at their cap.  Every per-block sum adds its points' terms one by one in
+    block order, as the constraint lists the points.
+    """
+
+    def __init__(self, constraint: BlockSparsity, num_atoms: int):
+        self.constraint, self.num_atoms, self.caps = constraint, num_atoms, np.asarray(constraint.caps, dtype=int)
 
     def refresh(self, index, size, costs, points) -> None:
         """InfeasibleState unless each block's supports use at most its cap of distinct atoms."""
@@ -719,6 +641,60 @@ class BlockFamily(_CoupledFamily):
         used = np.zeros((len(self.caps), self.num_atoms + 1), dtype=bool)  # pads (-1) mark the last column
         used[block_of[:, None], index] = True
         _require(bool((np.count_nonzero(used[:, :-1], axis=1) <= self.caps).all()))
+
+    def step(self, index, costs, scale: float) -> "BlockFamily":
+        """Price the supports ``index``, removals costing ``scale`` times ``costs``; returns the family."""
+        costs = scale * costs(slice(None), index.shape[1])
+        count, num_atoms = len(self.caps), self.num_atoms
+        self.index = index
+        order, self.block_of, self.columns = self.constraint.layout
+        # (block, atom) pairs point by point in block order; bincount adds
+        # each pair's costs in that order.
+        rows, cols = np.nonzero(index[order] >= 0)
+        pairs = self.block_of[order[rows]] * num_atoms + index[order[rows], cols]
+        union = np.bincount(pairs, costs[order[rows], cols], count * num_atoms).reshape(count, num_atoms)
+        self.member = np.bincount(pairs, minlength=count * num_atoms).reshape(count, num_atoms) > 0
+        self.union = np.where(self.member, union, math.inf)
+        self.full = self.member.sum(axis=1) >= self.caps
+        return self
+
+    def _block_sums(self, rows: np.ndarray) -> np.ndarray:
+        """Per-block sums (..., B) of the per-point ``rows`` (..., T), added point by point in block order."""
+        sums = np.zeros((*rows.shape[:-1], len(self.full)))
+        for blocks, points in self.columns:
+            sums[..., blocks] += rows.take(points, axis=-1)
+        return sums
+
+    def values(self, add_gains: np.ndarray) -> np.ndarray:
+        """The best gain of every atom, from its (T,) row of the (n, T) ``add_gains``."""
+        base = self._block_sums(np.maximum(add_gains, 0.0))  # (n, B)
+        # A full union takes the candidate only in place of its cheapest atom.
+        cheapest = self.union.min(axis=1)
+        value = np.where(self.member.T | ~self.full, base, np.maximum(base - cheapest, 0.0))
+        return _prefix_sums(value)[:, -1]  # blocks added in order
+
+    def replacement(self, atom: int, add_gains: np.ndarray) -> tuple:
+        """``atom``'s best replacement, as :meth:`AverageFamily.replacement` gives it.
+
+        A block takes the atom at its points of positive gain.  A full
+        union that lacks the atom must also drop the union atom whose
+        removal leaves the most gain (the lowest on ties), and the block
+        joins only if that gain is positive.
+        """
+        g = np.where((self.index == atom).any(axis=1), 0.0, add_gains)
+        adds = g > 0.0
+        base = self._block_sums(np.where(adds, g, 0.0))
+        left = base[:, None] - self.union  # -inf for atoms outside the union
+        drop = np.argmax(left, axis=1)
+        lacking = self.full & ~self.member[:, atom]
+        gain = np.where(lacking, left[np.arange(len(drop)), drop], base)
+        take = gain > 0.0
+        dropped = np.where(take & lacking, drop, -1)[self.block_of]
+        hit = (self.index == dropped[:, None]) & (dropped >= 0)[:, None]
+        removes = hit.any(axis=1)
+        points = np.flatnonzero(take[self.block_of] & (adds | removes))
+        removed = np.where(removes, np.argmax(hit, axis=1), -1)[points]
+        return points, removed, adds[points], float(gain[take].sum())
 
 
 def family_state(constraint: SparsityConstraint, t_count: int, num_atoms: int):
@@ -733,13 +709,13 @@ def family_state(constraint: SparsityConstraint, t_count: int, num_atoms: int):
     supports of ``points``, the ones that changed, and raises
     InfeasibleState unless the supports belong to the family; a coupled
     family may bind anywhere, so it checks them all.
-    ``step(index, costs, scale)`` gives the step data of the supports,
-    removals costing ``scale`` times ``costs``.
+    ``step(index, costs, scale)`` stores the supports' step tables on the
+    family and returns it, removals costing ``scale`` times ``costs``.
     """
     if isinstance(constraint, AverageSparsity):
-        return AverageFamily(constraint, num_atoms, constraint.s_t)
+        return AverageFamily(constraint, num_atoms)
     if isinstance(constraint, BlockSparsity):
-        return BlockFamily(constraint, num_atoms, constraint.caps)
+        return BlockFamily(constraint, num_atoms)
     return PointFamily(constraint, t_count, num_atoms)
 
 
@@ -758,19 +734,22 @@ def best_replacement(
     holding the candidate must be zero.  ``supports`` are the current Z_t
     as ordered index sequences (the order fixes removal-cost positions);
     InfeasibleState unless they are feasible; ValueError unless
-    ``add_gains`` is one non-NaN gain per support, ``removal_costs`` one
-    cost per support atom and ``atom`` nonnegative.  Nonpositive additions
-    are declined, so the gain is never negative and feasibility is kept.
+    ``add_gains`` is one finite gain per support, ``removal_costs`` one
+    nonnegative (not NaN) cost per support atom and ``atom`` nonnegative.
+    Nonpositive additions are declined, so the gain is never negative and
+    feasibility is kept.
     """
     add_gains = np.asarray(add_gains, dtype=float)
-    if add_gains.shape != (len(supports),) or np.isnan(add_gains).any():
-        raise ValueError("add_gains must hold one non-NaN gain per support")
+    if add_gains.shape != (len(supports),) or not np.isfinite(add_gains).all():
+        raise ValueError("add_gains must hold one finite gain per support")
     if len(removal_costs) != len(supports) or any(len(c) != len(z) for c, z in zip(removal_costs, supports)):
         raise ValueError("removal_costs must hold one cost per support atom")
     if atom < 0:
         raise ValueError("atom must be nonnegative")
-    _require(num_points(constraint) in (None, len(supports)))  # the family's refresh checks the rest
     index, padded = _padded(supports, removal_costs)
+    if not (padded >= 0.0).all():  # NaN fails too; the pads are inf
+        raise ValueError("removal costs must be nonnegative and not NaN")
+    _require(num_points(constraint) in (None, len(supports)))  # the family's refresh checks the rest
 
     def costs(rows, m):
         return padded[rows, :m]

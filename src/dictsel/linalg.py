@@ -44,8 +44,12 @@ from .groundset import require_unit_norm
 # linearly dependent and rejected.
 RANK_TOL = 1e-10
 
-# Atoms this close (squared) to the support's span get no addition gain.
-_DENOM_TOL = 1e-12
+# An atom whose squared distance to a support's span is at most this share
+# of its squared norm counts as dependent on the support: it gains nothing
+# and is not appended.  The Gram form resolves that distance only to about
+# eps * cond(G_ZZ), so the cut sits far above rounding; being relative, it
+# does not move when atoms scale.
+SPAN_RTOL = 1e-8
 
 _ENUMERATION_GUARD = 10**6
 
@@ -187,9 +191,9 @@ def factor_remove(state: SupportFactorization, position: int) -> SupportFactoriz
 
 
 def _regain(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / (2 * den) into ``num``, returned; 0 where den (squared distance to the span) is not above _DENOM_TOL."""
-    num /= 2.0 * np.maximum(den, _DENOM_TOL)
-    np.copyto(num, 0.0, where=~(den > _DENOM_TOL))
+    """num / (2 * den) into ``num``, returned; 0 where den (a unit atom's squared distance to the span) <= SPAN_RTOL."""
+    num /= 2.0 * np.maximum(den, SPAN_RTOL)
+    np.copyto(num, 0.0, where=~(den > SPAN_RTOL))
     return num
 
 
@@ -226,12 +230,6 @@ def ls_solve(ground_set, support, y: np.ndarray) -> np.ndarray:
         w[list(fact.columns)] = fact.solve(y)
     return w
 
-
-# An atom whose squared distance to a support's span is at most this share
-# of its squared norm counts as dependent on the support.  The Gram form
-# resolves that distance only to about eps * cond(G_ZZ), so the cut sits
-# far above rounding; being relative, it does not move when atoms scale.
-SPAN_RTOL = 1e-8
 
 # Floats per (P, n) block of a batched operation over n atoms: a chunk holds
 # max(1, STACK // n) points (``stack_points``), which bounds the (P, m, n)

@@ -11,10 +11,10 @@ Three selectors over a common selection state:
 * ``replacement_omp`` replaces the exact differences with gradient-based
   proxy gains weighted by a smoothness parameter, which makes the
   per-step search a linear-objective problem and extends to block and
-  average sparsity.  Every family prices a step through its step object:
-  all atoms' gains at once, then the winner's replacement.  The
-  ``decay`` variant divides the smoothness parameter by sqrt(i) at
-  iteration i so that late iterations keep making progress.
+  average sparsity.  Every family prices a step itself: ``step`` stores
+  the step's tables on it, then all atoms' gains follow at once and the
+  winner's replacement.  The ``decay`` variant divides the smoothness
+  parameter by sqrt(i) at iteration i so late iterations keep progressing.
 
 Every selector keeps all supports in one batched Gram state
 (:class:`~dictsel.linalg.GramFit`) and edits it through the kernels of
@@ -235,7 +235,7 @@ def _select(ground_set, y, constraint, k: int, trace: bool, step) -> SelectionSt
 def _romp_replacement(state: SelectionState, m_i: float, family, scratch: np.ndarray) -> _Move | None:
     """The replacement of largest proxy gain among unselected atoms.
 
-    The family's step data, built once per step, give every atom's gain
+    The family's step tables, built once per step, give every atom's gain
     in closed form and then the winner's replacement.  The scaled
     squared gradients are built in the (n, T) ``scratch``.
     """

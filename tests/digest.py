@@ -1,9 +1,10 @@
 """Bit-identity digest of dictsel's outputs: one sha256 per case and a total.
 
-Run it on two checkouts and compare the totals; equal totals mean the
-selectors, online rounds, OMP evaluation and ``best_replacement`` gave the
-same bits on every case.  It reads only public state and imports the
-package from the checkout it sits in:
+A ROMP case prints two: its selection's and its family's pricing.  Run
+it on two checkouts and compare the totals; equal totals mean the
+selectors, the families' pricing, online rounds, OMP evaluation and
+``best_replacement`` gave the same bits on every case.  It reads only
+public state and imports the package from the checkout it sits in:
 
     python tests/digest.py
 
@@ -14,7 +15,11 @@ and 3):
 * replacement OMP under per-point caps, a two-category partition matroid,
   block and average sparsity, with and without decay: atoms, supports,
   objective history, rollbacks and the Gram fit (index, size, coeffs,
-  gradients, f values, rank skips);
+  gradients, f values, rank skips), and the family's pricing of the final
+  supports: the constraint's ``family_state``, refreshed at every point
+  and stepped at the smoothness M, gives every atom's value of the
+  squared gradients (held entries zeroed, divided by M) and the
+  replacements of the three atoms of highest value;
 * replacement greedy under caps and the matroid, the same state;
 * OMP codes of the data on the caps dictionary: the fit and residuals;
 * the three online methods over the first 60 points: ledgers, hedge
@@ -37,7 +42,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from dictsel import AverageSparsity, BlockSparsity, IndividualSparsity, PartitionMatroid, SelectorConfig  # noqa: E402
 from dictsel import assemble, best_replacement, dct2_basis, haar2_basis, is_feasible  # noqa: E402
 from dictsel import online_round, online_state, replacement_greedy, replacement_omp, synth_dataset  # noqa: E402
+from dictsel.constraints import family_state  # noqa: E402
 from dictsel.encoders import omp_codes  # noqa: E402
+from dictsel.linalg import resolve_smoothness  # noqa: E402
 from dictsel.online import METHODS  # noqa: E402
 
 SEEDS = (0, 1, 2, 3)
@@ -76,6 +83,24 @@ def fit_digest(digest: Digest, fit) -> None:
 def selection_digest(state) -> str:
     digest = Digest().add(state.atoms, state.supports, state.objective_history, state.rollbacks)
     fit_digest(digest, state.fit)
+    return digest.hexdigest()
+
+
+def pricing_digest(state, constraint, smoothness: float) -> str:
+    """The family's values of every atom on the final supports, and the replacements of the top three."""
+    fit = state.fit
+    t_count = len(fit.size)
+    family = family_state(constraint, t_count, len(fit.gradients))
+    family.refresh(fit.index, fit.size, state.removal_costs, np.arange(t_count))
+    step = family.step(fit.index, state.removal_costs, smoothness)
+    g2 = np.square(fit.gradients)
+    held = fit.index >= 0
+    g2[fit.index[held], np.nonzero(held)[0]] = 0.0
+    g2 /= smoothness
+    values = step.values(g2)
+    digest = Digest().add(values)
+    for atom in np.argsort(-values, kind="stable")[:3].tolist():
+        digest.add(atom, *step.replacement(atom, g2[atom]))
     return digest.hexdigest()
 
 
@@ -121,6 +146,7 @@ def replacement_digest(seed: int) -> str:
 def cases():
     """(name, sha256) of every case, in a fixed order."""
     gs = assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))])
+    smoothness = resolve_smoothness(gs, None)
     for seed in SEEDS:
         t_count = 400 if seed < 2 else 1600
         y = synth_dataset(gs, t_count, 2 * K, S, seed).matrix
@@ -129,7 +155,8 @@ def cases():
             for decay in (False, True):
                 state = replacement_omp(y, gs, constraint, SelectorConfig(k=K, decay=decay))
                 dictionary = state.atoms if dictionary is None else dictionary
-                yield f"seed{seed}/romp/{name}{'/decay' if decay else ''}", selection_digest(state)
+                pricing = pricing_digest(state, constraint, smoothness)
+                yield f"seed{seed}/romp/{name}{'/decay' if decay else ''}", f"{selection_digest(state)} {pricing}"
         for name in ("caps", "matroid"):
             state = replacement_greedy(y, gs, constraints[name], K)
             yield f"seed{seed}/greedy/{name}", selection_digest(state)

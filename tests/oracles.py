@@ -12,9 +12,9 @@ gain kernels (``regain_expression``, ``swap_rows_expression``).  The
 coupled families' replacements are searched one atom at a time over
 support lists (``block_search_reference``, and
 ``average_search_reference`` through ``solve_exchange``), as the
-reference for the padded-array tables and moves of the step objects of
-``constraints.family_state``; ``average_move_reference`` is the average
-step's move as one ``solve_exchange`` gives it, and ``block_sums_reference``
+reference for the padded-array tables and moves of the stepped families
+of ``constraints.family_state``; ``average_move_reference`` is the average
+family's move as one ``solve_exchange`` gives it, and ``block_sums_reference``
 adds per-point terms block by block in a Python loop, in block order.
 ``synth_dataset_reference`` and ``extract_patches_reference`` build the
 data matrices point by point and tile by tile, as the reference for the
@@ -40,7 +40,7 @@ from scipy.linalg.lapack import dtrtri
 
 from dictsel.constraints import ExchangeInstance, Replacement, cheapest_removal, solve_exchange
 from dictsel.errors import RankDeficient
-from dictsel.linalg import _DENOM_TOL, SPAN_RTOL, SupportFactorization, atom_matrix, empty_factorization
+from dictsel.linalg import SPAN_RTOL, SupportFactorization, atom_matrix, empty_factorization
 from dictsel.linalg import factor_insert, factor_remove, stack_points
 from dictsel.online import hedge_update
 
@@ -182,7 +182,7 @@ def average_search_reference(constraint, supports, atom, add_gains, removal_cost
 
 
 def average_move_reference(step, atom, add_gains):
-    """An ``AverageStep``'s move for ``atom`` from one ``solve_exchange``: (points, removed, add, gain)."""
+    """A stepped ``AverageFamily``'s move for ``atom`` from one ``solve_exchange``: (points, removed, add, gain)."""
     g = np.where((step.index == atom).any(axis=1), 0.0, np.maximum(add_gains, 0.0))
     tight = frozenset(np.flatnonzero(step.tight).tolist())
     added, removed, value = solve_exchange(ExchangeInstance(g, step.costs, tight, step.slack))
@@ -288,8 +288,8 @@ def omp_reference(dictionary, y, s):
 
 
 def regain_expression(num, den):
-    """``linalg._regain`` as one expression on fresh arrays: num / (2 * den), 0 where den <= _DENOM_TOL."""
-    return np.where(den > _DENOM_TOL, num / (2.0 * np.maximum(den, _DENOM_TOL)), 0.0)
+    """``linalg._regain`` as one expression on fresh arrays: num / (2 * den), 0 where den <= SPAN_RTOL."""
+    return np.where(den > SPAN_RTOL, num / (2.0 * np.maximum(den, SPAN_RTOL)), 0.0)
 
 
 def swap_rows_expression(c, grad, w, gamma, dist):
@@ -321,8 +321,8 @@ def swap_gains(ground_set, state: SupportFactorization, y: np.ndarray, r: np.nda
 
     with Rinv = R^-1, gamma_j = ||Rinv[j]||^2, w = Rinv Q^T y,
     c = Rinv Q^T A and den_jb = 1 - ||Q^T b||^2 + c_jb^2 / gamma_j.  Atoms
-    closer than ``linalg._DENOM_TOL`` (squared) to span(Z - z_j) regain
-    nothing, and atoms of Z gain 0.
+    at squared distance at most ``linalg.SPAN_RTOL`` from span(Z - z_j)
+    regain nothing, and atoms of Z gain 0.
     """
     a = atom_matrix(ground_set)
     positions = list(positions)

@@ -188,11 +188,17 @@ def test_best_replacement_infeasible_state():
         best_replacement(IndividualSparsity(1), [[1, 2]], 5, np.zeros(1), [np.zeros(2)])
 
 
-@pytest.mark.parametrize("case", ["one_gain", "nan_gain", "negative_atom", "cost_length", "cost_count", "no_supports"])
+@pytest.mark.parametrize(
+    "case",
+    ["one_gain", "nan_gain", "inf_gain", "negative_atom", "cost_length", "cost_count", "nan_cost", "negative_cost",
+     "no_supports"],
+)
 def test_best_replacement_checks_its_inputs(case):
     # Malformed inputs raise ValueError before any family is built: a
-    # single gain is not broadcast to every support, a NaN gain is not
-    # skipped, atom -1 is not an atom.  No supports give the empty
+    # single gain is not broadcast to every support, a NaN or infinite
+    # gain is not priced, atom -1 is not an atom, and a NaN or negative
+    # removal cost is neither a declined point nor a gain.  Every support
+    # is full, so the costs would be paid.  No supports give the empty
     # replacement under every family.
     supports, atom, gains, costs = [[1], [2]], 5, [1.0, 1.0], [[0.5], [0.5]]
     if case == "no_supports":
@@ -200,11 +206,12 @@ def test_best_replacement_checks_its_inputs(case):
             rep = best_replacement(constraint, [], atom, np.zeros(0), [])
             assert (rep.added_atom, rep.per_t, rep.gain) == (atom, [], 0.0)
         return
-    gains = {"one_gain": [1.0], "nan_gain": [1.0, math.nan]}.get(case, gains)
+    gains = {"one_gain": [1.0], "nan_gain": [1.0, math.nan], "inf_gain": [math.inf, 1.0]}.get(case, gains)
     atom = -1 if case == "negative_atom" else atom
     costs = {"cost_length": [[0.5], [0.5, 0.5]], "cost_count": [[0.5]]}.get(case, costs)
+    costs = {"nan_cost": [[math.nan], [0.5]], "negative_cost": [[-3.0], [0.5]]}.get(case, costs)
     with pytest.raises(ValueError):
-        best_replacement(IndividualSparsity(2), supports, atom, np.array(gains), [np.array(c) for c in costs])
+        best_replacement(IndividualSparsity(1), supports, atom, np.array(gains), [np.array(c) for c in costs])
 
 
 def test_best_replacement_romp_branch_structure():
@@ -441,10 +448,37 @@ def test_category_tallies_price_the_point_options(family):
                 assert removed.tolist() == ([-1] if addable[atom] else [] if pos is None else [pos])
 
 
+@pytest.mark.parametrize("family", ["individual", "matroid", "block", "average"])
+def test_a_family_stepped_twice_prices_like_one_stepped_once(family):
+    # A step's tables live on the family: stepping it again on other
+    # supports must replace all of them, whatever the first step left.
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        t_count = int(rng.integers(2, 8))
+        constraint = random_constraint(rng, family, t_count)
+        state = family_state(constraint, t_count, N_ATOMS)
+        for _ in range(2):
+            supports = random_supports(rng, constraint, t_count)
+            index, costs = _padded(supports, [rng.choice([0.25, 0.5, 0.75], size=len(z)) for z in supports])
+
+            def removal(rows, m, costs=costs):
+                return costs[rows, :m]
+
+            state.refresh(index, np.count_nonzero(index >= 0, axis=1), removal, np.arange(t_count))
+            step = state.step(index, removal, 1.0)
+        fresh = padded_step(constraint, index, costs, N_ATOMS)
+        assert step is state and fresh is not state
+        add = np.round(rng.uniform(0.0, 1.0, size=(N_ATOMS, t_count)), 1)
+        assert step.values(add).tobytes() == fresh.values(add).tobytes()
+        for atom in range(N_ATOMS):
+            for got, expected in zip(step.replacement(atom, add[atom]), fresh.replacement(atom, add[atom])):
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 @pytest.mark.parametrize("rows", [1, 16, None, 128], ids=["rows1", "rows16", "default", "rowsN"])
 @pytest.mark.parametrize("family", ["individual", "matroid"])
 def test_point_step_values_do_not_depend_on_row_chunks(monkeypatch, family, rows):
-    # PointStep.values prices stack_rows(T) atoms at a time (54 of the 128
+    # PointFamily.values prices stack_rows(T) atoms at a time (54 of the 128
     # here by default, a ragged last chunk); every chunking must give the
     # values of the whole (n, T) cost table bit for bit.
     rng = np.random.default_rng(61)
@@ -529,6 +563,17 @@ def test_matroid_rejects_overlapping_categories():
         PartitionMatroid((((frozenset({0, 1}), 1), (frozenset({1, 2}), 1)),))
 
 
+def test_matroid_checks_a_rule_first_used_at_a_later_point():
+    # Each distinct rule is checked once, at the first point that uses it:
+    # a bad rule that first appears at point 2 is still checked, and named.
+    good = ((frozenset({0, 1}), 1), (frozenset({2}), 1))
+    bad = ((frozenset({0, 1}), 1), (frozenset({1, 2}), 1))
+    with pytest.raises(ValueError, match=r"^rule 2: categories must be disjoint$"):
+        PartitionMatroid((good, good, bad, good, bad))
+    with pytest.raises(ValueError, match=r"^rule 3: negative cap$"):
+        PartitionMatroid((good,) * 3 + (((frozenset({4}), -1),),) + (good,))
+
+
 def test_matroid_rejects_negative_atoms():
     # Atom -1 would otherwise be read as atom n - 1 by the family's tables
     # but as no atom by is_feasible.
@@ -555,7 +600,7 @@ def test_individual_caps_are_the_uniform_matroid_bytewise():
     removal = rng.choice([0.25, 0.5, 0.75], size=index.shape)  # ties are common
     add = np.round(rng.uniform(0.0, 1.0, size=(N_ATOMS, t_count)), 1)
     steps = [padded_step(constraint, index, removal, N_ATOMS) for constraint in pair]  # one refresh each
-    assert tables(steps[0].family) == tables(steps[1].family)
+    assert tables(steps[0]) == tables(steps[1])
     assert steps[0].values(add).tobytes() == steps[1].values(add).tobytes()
     for atom in range(N_ATOMS):
         for got, expected in zip(steps[0].replacement(atom, add[atom]), steps[1].replacement(atom, add[atom])):
@@ -746,7 +791,7 @@ def test_exchange_sets_match_solve_exchange_on_ties():
 
 @pytest.mark.parametrize("rows", [1, 16, None, 128], ids=["rows1", "rows16", "default", "rowsN"])
 def test_average_step_values_do_not_depend_on_row_chunks(monkeypatch, rows):
-    # As for PointStep: every chunking gives the one-block values bit for bit.
+    # As for PointFamily: every chunking gives the one-block values bit for bit.
     rng = np.random.default_rng(62)
     n, t_count = 128, 150
     caps = rng.integers(1, 6, size=t_count)

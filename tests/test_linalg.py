@@ -18,7 +18,7 @@ from dictsel import (
     restricted_spectrum,
     synth_dataset,
 )
-from dictsel import linalg
+from dictsel import linalg, online
 from dictsel.constraints import AverageSparsity, BlockSparsity, IndividualSparsity
 from dictsel.errors import DimensionMismatch, InvalidGroundSet, RankDeficient, TooLarge
 from dictsel.encoders import omp_codes, utility, utility_gradient
@@ -502,7 +502,7 @@ def fitted_supports(a, y, m, rng, first=()):
 @pytest.mark.parametrize("points", [None, 1, 10, 64])
 def test_in_place_gain_kernels_match_their_expressions_bitwise(points):
     # Every support holds atom 0, so its Haar duplicate 64 lies in the span:
-    # the additions and most swap rows meet den <= _DENOM_TOL there.  None
+    # the additions and most swap rows meet den <= SPAN_RTOL there.  None
     # takes one point's (m, n) terms, as an online round does.
     a = dct_haar()
     rng = np.random.default_rng(23)
@@ -520,8 +520,8 @@ def test_in_place_gain_kernels_match_their_expressions_bitwise(points):
         if points is None:
             c, dist, grad, w, gamma = c[0], dist[0], grad[0], w[0], gamma[0]
         den = dist[..., None, :] + c**2 / gamma
-        assert (dist <= linalg._DENOM_TOL).any() and (den <= linalg._DENOM_TOL).any()
-        assert (den > linalg._DENOM_TOL).any()
+        assert (dist <= linalg.SPAN_RTOL).any() and (den <= linalg.SPAN_RTOL).any()
+        assert (den > linalg.SPAN_RTOL).any()
         kept = dist.copy()
         add = regain_expression(grad**2, dist)
         num = np.square(grad)
@@ -537,13 +537,41 @@ def test_in_place_gain_kernels_match_their_expressions_bitwise(points):
 
 
 def test_regain_zeroes_every_distance_not_above_the_tolerance():
-    tol = linalg._DENOM_TOL
+    tol = linalg.SPAN_RTOL
     den = np.array([-1.0, 0.0, tol / 2, tol, np.nextafter(tol, 1.0), 1e-6, 1.0, np.inf, np.nan])
     num = np.linspace(0.5, 4.5, den.size)
     with np.errstate(invalid="ignore"):
         expected = regain_expression(num, den)
     assert np.array_equal(linalg._regain(num.copy(), den), expected)
     assert np.array_equal(expected == 0.0, [True] * 4 + [False] * 3 + [True] * 2)
+
+
+def test_an_atom_within_the_span_cut_gains_nothing_and_is_refused():
+    # Atom 2 lies at squared distance about 1e-10 from span(atoms 0, 1):
+    # above rounding, within SPAN_RTOL.  Its addition gains 0, its swap
+    # for atom 1 (which leaves it as close to span(atom 0)) regains nothing
+    # beyond the removal loss, and the refit refuses it, in the batched
+    # kernels and in an online round alike.  Its gradient is about 1e-5, so
+    # a smaller cut would price both at about 0.5.
+    eps = 1e-5
+    a = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, eps], [0.0, 0.0, 0.0]])
+    a /= np.linalg.norm(a, axis=0)
+    y = np.array([[0.3], [0.7], [1.0], [0.5]])
+    fit = gram_fit(a, y, 3)
+    for atom in (0, 1):
+        assert gram_update(fit, [0], [-1], [atom]).all()
+    inv = np.linalg.inv(fit.gram[:2, :2])
+    _, dist = linalg.gram_terms(inv, fit.gram[:2])
+    assert 1e-12 < dist[2] <= linalg.SPAN_RTOL
+    loss = -0.5 * fit.coeffs[0, 1] ** 2 / inv[1, 1]  # removing atom 1
+    add, swap = gram_gains(fit, [0])
+    assert add[0, 2] == 0.0 and swap[0, 1, 2] == pytest.approx(loss, rel=1e-9)
+    assert not gram_update(fit, [0], [-1], [2]).any() and fit.rank_skips == 1
+    round_fit = online._RoundFit(gram_matrix(a), (a.T @ y)[:, 0])
+    assert round_fit.replace(None, 0) and round_fit.replace(None, 1)
+    assert online._greedy_gains(round_fit, True)[0][2] == 0.0
+    assert online._greedy_gains(round_fit, False)[1][1, 2] == pytest.approx(loss, rel=1e-9)
+    assert not round_fit.replace(None, 2)
 
 
 def test_gram_gains_peak_memory_is_four_swap_tables():

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import tracemalloc
@@ -278,9 +279,11 @@ def support_lists(index, costs):
 
 
 def wrap_steps(monkeypatch, wrap):
-    """Pass every step that a selector's family object builds through ``wrap(step, constraint, index, costs)``.
+    """Pass every step of a selector's family object through ``wrap(step, constraint, index, costs)``.
 
-    ``costs`` are the step's scaled (T, m) removal costs.
+    ``step`` is a shallow copy of the stepped family, so that a wrap
+    patches the methods of one step alone; ``costs`` are the step's scaled
+    (T, m) removal costs.
     """
 
     def wrapped_state(constraint, t_count, num_atoms):
@@ -288,7 +291,8 @@ def wrap_steps(monkeypatch, wrap):
         step = family.step
 
         def wrapped_step(index, costs, scale):
-            return wrap(step(index, costs, scale), constraint, index, scale * costs(slice(None), index.shape[1]))
+            stepped = copy.copy(step(index, costs, scale))
+            return wrap(stepped, constraint, index, scale * costs(slice(None), index.shape[1]))
 
         family.step = wrapped_step
         return family

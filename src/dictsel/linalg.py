@@ -370,7 +370,8 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
     w_b = (C[b, t] - G[b, Z] v) / d and w_Z = v - u w_b, the gradient
     C[:, t] - G[:, Z] w_Z - G[:, b] w_b, taken in ``stack_points(n)``-point
     slices of a chunk: each slice's (P, m + 1, n) gather of G[Z, :] stays
-    within (m + 1) * STACK floats.
+    within (m + 1) * STACK floats.  The chunk's f values follow from the
+    gradients just written, read back at (Z + b, t).
     """
     points = np.asarray(points, dtype=int)
     removed = np.asarray(removed, dtype=int)
@@ -413,13 +414,12 @@ def gram_update(fit: GramFit, points, removed, atoms) -> np.ndarray:
         appended[idx] = grow
         del gzz, rhs, vu, v, u, bv, bu, norm_sq, dist, wb  # before the slices' (P, m + 1, n) gathers
         for start in range(0, len(p), step):
-            ps, zp, wp, cp = (x[start : start + step] for x in (p, z, w, cz)) if len(p) > step else (p, z, w, cz)
+            ps, zp, wp = (x[start : start + step] for x in (p, z, w)) if len(p) > step else (p, z, w)
             # G[:, Z] w from the rows G[Z, :] = G[:, Z]^T, whose gather is freed before corr[:, ps] is copied.
             grad = (wp[:, None, :] @ g.take(zp, axis=0))[:, 0].T
-            grad = corr[:, ps] - grad
-            fit.gradients[:, ps] = grad
-            # c.w - w.G w / 2 written as w.(c + (c - G w)) / 2: stationary in w.
-            fit.f_values[ps] = 0.5 * (wp * (cp + grad[zp, np.arange(len(ps))[:, None]])).sum(axis=1)
+            fit.gradients[:, ps] = corr[:, ps] - grad
+        # c.w - w.G w / 2 written as w.(c + (c - G w)) / 2: stationary in w.
+        fit.f_values[p] = 0.5 * (w * (cz + fit.gradients[z, p[:, None]])).sum(axis=1)
     fit.rank_skips += int(np.count_nonzero(atoms >= 0)) - int(np.count_nonzero(appended))
     return appended
 

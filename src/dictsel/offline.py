@@ -23,7 +23,9 @@ differ only in their gain rule.  The loop keeps the constraint's one
 family object (``constraints.family_state``), which checks the supports
 after every step and prices them; the greedy gain tables and the
 per-point category tallies are refreshed only at the points the last
-replacement touched.  All selectors return a :class:`SelectionState`
+replacement touched.  ROMP prices the squared gradients unzeroed: held
+entries are rounding dust, but only dictionary atoms are held and no
+dictionary atom can win.  All selectors return a :class:`SelectionState`
 whose supports are feasible after every iteration (else
 InfeasibleState).  The objective never decreases: a replacement that
 would lower it by more than rounding, as proxy gains with a smoothness
@@ -171,19 +173,6 @@ def _apply(state: SelectionState, move: _Move, iteration: int, scratch: np.ndarr
     return True
 
 
-def _zeroed_grad_sq(state: SelectionState, out: np.ndarray) -> np.ndarray:
-    """Squared gradient entries, written into the (n, T) ``out``, with the current supports zeroed exactly.
-
-    Entries on a solved support vanish mathematically; zeroing removes the
-    floating-point dust so no-op additions never carry positive gain.
-    """
-    g2 = np.square(state.gradients, out=out)
-    index = state.fit.index
-    held = index >= 0
-    g2[index[held], np.nonzero(held)[0]] = 0.0
-    return g2
-
-
 def _winner(table: np.ndarray, atoms: list[int]) -> int | None:
     """The unselected atom of largest gain, lowest index on ties; None if its gain is <= 0."""
     table[atoms] = 0.0
@@ -199,8 +188,9 @@ def _select(ground_set, y, constraint, k: int, trace: bool, step) -> SelectionSt
     ``scratch`` is one (n, T) float array that every iteration reuses, so
     that the squared gradients, the rollback snapshot and the fallback's
     gradient mass allocate no (n, T) array each step: the step may write
-    it, and once the step has returned its move :func:`_apply` takes the
-    rollback snapshot into it.  It is dropped when the selection returns.
+    it (ROMP's squared gradients over M), and once the step has returned
+    its move :func:`_apply` takes the rollback snapshot into it.  It is
+    dropped when the selection returns.
     A None step, or a replacement undone by :func:`_apply`, adds the
     unselected atom of largest squared gradient mass without touching
     any support, so the dictionary reaches k atoms.  Raises ValueError
@@ -236,10 +226,15 @@ def _romp_replacement(state: SelectionState, m_i: float, family, scratch: np.nda
     """The replacement of largest proxy gain among unselected atoms.
 
     The family's step tables, built once per step, give every atom's gain
-    in closed form and then the winner's replacement.  The scaled
-    squared gradients are built in the (n, T) ``scratch``.
+    in closed form and then the winner's replacement.  The (n, T)
+    ``scratch`` holds the squared gradients divided by ``m_i``.  Held
+    entries keep their rounding dust, as they vanish only mathematically:
+    supports hold only dictionary atoms, each atom's value is priced from
+    its own row, :func:`_winner` zeroes every dictionary atom's value and
+    the replacement reads only the winner's row, so no held entry reaches
+    a winner or a move.
     """
-    scaled_g2 = _zeroed_grad_sq(state, scratch)
+    scaled_g2 = np.square(state.gradients, out=scratch)
     scaled_g2 /= m_i
     step = family.step(state.fit.index, state.removal_costs, m_i)
     winner = _winner(step.values(scaled_g2), state.atoms)

@@ -8,9 +8,10 @@ public state and imports the package from the checkout it sits in:
 
     python tests/digest.py
 
-Cases, for data seeds 0 to 3 (``synth_dataset`` over the DCT+Haar 8x8
-ground set, n = 128, T = 400 for seeds 0 and 1, T = 1600 for seeds 2
-and 3):
+Each line also gives the case's rank skips (adds refused as dependent
+on the support) and rollbacks, where it has them.  Cases, for data
+seeds 0 to 3 (``synth_dataset`` over the DCT+Haar 8x8 ground set,
+n = 128, T = 400 for seeds 0 and 1, T = 1600 for seeds 2 and 3):
 
 * replacement OMP under per-point caps, a two-category partition matroid,
   block and average sparsity, with and without decay: atoms, supports,
@@ -18,24 +19,44 @@ and 3):
   gradients, f values, rank skips), and the family's pricing of the final
   supports: the constraint's ``family_state``, refreshed at every point
   and stepped at the smoothness M, gives every atom's value of the
-  squared gradients (held entries zeroed, divided by M) and the
-  replacements of the three atoms of highest value;
+  squared gradients divided by M, as a ROMP step prices them, and the
+  replacements of the three unselected atoms of highest value;
 * replacement greedy under caps and the matroid, the same state;
 * OMP codes of the data on the caps dictionary: the fit and residuals;
 * the three online methods over the first 60 points: ledgers, hedge
   log-weights, cumulative gains and the gain bound;
-* 150 ``best_replacement`` calls on random feasible supports, n = 12.
+* 150 ``best_replacement`` calls on random feasible supports, n = 12;
+* replacement OMP on the DCT+Haar 4x4 ground set (n = 32) at M = 0.3 and
+  with decay, on up to 30 points planted on 8 atoms: most replacements
+  that overstate their gain are rolled back here;
+* on 200 points of two of six DCT atoms each plus a DC part planted on
+  both DC twins (atoms 0 and 64, equal up to rounding), replacement OMP
+  with and without decay and replacement greedy under the matroid, whose
+  halves put the twins in different categories: ROMP adds atom 64 at
+  points that hold atom 0, and the fit refuses it; and 8-sparse OMP
+  codes over a dictionary holding both twins, one column twice and a
+  unit column 1e-5 away from atom 0 along atom 100, which the fit
+  refuses on noisy points.
 
-This is a script, not a test module: pytest does not collect it.
+The BLAS runs on one thread, as in ``bench/run.py``, so that a total
+does not depend on the thread count a shell sets: a threaded product
+may round differently, and whether an add is refused can turn on that
+rounding.  This is a script, not a test module: pytest does not collect
+it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# Before numpy loads, which reads these once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -93,13 +114,11 @@ def pricing_digest(state, constraint, smoothness: float) -> str:
     family = family_state(constraint, t_count, len(fit.gradients))
     family.refresh(fit.index, fit.size, state.removal_costs, np.arange(t_count))
     step = family.step(fit.index, state.removal_costs, smoothness)
-    g2 = np.square(fit.gradients)
-    held = fit.index >= 0
-    g2[fit.index[held], np.nonzero(held)[0]] = 0.0
-    g2 /= smoothness
+    g2 = np.square(fit.gradients) / smoothness
     values = step.values(g2)
     digest = Digest().add(values)
-    for atom in np.argsort(-values, kind="stable")[:3].tolist():
+    unselected = np.setdiff1d(np.arange(len(values)), state.atoms)
+    for atom in unselected[np.argsort(-values[unselected], kind="stable")[:3]].tolist():
         digest.add(atom, *step.replacement(atom, g2[atom]))
     return digest.hexdigest()
 
@@ -143,8 +162,47 @@ def replacement_digest(seed: int) -> str:
     return digest.hexdigest()
 
 
+def counts(state) -> str:
+    return f"rank_skips={state.fit.rank_skips} rollbacks={state.rollbacks}"
+
+
+def small_cases(seed: int):
+    """ROMP on 4x4 data at a smoothness below the restricted one, and with decay."""
+    a = np.hstack([dct2_basis(4), haar2_basis(4)])
+    rng = np.random.default_rng([seed, 4])
+    t_count = int(rng.integers(10, 31))
+    y = a[:, rng.choice(a.shape[1], size=8, replace=False)] @ rng.standard_normal((8, t_count))
+    y += 0.1 * rng.standard_normal(y.shape)
+    for name, config in (("M0.3", SelectorConfig(k=K, smoothness=0.3)), ("decay", SelectorConfig(k=K, decay=True))):
+        state = replacement_omp(y, a, IndividualSparsity(S), config)
+        yield f"seed{seed}/small/romp/{name}", selection_digest(state), counts(state)
+
+
+def twin_cases(seed: int, gs):
+    """Selectors and OMP codes on data planted on both DC twins (atoms 0 and 64)."""
+    rng = np.random.default_rng([seed, 64])
+    t_count, others = 200, rng.choice(np.arange(1, 64), size=6, replace=False)
+    coeffs = np.zeros((6, t_count))
+    for t in range(t_count):
+        coeffs[rng.choice(6, size=2, replace=False), t] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(1.0, 2.0, 2)
+    y = gs.matrix[:, others] @ coeffs + gs.matrix[:, [0, 64]] @ rng.standard_normal((2, t_count))
+    y += (0.05 if seed % 2 else 0.0) * rng.standard_normal(y.shape)  # noise-free on even seeds
+    matroid = families(t_count, gs.n)["matroid"]
+    for decay in (False, True):
+        state = replacement_omp(y, gs, matroid, SelectorConfig(k=K, decay=decay))
+        yield f"seed{seed}/twins/romp/matroid{'/decay' if decay else ''}", selection_digest(state), counts(state)
+    state = replacement_greedy(y, gs, matroid, K)
+    yield f"seed{seed}/twins/greedy/matroid", selection_digest(state), counts(state)
+    near = gs.matrix[:, 0] + 1e-5 * gs.matrix[:, 100]  # squared distance ~1e-10 from atom 0's span
+    dictionary = np.column_stack([gs.matrix[:, [0, 64, *others, int(others[0])]], near / np.linalg.norm(near)])
+    fit, residuals = omp_codes(dictionary, y, 8)
+    digest = Digest()
+    fit_digest(digest, fit)
+    yield f"seed{seed}/twins/omp_codes", digest.add(residuals).hexdigest(), f"rank_skips={fit.rank_skips}"
+
+
 def cases():
-    """(name, sha256) of every case, in a fixed order."""
+    """(name, sha256, counts) of every case, in a fixed order; counts is "" where a case has none."""
     gs = assemble([("dct2", dct2_basis(8)), ("haar2", haar2_basis(8))])
     smoothness = resolve_smoothness(gs, None)
     for seed in SEEDS:
@@ -156,14 +214,15 @@ def cases():
                 state = replacement_omp(y, gs, constraint, SelectorConfig(k=K, decay=decay))
                 dictionary = state.atoms if dictionary is None else dictionary
                 pricing = pricing_digest(state, constraint, smoothness)
-                yield f"seed{seed}/romp/{name}{'/decay' if decay else ''}", f"{selection_digest(state)} {pricing}"
+                case = f"seed{seed}/romp/{name}{'/decay' if decay else ''}"
+                yield case, f"{selection_digest(state)} {pricing}", counts(state)
         for name in ("caps", "matroid"):
             state = replacement_greedy(y, gs, constraints[name], K)
-            yield f"seed{seed}/greedy/{name}", selection_digest(state)
+            yield f"seed{seed}/greedy/{name}", selection_digest(state), counts(state)
         fit, residuals = omp_codes(gs.matrix[:, dictionary], y, S)
         digest = Digest()
         fit_digest(digest, fit)
-        yield f"seed{seed}/omp_codes", digest.add(residuals).hexdigest()
+        yield f"seed{seed}/omp_codes", digest.add(residuals).hexdigest(), f"rank_skips={fit.rank_skips}"
         for method in METHODS:
             state = online_state(method, gs, K, S, horizon=ROUNDS, seed=seed)
             for t in range(ROUNDS):
@@ -171,14 +230,16 @@ def cases():
             ledger = state.ledger
             digest = Digest().add(ledger.player_gains, ledger.expert_choice_gains, ledger.dictionaries)
             digest.add(ledger.supports, state.bank.log_weights, state.bank.cumulative_gains, state.gain_bound)
-            yield f"seed{seed}/online/{method}", digest.hexdigest()
-        yield f"seed{seed}/best_replacement", replacement_digest(seed)
+            yield f"seed{seed}/online/{method}", digest.hexdigest(), ""
+        yield f"seed{seed}/best_replacement", replacement_digest(seed), ""
+        yield from small_cases(seed)
+        yield from twin_cases(seed, gs)
 
 
 def main() -> None:
     total = hashlib.sha256()
-    for name, sha in cases():
-        print(f"{sha}  {name}", flush=True)
+    for name, sha, tally in cases():
+        print(f"{sha}  {name}  {tally}".rstrip(), flush=True)
         total.update(f"{name} {sha}\n".encode())
     print(f"{total.hexdigest()}  total")
 

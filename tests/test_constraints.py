@@ -538,6 +538,31 @@ def test_steps_price_the_held_columns_as_the_full_width(seed, family, empty):
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["individual", "matroid", "average", "block"]))
+def test_an_atom_is_priced_from_its_own_row_alone(seed, family):
+    # ROMP prices squared gradients whose held entries keep their rounding
+    # dust.  That is safe because a step prices each atom from its own row
+    # of add_gains: rewriting every other row, held atoms' rows included,
+    # leaves the atom's value unchanged byte for byte.
+    rng = np.random.default_rng(seed)
+    t_count = int(rng.integers(1, 9))
+    constraint = random_constraint(rng, family, t_count)
+    supports = random_supports(rng, constraint, t_count)
+    index = np.full((t_count, max(1, *map(len, supports))), -1)
+    for t, z in enumerate(supports):
+        index[t, : len(z)] = z
+    removal = np.where(index >= 0, rng.choice([0.25, 0.5, 0.75], size=index.shape), 0.0)  # ties are common
+    step = padded_step(constraint, index, removal, N_ATOMS)
+    add = np.round(rng.uniform(0.0, 1.0, size=(N_ATOMS, t_count)), 1)
+    atom = int(rng.integers(N_ATOMS))
+    value = step.values(add)[atom]
+    others = np.arange(N_ATOMS) != atom
+    # From dust to far above any cost.
+    add[others] = rng.uniform(0.0, 1.0, (N_ATOMS - 1, t_count)) * 10.0 ** rng.integers(-30, 4, (N_ATOMS - 1, t_count))
+    assert step.values(add)[atom].tobytes() == value.tobytes()
+
+
 def test_category_tallies_reject_supports_over_their_caps():
     family = family_state(IndividualSparsity(1), 2, 5)
     supports = np.array([[3, -1], [0, 4]])
